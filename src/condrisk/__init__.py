@@ -21,8 +21,9 @@ from .exponential import (ExpConstants, a_hat_closed, alpha1_entropic,
 from .oracle import EmptyFeasibleGridError, grid_max_alpha1, grid_min_rho
 from .preferences import (Aggregator, ArctanPowerUtility, CustomUtility,
                           ExponentialUtility, GrowthBoundError,
-                          LambdaAggregator, RationalPowerUtility, agg_grad,
-                          agg_value, conjugate_V, growth_bound)
+                          InversionError, LambdaAggregator,
+                          RationalPowerUtility, agg_grad, agg_value,
+                          conjugate_V, growth_bound)
 from .primal import (AxiomReport, ClusterConstraint, ConvergenceError,
                      PrimalSolution, RiskSpec, check_axioms, feasible_start,
                      solve_rho)
@@ -36,7 +37,7 @@ __all__ = [
     "ConsistencyReport", "ConvergenceError", "CustomUtility", "DensityVector",
     "DualGapError", "DualReport", "EmptyFeasibleGridError",
     "EquilibriumTriple", "ExpConstants", "ExponentialUtility",
-    "GrowthBoundError", "LambdaAggregator", "MsorteReport",
+    "GrowthBoundError", "InversionError", "LambdaAggregator", "MsorteReport",
     "PenaltyDivergenceError", "PrimalSolution", "RationalPowerUtility",
     "RiskSpec", "Scenario", "ScenarioError", "ScenarioSpace",
     "SigmaPartition", "a_hat_closed", "agg_grad", "agg_value",

@@ -24,6 +24,7 @@ from .equilibrium import build_equilibrium, pi_problem, verify_msorte
 from .exponential import (a_hat_closed, alpha1_entropic, exp_constants,
                           q_hat_closed, rho_closed, y_hat_closed)
 from .oracle import grid_max_alpha1, grid_min_rho
+from .preferences import InversionError
 from .primal import ConvergenceError, check_axioms, feasible_start, solve_rho
 from .scenario import Scenario, ScenarioError, parse_scenario
 
@@ -238,7 +239,7 @@ def main(argv=None) -> int:
     except ScenarioError as exc:
         print(f"scenario error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceError, DualGapError) as exc:
+    except (ConvergenceError, DualGapError, InversionError) as exc:
         print(f"convergence failure: {exc}", file=sys.stderr)
         return 3
     except NotImplementedError as exc:

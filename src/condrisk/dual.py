@@ -16,11 +16,11 @@ find pins to the active constraint.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .preferences import Aggregator, invert_gradient
+from .preferences import Aggregator, invert_gradient, multiplier_root
 from .primal import PrimalSolution, RiskSpec, _block_data
 from .prob_space import DensityVector, cond_exp
 
@@ -90,13 +90,7 @@ def _solve_scaled_gradient(agg, qb, w, target_util):
             val = float(np.clip(w @ total, -1e15, 1e15))
         return val, z
 
-    lo, hi = -2.0, 2.0
-    while util_at(lo)[0] > target_util and lo > -600.0:
-        lo *= 2.0
-    while util_at(hi)[0] < target_util and hi < 600.0:
-        hi *= 2.0
-    logmu = brentq(lambda t: util_at(t)[0] - target_util, lo, hi, xtol=1e-14)
-    z = util_at(logmu)[1]
+    logmu, (_, z) = multiplier_root(util_at, target_util)
     if np.any(zero):
         z = np.where(zero, 0.0, z)  # cost-free coordinates drop out
     return z, float(np.exp(logmu))
@@ -130,14 +124,24 @@ def in_q1(q: DensityVector, spec: RiskSpec) -> bool:
     return bool(fairness_blocks(q, spec).all())
 
 
+@lru_cache(maxsize=1)
 def _alpha1_blocks(q: DensityVector, spec: RiskSpec) -> np.ndarray:
-    """Shortfall part of the penalty, per block, by direct maximization."""
+    """Shortfall part of the penalty, per block, by direct maximization.
+
+    The last result is kept for the same pair of objects: a dual optimizer
+    is checked for its gap and then reported with the same q and spec.
+    Both hash by identity, and every array they hold is a write-protected
+    private copy, so identity implies equal inputs as long as the agent
+    utilities, which may wrap user callables, do not change after
+    construction.
+    """
     _check_density(q, spec)
     out = np.empty(spec.sigma.nblocks)
     for m, (idx, w, _, bval) in enumerate(_block_data(spec)):
         qb = q.q[:, idx]
         z, _ = _solve_scaled_gradient(spec.aggregator, qb, w, bval)
         out[m] = float((w[None, :] * qb * (-z)).sum())
+    out.setflags(write=False)
     return out
 
 

@@ -13,10 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .dual import extract_dual_optimizer, in_q1
-from .preferences import invert_gradient
+from .preferences import invert_gradient, multiplier_root
 from .primal import PrimalSolution, RiskSpec, _block_data, solve_rho
 from .prob_space import (DensityVector, cond_exp, cond_exp_under_density,
                          is_measurable)
@@ -80,13 +79,7 @@ def pi_problem(q: DensityVector, budget_a: np.ndarray,
                 cost = (w[None, :] * np.where(zero, 0.0, qb * y)).sum()
             return float(np.clip(cost, -1e15, 1e15)), y, z
 
-        lo, hi = -2.0, 2.0
-        while value_at(lo)[0] < a_blk and lo > -600.0:
-            lo *= 2.0
-        while value_at(hi)[0] > a_blk and hi < 600.0:
-            hi *= 2.0
-        logmu = brentq(lambda t: value_at(t)[0] - a_blk, lo, hi, xtol=1e-14)
-        _, y, z = value_at(logmu)
+        _, (_, y, z) = multiplier_root(value_at, a_blk, increasing=False)
         if np.any(zero):
             vals = np.stack([u.value(z[j])
                              for j, u in enumerate(agg.utilities)])

@@ -13,10 +13,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 
 class GrowthBoundError(RuntimeError):
     """A candidate linear upper bound failed grid certification."""
+
+
+class InversionError(RuntimeError):
+    """Gradient inversion did not converge or left a non-finite point, or a
+    root find along its multiplier stopped on a jump rather than a root."""
 
 
 class UnivariateUtility:
@@ -230,11 +236,12 @@ class LambdaAggregator:
         if (self.u is None) != (self.weights is None):
             raise ValueError("composite form needs both u and weights")
         if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float)
+            w = np.array(self.weights, dtype=float)
             if np.any(w < 0.0):
                 raise ValueError("weights must be nonnegative")
             if not np.isfinite(self.u.sup):
                 raise ValueError("composite outer utility must be bounded above")
+            w.setflags(write=False)
             object.__setattr__(self, "weights", w)
 
     @property
@@ -362,56 +369,160 @@ class Aggregator:
         return cls(tuple(ExponentialUtility(a, shifted) for a in alphas))
 
 
+_INVERT_MAX_ITER = 100
+_INVERT_STEP_TOL = 1e-12
+# Where the interdependence term swamps every agent's own marginal by many
+# orders of magnitude, t pins little more than beta^T z and z can miss it.
+_INVERT_GRAD_TOL = 1e-9
+# |f| at an accepted multiplier root, relative to max(1, |level|)
+_ROOT_FTOL = 1e-9
+
+
 def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     """Solve grad U(z) = target columnwise; target must be positive.
 
-    Separable aggregators invert each marginal directly; otherwise a damped
-    Newton per column on the log of the gradient (marginal utilities span
-    many orders of magnitude, so the log system stays well conditioned).
+    Separable aggregators invert each marginal in closed form.  For
+    U(z) = sum_j u_j(z_j) + v(s) with s = beta^T z, a column of
+    grad U(z) = t is one equation in s: with
+    z_j(s) = (u_j')^{-1}(t_j - beta_j v'(s)),
+
+        phi(s) = sum_j beta_j z_j(s) - s = 0.
+
+    phi is +infinity at s = (v')^{-1}(min_j t_j / beta_j), strictly
+    decreasing above it with phi' = -v''(s) sum_j beta_j^2 / u_j''(z_j) - 1
+    < -1, and negative far out, so each column has exactly one root.  All
+    columns are solved at once by Newton's method safeguarded by bisection
+    on a bracket; a column is frozen once its step falls below 1e-12
+    relative.  A last Newton step on the full system, solved by
+    Sherman-Morrison with the diagonal-plus-rank-one Hessian, restores
+    beta^T z = s where a marginal u_j' is swamped by beta_j v'(s) and
+    z_j(s) is known only to a few digits.
+
+    Raises InversionError when a column ends unconverged or non-finite, or
+    when grad U(z) misses the target by more than 1e-9 in log terms.
     """
+    target = np.asarray(target, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        z = np.stack([u.inverse_deriv(target[j])
-                      for j, u in enumerate(a.utilities)])
-        if a.separable:
-            return z
-        z = np.atleast_2d(np.clip(z, -1e12, 1e12))
-        target = np.atleast_2d(target)
-        log_t = np.log(target)
+        if a.separable or not np.any(a.lam.weights > 0.0):
+            return _inverse_marginals(a, target)
+        t = target.reshape(target.shape[0], -1)
+        z, converged = _invert_composite(a, t)
+        resid = np.max(np.abs(np.log(a.grad(z) / t)), axis=0)
+    bad = ~converged | ~(resid <= _INVERT_GRAD_TOL)
+    if np.any(bad):
+        raise InversionError(
+            f"gradient inversion failed on {int(bad.sum())} of {bad.size} "
+            "columns (unconverged, non-finite or log-gradient residual "
+            f"above {_INVERT_GRAD_TOL:.0e})")
+    return z.reshape(target.shape)
 
-        def log_res(point):
-            return np.log(a.grad(point)) - log_t
 
-        g = log_res(z)
-        base = np.max(np.abs(g))
-        for _ in range(200):
-            if base <= 1e-12:
-                break
-            hess = a.hessian(z)
-            grad = a.grad(z)
-            step = np.empty_like(z)
-            singular = False
-            for k in range(z.shape[1]):
-                jl = hess[k] / grad[:, k][:, None]
-                try:
-                    step[:, k] = np.linalg.solve(jl, -g[:, k])
-                except np.linalg.LinAlgError:
-                    singular = True
-                    break
-            if singular:
-                break
-            t = 1.0
-            moved = False
-            for _ in range(60):
-                cand = z + t * step
-                gc = log_res(cand)
-                cnorm = np.max(np.abs(gc))
-                if np.isfinite(cnorm) and cnorm < base:
-                    z, g, base, moved = cand, gc, cnorm, True
-                    break
-                t *= 0.5
-            if not moved:
-                break
-    return z
+def _inverse_marginals(a: Aggregator, m: np.ndarray) -> np.ndarray:
+    return np.stack([u.inverse_deriv(m[j]) for j, u in enumerate(a.utilities)])
+
+
+def _invert_composite(a: Aggregator, t: np.ndarray):
+    """(z, converged flag per column) for grad U(z) = t by the s-reduction."""
+    v, beta = a.lam.u, a.lam.weights
+    act = np.flatnonzero(beta > 0.0)
+    bact = beta[act][:, None]
+
+    def state(s):
+        r = t - beta[:, None] * v.deriv(s)
+        z = _inverse_marginals(a, r)
+        inside = np.all(r[act] > 0.0, axis=0)
+        return z, np.where(inside, (bact * z[act]).sum(axis=0) - s, np.inf)
+
+    def curvature(z):
+        return np.stack([a.utilities[j].deriv2(z[j]) for j in act])
+
+    # Each z_j(s) exceeds z0_j, its value without the interdependence term,
+    # so phi > 0 up to max(s_lo, beta^T z0); step right until phi < 0.
+    z0 = _inverse_marginals(a, t)
+    lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
+                    (bact * z0[act]).sum(axis=0))
+    width = np.ones(t.shape[1])
+    s = lo + width
+    z, phi = state(s)
+    for _ in range(64):
+        up = ~(phi < 0.0)
+        if not up.any():
+            break
+        lo = np.where(up, s, lo)
+        width = np.where(up, 2.0 * width, width)
+        s = np.where(up, lo + width, s)
+        z, phi = state(s)
+    hi = s.copy()
+    active = phi < 0.0  # columns without a bracket never converge
+    done = np.zeros_like(active)
+    last = np.full(t.shape[1], np.inf)
+
+    for _ in range(_INVERT_MAX_ITER):
+        slope = -v.deriv2(s) * (bact ** 2 / curvature(z)).sum(axis=0) - 1.0
+        newton = s - phi / slope
+        tol = _INVERT_STEP_TOL * (1.0 + np.abs(s))
+        small = np.abs(newton - s) <= tol
+        # bisect when Newton leaves the bracket or does not halve the step
+        # (a steep power-like phi makes Newton converge only linearly)
+        keep = small | ((newton > lo) & (newton < hi)
+                        & (np.abs(newton - s) <= 0.5 * last))
+        step = np.where(keep, newton, 0.5 * (lo + hi))
+        done |= active & (np.abs(step - s) <= tol)
+        active &= ~done
+        if not active.any():
+            break
+        last = np.where(active, np.abs(step - s), last)
+        s = np.where(active, step, s)
+        z, phi = state(s)
+        lo = np.where(active & (phi > 0.0), s, lo)
+        hi = np.where(active & (phi < 0.0), s, hi)
+
+    # The last step, taken on the full system at z(s): it moves s by the
+    # Newton step on phi and each z_j in proportion to beta_j / u_j''.
+    q = bact / curvature(z)
+    v2 = v.deriv2(s)
+    z[act] -= q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
+    return z, done
+
+
+def multiplier_root(state, level: float, increasing: bool = True):
+    """Root t of state(t)[0] = level for a monotone function of a log
+    multiplier t; returns (t, state(t)).
+
+    The bracket starts at [-2, 2] and doubles outwards until it holds a
+    sign change or reaches |t| >= 600.  Far out the inversion behind state
+    may fail; a t where state raises InversionError gets the value +-1e15
+    of the end of the range on its side of 0.  brentq then pins the root.
+    A root on such a t, or with |state(t)[0] - level| above
+    _ROOT_FTOL * max(1, |level|), sits on a jump of an inaccurate state and
+    raises InversionError.
+    """
+    sign = 1.0 if increasing else -1.0
+    # brentq evaluates the bracket ends again and returns a point it has
+    # evaluated; each inversion is done once
+    seen, failed = {}, set()
+
+    def f(t):
+        if t not in seen:
+            try:
+                seen[t] = state(t)
+            except InversionError:
+                failed.add(t)
+                seen[t] = (sign * np.copysign(1e15, t),)
+        return seen[t][0] - level
+
+    lo, hi = -2.0, 2.0
+    while sign * f(lo) > 0.0 and lo > -600.0:
+        lo *= 2.0
+    while sign * f(hi) < 0.0 and hi < 600.0:
+        hi *= 2.0
+    root = brentq(f, lo, hi, xtol=1e-14)
+    resid = abs(f(root))
+    if root in failed or not resid <= _ROOT_FTOL * max(1.0, abs(level)):
+        raise InversionError(
+            f"multiplier root find stopped at |f| = {resid:.3e}: the "
+            "function jumps there")
+    return root, seen[root]
 
 
 def agg_value(a: Aggregator, x) -> float:

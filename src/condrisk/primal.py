@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import brentq
 
-from .preferences import Aggregator
+from .preferences import (Aggregator, InversionError, invert_gradient,
+                          multiplier_root)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -89,8 +90,8 @@ class RiskSpec:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
-        x = np.atleast_2d(np.asarray(self.x, dtype=float))
-        b = np.asarray(self.b, dtype=float)
+        x = np.atleast_2d(np.array(self.x, dtype=float))
+        b = np.array(self.b, dtype=float)
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "b", b)
         self.space.check_values(x, "positions")
@@ -446,8 +447,6 @@ def _single_atom_block(agg, groups, xb, w, bval, kkt_tol):
     utilities coincide at the reciprocal of the utility multiplier; a scalar
     root find on that multiplier pins the active constraint.
     """
-    from .preferences import invert_gradient
-
     def state(logmu):
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             target = np.full((agg.nagents, 1), np.exp(-logmu))
@@ -455,13 +454,7 @@ def _single_atom_block(agg, groups, xb, w, bval, kkt_tol):
             val = float(np.clip(agg.value(z)[0], -1e15, 1e15))
         return val, z
 
-    lo, hi = -2.0, 2.0
-    while state(lo)[0] > bval and lo > -600.0:
-        lo *= 2.0
-    while state(hi)[0] < bval and hi < 600.0:
-        hi *= 2.0
-    logmu = brentq(lambda t: state(t)[0] - bval, lo, hi, xtol=1e-14)
-    _, z = state(logmu)
+    logmu, (_, z) = multiplier_root(state, bval)
     mu = float(np.exp(logmu))
     y = z - xb
     d = np.array([y[list(g), 0].sum() for g in groups])
@@ -598,7 +591,10 @@ def _solve_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
         fallbacks.append(lambda: _profile_block(agg, groups, xb, w, bval,
                                                 kkt_tol))
     for fallback in fallbacks:
-        attempt = fallback()
+        try:
+            attempt = fallback()
+        except InversionError:
+            continue
         if attempt[0] is None:
             best = min(best, attempt[1])
             continue

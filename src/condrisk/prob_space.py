@@ -40,7 +40,7 @@ class ScenarioSpace:
 
     def __post_init__(self):
         labels = tuple(str(s) for s in self.atom_labels)
-        prob = np.asarray(self.prob, dtype=float)
+        prob = np.array(self.prob, dtype=float)
         object.__setattr__(self, "atom_labels", labels)
         object.__setattr__(self, "prob", prob)
         if prob.ndim != 1 or prob.size < 1:
@@ -213,7 +213,7 @@ class DensityVector:
     sigma: SigmaPartition
 
     def __post_init__(self):
-        q = np.atleast_2d(np.asarray(self.q, dtype=float))
+        q = np.atleast_2d(np.array(self.q, dtype=float))
         object.__setattr__(self, "q", q)
         self.sigma.space.check_values(q, "densities")
         if np.any(q < -1e-12):

@@ -13,8 +13,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-import jsonschema
 import numpy as np
+from jsonschema.exceptions import best_match
+from jsonschema.validators import validator_for
 
 from .preferences import (Aggregator, ArctanPowerUtility, ExponentialUtility,
                           LambdaAggregator, RationalPowerUtility)
@@ -83,6 +84,10 @@ _SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would check the schema and build a new
+# validator on every call
+_VALIDATOR = validator_for(_SCHEMA)(_SCHEMA)
+
 
 def _build_utility(node):
     kind = node["kind"]
@@ -110,11 +115,10 @@ def parse_scenario(path: str) -> Scenario:
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
-    try:
-        jsonschema.validate(doc, _SCHEMA)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "<root>"
-        raise ScenarioError(f"{path}: field '{where}': {exc.message}") from exc
+    error = best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
+        raise ScenarioError(f"{path}: field '{where}': {error.message}")
 
     space = ScenarioSpace(tuple(doc["atoms"]["labels"]),
                           np.asarray(doc["atoms"]["probs"], dtype=float))

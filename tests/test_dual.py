@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,9 @@ from condrisk import (Aggregator, ClusterConstraint, DensityVector,
                       PenaltyDivergenceError, RiskSpec, ScenarioSpace,
                       SigmaPartition, cond_exp, conjugate_V, dual_report,
                       dual_value, extract_dual_optimizer, in_q1,
-                      penalty_alpha1, q_hat_closed, rho_with_measure,
-                      solve_rho)
+                      parse_scenario, penalty_alpha1, q_hat_closed,
+                      rho_with_measure, solve_rho)
+from condrisk import dual
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
 
@@ -254,3 +257,60 @@ class TestFairnessAtOptimum:
             np.testing.assert_allclose(fair, sol.rho, atol=5e-9)
             np.testing.assert_allclose(sol.y_hat.sum(axis=0), sol.rho,
                                        atol=5e-9)
+
+
+class TestPenaltyMemo:
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        """Counts the blockwise penalty maximizations."""
+        calls = []
+        inner = dual._solve_scaled_gradient
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(dual, "_solve_scaled_gradient", counted)
+        return calls
+
+    def test_report_reuses_the_gap_check_solve(self, solves):
+        path = (Path(__file__).resolve().parents[1] / "scenarios"
+                / "composite.json")
+        spec = parse_scenario(str(path)).spec
+        sol = solve_rho(spec)
+        q = extract_dual_optimizer(sol, spec)
+        after_extract = len(solves)
+        rep = dual_report(sol, q, spec)
+        assert len(solves) == after_extract == spec.sigma.nblocks
+        fresh = penalty_alpha1(DensityVector(q.q.copy(), q.sigma), spec)
+        np.testing.assert_array_equal(rep.alpha1, fresh)
+        assert len(solves) == 2 * spec.sigma.nblocks
+
+    def test_other_spec_misses(self, canonical_spec, solves):
+        q = canonical_q(canonical_spec)
+        first = penalty_alpha1(q, canonical_spec)
+        lower = canonical_spec.with_b(canonical_spec.b - 0.5)
+        second = penalty_alpha1(q, lower)
+        assert len(solves) == 2
+        assert not np.allclose(first, second)
+        np.testing.assert_array_equal(
+            second, penalty_alpha1(canonical_q(lower), lower))
+
+    def test_fairness_still_checked_on_a_hit(self, canonical_spec):
+        q = DensityVector(np.array([[1.5, 0.5], [0.5, 1.5]]),
+                          canonical_spec.sigma)
+        for _ in range(2):
+            with pytest.raises(PenaltyDivergenceError):
+                penalty_alpha1(q, canonical_spec)
+
+    def test_inputs_are_private_copies(self, canonical_spec, solves):
+        raw = np.tile(CANONICAL["q"], (2, 1))
+        q = DensityVector(raw, canonical_spec.sigma)
+        first = penalty_alpha1(q, canonical_spec)
+        raw[:] = 1.0  # the caller's array changes; q must not
+        assert not q.q.flags.writeable
+        np.testing.assert_array_equal(
+            penalty_alpha1(q, canonical_spec), first)
+        assert len(solves) == 1
+        np.testing.assert_array_equal(
+            first, penalty_alpha1(canonical_q(canonical_spec), canonical_spec))

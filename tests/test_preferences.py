@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, CustomUtility,
-                      ExponentialUtility, GrowthBoundError, LambdaAggregator,
-                      RationalPowerUtility, agg_grad, agg_value, conjugate_V,
-                      growth_bound)
+                      ExponentialUtility, GrowthBoundError, InversionError,
+                      LambdaAggregator, RationalPowerUtility, agg_grad,
+                      agg_value, conjugate_V, growth_bound)
+from condrisk import preferences
+from condrisk.preferences import invert_gradient, multiplier_root
 
 ALL_KINDS = [
     ExponentialUtility(1.0),
@@ -132,6 +134,13 @@ class TestAggregatorProperties:
         pts = rng.uniform(-10, 50, size=(2, 4000))
         assert np.all(a.value(pts) <= a.sup + 1e-12)
 
+    def test_lambda_weights_are_a_private_copy(self):
+        w = np.array([1.0, 2.0])
+        lam = LambdaAggregator.composite(RationalPowerUtility(2.0), w)
+        w[0] = 5.0
+        np.testing.assert_array_equal(lam.weights, [1.0, 2.0])
+        assert not lam.weights.flags.writeable
+
     def test_first_order_concavity_inequality(self):
         a = Aggregator.exponential([0.5, 1.5])
         rng = np.random.default_rng(6)
@@ -217,3 +226,85 @@ class TestCustomUtility:
         with pytest.raises(ValueError):
             CustomUtility(lambda x: -x - 0.001 * x ** 2 * np.sign(x) * x,
                           lambda x: -np.ones_like(x))
+
+
+def composite_aggregator(rng):
+    """Four mixed agents and a shifted exponential interdependence term."""
+    p = rng.uniform(1.5, 3.0, size=3)
+    agents = (ExponentialUtility(rng.uniform(0.5, 2.0), shifted=True),
+              RationalPowerUtility(p[0]), ArctanPowerUtility(p[1]),
+              RationalPowerUtility(p[2]))
+    lam = LambdaAggregator.composite(
+        ExponentialUtility(rng.uniform(0.5, 1.5), shifted=True),
+        rng.uniform(0.2, 1.0, size=4))
+    return Aggregator(agents, lam)
+
+
+class TestInvertGradient:
+    @pytest.mark.parametrize("spread", [1.0, 3.0, 6.0])
+    def test_composite_roundtrip(self, spread):
+        # at spread 6 the interdependence term swamps some marginals by
+        # ten orders of magnitude; the gradient must still round-trip
+        rng = np.random.default_rng(int(spread))
+        for _ in range(10):
+            a = composite_aggregator(rng)
+            z = rng.uniform(-spread, spread, size=(4, 32))
+            t = a.grad(z)
+            back = invert_gradient(a, t)
+            assert np.max(np.abs(np.log(a.grad(back)) - np.log(t))) <= 1e-10
+
+    def test_composite_point_keeps_shape(self):
+        a = composite_aggregator(np.random.default_rng(9))
+        z = np.array([0.3, -0.4, 1.2, 0.0])
+        back = invert_gradient(a, a.grad(z))
+        assert back.shape == (4,)
+        np.testing.assert_allclose(back, z, atol=1e-12)
+
+    def test_separable_is_closed_form(self):
+        a = Aggregator((ExponentialUtility(1.5), RationalPowerUtility(2.0)))
+        z = np.array([[0.5, -1.0, 2.0], [-0.3, 0.7, 4.0]])
+        np.testing.assert_allclose(invert_gradient(a, a.grad(z)), z,
+                                   atol=1e-12)
+
+    def test_unconverged_columns_raise(self, monkeypatch):
+        a = composite_aggregator(np.random.default_rng(10))
+        t = a.grad(np.random.default_rng(11).uniform(-2, 2, size=(4, 5)))
+        monkeypatch.setattr(preferences, "_INVERT_MAX_ITER", 1)
+        with pytest.raises(InversionError, match="unconverged"):
+            invert_gradient(a, t)
+
+    def test_non_finite_target_raises(self):
+        a = composite_aggregator(np.random.default_rng(12))
+        t = np.ones((4, 3))
+        t[1, 2] = np.inf
+        with pytest.raises(InversionError):
+            invert_gradient(a, t)
+
+    def test_error_is_a_runtime_error(self):
+        assert issubclass(InversionError, RuntimeError)
+
+
+class TestMultiplierRoot:
+    def test_finds_root_and_returns_state(self):
+        root, (val, payload) = multiplier_root(
+            lambda t: (np.tanh(t), "z"), 0.5)
+        assert root == pytest.approx(np.arctanh(0.5), abs=1e-13)
+        assert payload == "z"
+
+    def test_decreasing(self):
+        root, _ = multiplier_root(lambda t: (-3.0 * t, None), 6.0,
+                                  increasing=False)
+        assert root == pytest.approx(-2.0, abs=1e-13)
+
+    def test_jump_raises(self):
+        with pytest.raises(InversionError, match="jumps"):
+            multiplier_root(lambda t: (1.0 if t > 0.3 else -1.0, "z"), 0.0)
+
+    def test_failed_endpoint_counts_as_out_of_range(self):
+        def state(t):
+            if t > 5.0:
+                raise InversionError("beyond range")
+            return t, "z"
+
+        root, _ = multiplier_root(state, 4.5)
+        assert root == pytest.approx(4.5, abs=1e-13)

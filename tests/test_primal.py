@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
-                      ExponentialUtility, LambdaAggregator,
+                      ConvergenceError, ExponentialUtility, InversionError,
+                      LambdaAggregator,
                       RationalPowerUtility, RiskSpec, ScenarioSpace,
                       SigmaPartition, check_axioms, cond_exp, feasible_start,
                       grid_min_rho, is_measurable, solve_rho)
+from condrisk import primal
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
 
@@ -200,6 +202,28 @@ class TestSolveRho:
         sol = solve_rho(spec)
         oracle = grid_min_rho(spec, -2.0, 1.0, 1e-3)
         assert sol.rho[0] == pytest.approx(oracle[0], abs=2e-3)
+
+    def test_fallback_inversion_failure_continues_the_chain(self,
+                                                            monkeypatch):
+        # a single-atom fallback whose root find stops on a jump raises
+        # InversionError; the block then refuses as a whole
+        space = ScenarioSpace.uniform(1)
+        lam = LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
+                                         [0.5, 1.0])
+        agg = Aggregator((ExponentialUtility(1.0), ExponentialUtility(2.0)),
+                         lam)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[0.5], [-0.5]]), aggregator=agg,
+                        b=np.full(1, -1.0),
+                        clusters=ClusterConstraint.full_sharing(2))
+
+        def jump(*args):
+            raise InversionError("multiplier root find stopped on a jump")
+
+        monkeypatch.setattr(primal, "_newton_block", lambda *args: (None, 1.0))
+        monkeypatch.setattr(primal, "_single_atom_block", jump)
+        with pytest.raises(ConvergenceError):
+            solve_rho(spec)
 
 
 class TestAxioms:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -145,6 +146,17 @@ class TestCliCommands:
         assert main(["expcheck", str(path)]) == 2
 
 
+class TestCompositeScenario:
+    def test_dual_closes_the_gap(self, capsys):
+        # a wide block with an interdependence term on which an inexact
+        # gradient inversion left a duality gap of about 1
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        assert main(["dual", str(scenarios / "composite.json")]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["pass"] is True
+        assert abs(float(report["gap"]["block0"])) <= 5e-9
+
+
 class TestCliErrors:
     def test_schema_error_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, "bad.json",
@@ -172,6 +184,18 @@ class TestCliErrors:
 
         monkeypatch.setattr(cli, "solve_rho", boom)
         assert main(["risk", canonical_file]) == 3
+        assert "convergence failure" in capsys.readouterr().err
+
+    def test_inversion_failure_exit_code(self, canonical_file, monkeypatch,
+                                         capsys):
+        from condrisk import InversionError
+        import condrisk.cli as cli
+
+        def boom(sol, spec):
+            raise InversionError("multiplier root find stopped on a jump")
+
+        monkeypatch.setattr(cli, "extract_dual_optimizer", boom)
+        assert main(["dual", canonical_file]) == 3
         assert "convergence failure" in capsys.readouterr().err
 
 
