@@ -200,23 +200,13 @@ def rho_with_measure(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     """Risk under a fixed admissible measure vector:
     density-weighted cost of the positions minus the penalty.
 
-    Cross-checked against the direct minimization of the density-weighted
-    allocation cost under the utility constraint; the two must agree.
+    This is dual_value.  The direct minimization of the density-weighted
+    allocation cost under the utility constraint has the penalty's
+    optimizer z as its solution, and its value, the sum of w q (z - x), is
+    the same sum as the dual value's, so comparing the two could only
+    compare rounding.
     """
-    value = dual_value(q, spec)
-    direct = np.empty(spec.sigma.nblocks)
-    for m, (idx, w, xb, bval) in enumerate(_block_data(spec)):
-        qb = q.q[:, idx]
-        z, _ = _solve_scaled_gradient(spec.aggregator, qb, w, bval)
-        y = z - xb
-        if np.any(qb <= 0.0):
-            y = np.where(qb <= 0.0, 0.0, y)
-        direct[m] = float((w[None, :] * qb * y).sum())
-    mismatch = np.max(np.abs(value - spec.sigma.expand(direct)))
-    if mismatch > 5.0 * spec.kkt_tol:
-        raise RuntimeError(
-            f"fixed-measure risk cross-check mismatch {mismatch:.3e}")
-    return value
+    return dual_value(q, spec)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,22 +7,22 @@ whom) so that the conditional expected aggregated utility of the padded
 positions clears a threshold B on every block.
 
 Each block of the information partition yields an independent equality-
-constrained concave program; the solver is a damped Newton iteration on the
-KKT system, with a globally convergent profile/bisection fallback for
-separable aggregators.
+constrained concave program; one damped Newton iteration on the KKT systems
+steps all blocks of a solve together, with structure-specific fallbacks
+(among them a globally convergent profile/bisection solve for separable
+aggregators) for a block it does not solve.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
 
-from .preferences import (Aggregator, InversionError, invert_gradient,
-                          multiplier_root)
+from .preferences import (Aggregator, ExponentialUtility, InversionError,
+                          invert_gradient, multiplier_root)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -131,6 +131,10 @@ class RiskSpec:
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
+    """Optimal allocation, risk per atom, and per block the utility
+    multiplier, the final optimality residual and the number of Newton
+    steps; ``iterations`` is 0 for a block that a fallback solved."""
+
     y_hat: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
@@ -168,9 +172,14 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
             lo = hi
             hi = 2.0 * hi + 1.0
     s = brentq(f, lo, hi, xtol=1e-9)
-    # land strictly on the feasible side of the slack target
-    while f(s) < 0.0:
-        s += 1e-9
+    # land strictly on the feasible side of the slack target, by steps of
+    # at least one ulp (far out 1e-9 is less than one)
+    for _ in range(64):
+        if not f(s) < 0.0:
+            break
+        s = max(s + 1e-9, float(np.nextafter(s, np.inf)))
+    else:
+        raise ConvergenceError(f"no feasible start near {s!r}")
     shift = np.max(np.abs(spec.x), axis=1) + s
     return np.tile(shift[:, None], (1, spec.space.natoms))
 
@@ -186,151 +195,196 @@ def _block_data(spec: RiskSpec):
     return out
 
 
-def _member_of(groups, n):
-    member = np.empty(n, dtype=np.intp)
+@dataclass(frozen=True, eq=False)
+class _Blocks:
+    """Blocks side by side: block m owns the columns start[m]:start[m + 1]
+    of the positions x and conditional weights w, and has threshold b[m]."""
+
+    x: np.ndarray
+    w: np.ndarray
+    b: np.ndarray
+    start: np.ndarray
+
+    @classmethod
+    def single(cls, xb, w, bval) -> "_Blocks":
+        return cls(xb, w, np.array([bval], float), np.array([0, xb.shape[1]]))
+
+    @cached_property
+    def of(self) -> np.ndarray:  # block of each column
+        return np.repeat(np.arange(self.b.size), np.diff(self.start))
+
+    def take(self, keep):
+        """The blocks flagged in keep, and the flags of their columns."""
+        cols = keep[self.of]
+        start = np.concatenate(([0], np.cumsum(np.diff(self.start)[keep])))
+        return _Blocks(self.x[:, cols], self.w[cols], self.b[keep], start), cols
+
+
+@lru_cache(maxsize=16)
+def _membership(groups):
+    """Agent-to-cluster matrix E (agents x clusters) and each agent's cluster."""
+    member = np.empty(sum(len(g) for g in groups), dtype=np.intp)
     for m, g in enumerate(groups):
         member[list(g)] = m
-    return member
+    return np.eye(len(groups))[member], member
 
 
-def _kkt_residual(agg, groups, xb, w, bval, y, d, lam, mu):
+def _residual(agg, groups, blocks, y, d, lam, mu):
+    """KKT residuals of all blocks, (r_y, r_d, r_c, r_u, grad, norm): of
+    stationarity in y and d, of the cluster budgets d and of the utility
+    constraint, and the Euclidean norm of all four per block."""
+    e, member = _membership(groups)
+    first, of = blocks.start[:-1], blocks.of
     with np.errstate(over="ignore", invalid="ignore"):
-        z = xb + y
+        z = blocks.x + y
         grad = agg.grad(z)
-        uval = agg.value(z)
-        member = _member_of(groups, y.shape[0])
-        r_y = -lam[member, :] - mu * w[None, :] * grad
-        r_d = 1.0 + lam.sum(axis=1)
-        r_c = np.stack([y[list(g), :].sum(axis=0) - d[m]
-                        for m, g in enumerate(groups)])
-        r_u = float(w @ uval) - bval
-    return r_y, r_d, r_c, r_u, grad, uval
+        r_y = -lam[member] - (mu[of] * blocks.w) * grad
+        r_d = 1.0 + np.add.reduceat(lam, first, axis=1)
+        r_c = e.T @ y - d[:, of]
+        r_u = np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b
+        sq = np.add.reduceat((r_y ** 2).sum(axis=0) + (r_c ** 2).sum(axis=0),
+                             first) + (r_d ** 2).sum(axis=0) + r_u ** 2
+    return r_y, r_d, r_c, r_u, grad, np.sqrt(sq)
 
 
-def _pack(r_y, r_d, r_c, r_u):
-    return np.concatenate([r_y.ravel(), r_d, r_c.ravel(), [r_u]])
-
-
-def _opt_residual(groups, w, grad, mu, r_c, r_u):
-    """Scale-free optimality measure of a candidate block solution.
-
-    Covers within-cluster marginal-utility spread (relative), the
+def _optimality(groups, blocks, mu, r):
+    """(opt, largest KKT residual entry) per block.  The scale-free opt
+    covers within-cluster marginal-utility spread (relative), the
     per-cluster multiplier condition, cluster-sum feasibility and the
-    activity of the utility constraint.  Unlike the raw KKT residual this
-    does not vanish on low-probability atoms merely because their weight is
-    small; the activity term is scaled by the multiplier because the risk
-    value responds to threshold perturbations at rate mu.
-    """
-    mu_cap = min(max(abs(mu), 1.0), 1e5)
-    worst = max(float(np.max(np.abs(r_c))), abs(r_u) * mu_cap)
-    for g in groups:
-        rows = grad[list(g), :]
-        mean = rows.mean(axis=0)
-        spread = np.max(np.abs(rows - mean[None, :])
-                        / np.maximum(1.0, np.abs(mean))[None, :])
-        worst = max(worst, float(spread),
-                    abs(mu * float(w @ mean) - 1.0))
-    return worst
-
-
-def _kkt_jacobian(agg, groups, xb, w, y, mu, grad):
-    n, el = y.shape
-    h = len(groups)
-    ny, nd = n * el, h
-    size = ny + nd + h * el + 1
-    jac = np.zeros((size, size))
-    hess = agg.hessian(xb + y)  # (el, n, n)
-    member = _member_of(groups, n)
-    ar = np.arange(el)
-
-    for i in range(n):
-        ri = i * el + ar
-        for i2 in range(n):
-            jac[ri, i2 * el + ar] = -mu * w * hess[:, i, i2]
-        li = ny + nd + member[i] * el + ar
-        jac[ri, li] = -1.0
-        jac[li, ri] = 1.0
-        jac[ri, size - 1] = -w * grad[i]
-        jac[size - 1, ri] = w * grad[i]
-    for m in range(h):
-        lm = ny + nd + m * el + ar
-        jac[lm, ny + m] = -1.0
-        jac[ny + m, lm] = 1.0
-    return jac
-
-
-def _newton_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
-    """Damped Newton on the KKT system of one block's program."""
-    n, el = xb.shape
-    h = len(groups)
-    y = y0.copy()
-    d = np.array([y[list(g), :].sum(axis=0)[0] for g in groups])
-    # consistent multiplier warm start from the stationarity conditions;
-    # if marginal utilities underflowed at the start, fall back to a flat
-    # multiplier guess and let the damped iteration (or a fallback) work
+    activity of the utility constraint, scaled by mu: unlike the KKT
+    residual it does not vanish on atoms of low probability."""
+    r_y, r_d, r_c, r_u, grad, _ = r
+    e, member = _membership(groups)
+    first = blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        grad0 = agg.grad(xb + y)
-    lam = np.empty((h, el))
-    mus = []
-    for m, g in enumerate(groups):
-        a = grad0[list(g), :].mean(axis=0)
-        denom = float(w @ a)
-        if not np.isfinite(denom) or denom <= 1e-290:
-            lam[m] = -w
-            mus.append(1.0)
-        else:
-            lam[m] = -w * a / denom
-            mus.append(1.0 / denom)
-    mu = float(np.mean(mus))
+        mean = (e.T @ grad) / e.sum(axis=0)[:, None]
+        own = mean[member]
+        spread = np.max(np.abs(grad - own) / np.maximum(1.0, np.abs(own)), 0)
+        level = mu * np.add.reduceat(blocks.w * mean, first, axis=1)
+        rc = np.abs(r_c).max(axis=0)
+        opt = np.maximum.reduce([
+            np.maximum.reduceat(np.maximum(spread, rc), first),
+            np.abs(r_u) * np.clip(np.abs(mu), 1.0, 1e5),
+            np.abs(level - 1.0).max(axis=0)])
+        rmax = np.maximum.reduce([
+            np.maximum.reduceat(np.maximum(np.abs(r_y).max(axis=0), rc), first),
+            np.abs(r_d).max(axis=0), np.abs(r_u)])
+    return opt, rmax
 
-    r = _kkt_residual(agg, groups, xb, w, bval, y, d, lam, mu)
-    rvec = _pack(*r[:4])
-    norm = np.linalg.norm(rvec)
-    for it in range(max_iter):
-        opt = _opt_residual(groups, w, r[4], mu, r[2], r[3])
-        if opt <= kkt_tol and np.max(np.abs(rvec)) <= kkt_tol:
-            return y, d, lam, mu, opt, it
-        jac = _kkt_jacobian(agg, groups, xb, w, y, mu, r[4])
-        try:
-            step = np.linalg.solve(jac, -rvec)
-        except np.linalg.LinAlgError:
-            try:
-                jac = jac + 1e-10 * np.eye(jac.shape[0])
-                step = np.linalg.solve(jac, -rvec)
-            except np.linalg.LinAlgError:
-                break  # degenerate curvature; caller decides on fallback
-        dy = step[: n * el].reshape(n, el)
-        dd = step[n * el: n * el + h]
-        dl = step[n * el + h: n * el + h + h * el].reshape(h, el)
-        dm = step[-1]
-        t = 1.0
+
+def _solve_stack(a, b):
+    """(solutions, solved flags) of a stack of linear systems; a singular
+    system, one whose LU factorization has a zero pivot, gets NaN."""
+    try:
+        return np.linalg.solve(a, b), np.ones(len(a), dtype=bool)
+    except np.linalg.LinAlgError:
+        ok = np.linalg.slogdet(a)[0] != 0.0
+    out = np.full(b.shape, np.nan)
+    out[ok] = np.linalg.solve(a[ok], b[ok])
+    return out, ok
+
+
+def _newton_step(agg, groups, blocks, y, mu, r):
+    """Newton step of every block's KKT system, (dy, dd, dlam, dmu, flags
+    of the blocks whose systems are not singular), by elimination.  Per
+    atom, the saddle system [[-mu w H, -E], [E^T, 0]] in (dy, dlam), with E
+    the agent-to-cluster membership, is solved for the residual and for a
+    unit change of each cluster budget d and of mu.  The conditions that
+    couple the atoms of a block, sum dlam = -r_d and sum w grad^T dy =
+    -r_u, then leave an (h + 1) x (h + 1) system in (dd, dmu) per block."""
+    r_y, r_d, r_c, r_u, grad, _ = r
+    (n, k), (e, _) = y.shape, _membership(groups)
+    h, first, of = e.shape[1], blocks.start[:-1], blocks.of
+    with np.errstate(over="ignore", invalid="ignore"):
+        wg = (blocks.w * grad).T
+        kkt = np.zeros((k, n + h, n + h))
+        kkt[:, :n, :n] = -(mu[of] * blocks.w)[:, None, None] * agg.hessian(
+            blocks.x + y)
+        kkt[:, :n, n:], kkt[:, n:, :n] = -e, e.T
+        rhs = np.zeros((k, n + h, h + 2))
+        rhs[:, :, 0] = -np.concatenate([r_y, r_c]).T
+        rhs[:, n:, 1:h + 1] = np.eye(h)
+        rhs[:, :n, h + 1] = wg
+        sol, solved = _solve_stack(kkt, rhs)
+        rows = np.concatenate([sol[:, n:], np.einsum("ki,kij->kj", wg,
+                                                     sol[:, :n])[:, None]], 1)
+        rows = np.add.reduceat(rows, first, axis=0)
+        v, ok = _solve_stack(rows[:, :, 1:], -rows[:, :, :1] - np.concatenate(
+            [r_d, r_u[None]]).T[:, :, None])
+        v = v[:, :, 0]
+        step = sol[:, :, 0] + np.einsum("kij,kj->ki", sol[:, :, 1:], v[of])
+    ok &= np.logical_and.reduceat(solved, first)
+    return step[:, :n].T, v[:, :h].T, step[:, n:].T, v[:, h], ok
+
+
+def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
+    """Damped Newton on the KKT systems of all blocks at once.  Each block
+    keeps its own step cap, line search, convergence test and iteration
+    limit, so its iterates are those of a solve on its own; it leaves the
+    batch when it converges or its system is singular or its line search
+    fails.  Returns per block (y, d, lam, mu, residual, iterations), or
+    (None, residual) where the caller decides on a fallback."""
+    e, _ = _membership(groups)
+    y, of, first = np.array(y0, dtype=float), blocks.of, blocks.start[:-1]
+    # consistent multiplier warm start from the stationarity conditions;
+    # where marginal utilities underflowed at the start, a flat multiplier
+    # guess and the damped iteration (or a fallback) take over
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mean = (e.T @ agg.grad(blocks.x + y)) / e.sum(axis=0)[:, None]
+        denom = np.add.reduceat(blocks.w * mean, first, axis=1)
+        flat = ~np.isfinite(denom) | (denom <= 1e-290)
+        lam = np.where(flat[:, of], -blocks.w, -blocks.w * mean / denom[:, of])
+        mu = np.where(flat, 1.0, 1.0 / denom).mean(axis=0)
+    d = (e.T @ y)[:, first]
+    opt, res = np.empty(mu.size), np.empty(mu.size)
+    iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
+    for it in range(max_iter + 1):
+        sub, cols = blocks.take(active)
+        state = y[:, cols], d[:, active], lam[:, cols], mu[active]
+        r = _residual(agg, groups, sub, *state)
+        opt[active], rmax = _optimality(groups, sub, state[3], r)
+        res[active], iters[active] = np.maximum(opt[active], rmax), it
+        going = ~(res[active] <= kkt_tol)
+        if it == max_iter or not going.any():
+            break
+        dy, dd, dlam, dmu, solved = _newton_step(agg, groups, sub, state[0],
+                                                 state[3], r)
         # cap the allocation move (keeps utilities in range) and keep the
         # utility multiplier positive; both inactive near the solution
-        ymax = float(np.max(np.abs(dy)))
-        if ymax > 20.0:
-            t = 20.0 / ymax
-        if dm < 0.0 and mu + t * dm <= 0.0:
-            t = min(t, -0.95 * mu / dm)
-        for _ in range(50):
-            cand = (y + t * dy, d + t * dd, lam + t * dl, mu + t * dm)
-            rc = _kkt_residual(agg, groups, xb, w, bval, *cand)
-            cnorm = np.linalg.norm(_pack(*rc[:4]))
-            if cnorm <= (1.0 - 1e-4 * t) * norm:
-                y, d, lam, mu = cand
-                r, rvec, norm = rc, _pack(*rc[:4]), cnorm
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ymax = np.maximum.reduceat(np.abs(dy).max(axis=0), sub.start[:-1])
+            t = np.where(ymax > 20.0, 20.0 / ymax, 1.0)
+            cap = (dmu < 0.0) & (state[3] + t * dmu <= 0.0)
+            t = np.where(cap, np.minimum(t, -0.95 * state[3] / dmu), t)
+        found = ~(going & solved)
+        for _ in range(50):  # Armijo backtracking on each block's norm
+            tc = t[sub.of]
+            cand = (state[0] + tc * dy, state[1] + t * dd,
+                    state[2] + tc * dlam, state[3] + t * dmu)
+            norm = _residual(agg, groups, sub, *cand)[-1]
+            found |= norm <= (1.0 - 1e-4 * t) * r[-1]
+            if found.all():
                 break
-            t *= 0.5
-        else:
-            break  # no progress; caller decides on fallback
-    r = _kkt_residual(agg, groups, xb, w, bval, y, d, lam, mu)
-    res = max(_opt_residual(groups, w, r[4], mu, r[2], r[3]),
-              float(np.max(np.abs(_pack(*r[:4])))))
-    if res <= kkt_tol:
-        return y, d, lam, mu, res, max_iter
-    return None, res
+            t = np.where(found, t, 0.5 * t)
+        moved = going & solved & found
+        y[:, cols] = np.where(moved[sub.of], cand[0], state[0])
+        d[:, active] = np.where(moved, cand[1], state[1])
+        lam[:, cols] = np.where(moved[sub.of], cand[2], state[2])
+        mu[active] = np.where(moved, cand[3], state[3])
+        active[active] = moved
+    return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], iters[m])
+            if res[m] <= kkt_tol else (None, float(res[m]))
+            for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
 
 
-def _scalar_block(agg, xb, w, bval, kkt_tol):
+def _block_residual(agg, groups, one, y, d, lam, mu):
+    """max(opt, largest KKT residual entry) of a solution of one block."""
+    mu = np.array([mu], dtype=float)
+    r = _residual(agg, groups, one, y, np.reshape(d, (-1, 1)), lam, mu)
+    return float(np.maximum(*_optimality(groups, one, mu, r))[0])
+
+
+def _scalar_block(agg, groups, xb, w, bval):
     """Fallback for single-agent blocks: the allocation is constant on the
     block, so the active constraint pins it through one scalar root find."""
     def util(d):
@@ -347,14 +401,10 @@ def _scalar_block(agg, xb, w, bval, kkt_tol):
     y = np.full_like(xb, d)
     grad = agg.grad(xb + y)
     mu = 1.0 / float(w @ grad[0])
-    lam = (-mu * w * grad[0])[None, :]
-    r = _kkt_residual(agg, ((0,),), xb, w, bval, y, np.array([d]), lam, mu)
-    res = max(_opt_residual(((0,),), w, r[4], mu, r[2], r[3]),
-              float(np.max(np.abs(_pack(*r[:4])))))
-    return y, np.array([d]), lam, mu, res, 0
+    return y, np.array([d]), (-mu * w * grad[0])[None, :], mu
 
 
-def _constants_block(agg, xb, w, bval, kkt_tol):
+def _constants_block(agg, groups, xb, w, bval):
     """Fallback for all-singleton clusters: every agent's allocation is a
     single constant on the block, so the program reduces to N constants.
 
@@ -362,8 +412,6 @@ def _constants_block(agg, xb, w, bval, kkt_tol):
     scalar root find on that common level wraps a small log-space Newton
     for the constants (well conditioned even when marginals are tiny).
     """
-    n = xb.shape[0]
-
     def constants_for(logtheta, c0):
         c = c0.copy()
         for _ in range(100):
@@ -402,7 +450,7 @@ def _constants_block(agg, xb, w, bval, kkt_tol):
             val = float(np.clip(w @ agg.value(xb + c[:, None]), -1e15, 1e15))
         return val, c
 
-    c_guess = np.zeros(n)
+    c_guess = np.zeros(xb.shape[0])
     lo, hi = -2.0, 2.0
     val, c_lo = util_at(lo, c_guess)
     while val is not None and val < bval and lo > -600.0:
@@ -424,23 +472,16 @@ def _constants_block(agg, xb, w, bval, kkt_tol):
     try:
         logtheta = brentq(f_root, lo, hi, xtol=1e-14)
     except ValueError:
-        return None, np.inf
+        return None
     c = constants_for(logtheta, warm["c"])
     if c is None:
-        return None, np.inf
-    theta = float(np.exp(logtheta))
+        return None
     y = np.tile(c[:, None], (1, xb.shape[1]))
-    mu = 1.0 / theta
-    grad = agg.grad(xb + y)
-    lam = -mu * w[None, :] * grad
-    groups = tuple((j,) for j in range(n))
-    r = _kkt_residual(agg, groups, xb, w, bval, y, c.copy(), lam, mu)
-    res = max(_opt_residual(groups, w, r[4], mu, r[2], r[3]),
-              float(np.max(np.abs(_pack(*r[:4])))))
-    return y, c.copy(), lam, mu, res, 0
+    mu = 1.0 / float(np.exp(logtheta))
+    return y, c.copy(), -mu * w[None, :] * agg.grad(xb + y), mu
 
 
-def _single_atom_block(agg, groups, xb, w, bval, kkt_tol):
+def _single_atom_block(agg, groups, xb, w, bval):
     """Fallback for one-atom blocks, valid for any aggregator.
 
     With a single atom every cluster multiplier equals -1, so all marginal
@@ -458,30 +499,20 @@ def _single_atom_block(agg, groups, xb, w, bval, kkt_tol):
     mu = float(np.exp(logmu))
     y = z - xb
     d = np.array([y[list(g), 0].sum() for g in groups])
-    lam = np.full((len(groups), 1), -1.0)
-    r = _kkt_residual(agg, groups, xb, w, bval, y, d, lam, mu)
-    res = max(_opt_residual(groups, w, r[4], mu, r[2], r[3]),
-              float(np.max(np.abs(_pack(*r[:4])))))
-    return y, d, lam, mu, res, 0
-
-
-def _cluster_inverse_marginal(utils, group, theta):
-    """Sum over a cluster of the points with marginal utility theta."""
-    return sum(float(utils[i].inverse_deriv(theta)) for i in group)
+    return y, d, np.full((len(groups), 1), -1.0), mu
 
 
 def _theta_from_budget(utils, group, s):
     """Common within-cluster marginal utility given the cluster budget s
     (allocation plus positions summed over the cluster, one atom)."""
-    from .preferences import ExponentialUtility
-
     if all(isinstance(utils[i], ExponentialUtility) for i in group):
         beta = sum(1.0 / utils[i].alpha for i in group)
         c = sum(np.log(utils[i].alpha) / utils[i].alpha for i in group)
         return float(np.exp((c - s) / beta))
 
-    def f(logth):
-        return _cluster_inverse_marginal(utils, group, np.exp(logth)) - s
+    def f(logth):  # cluster sum of the points with marginal exp(logth)
+        return sum(float(utils[i].inverse_deriv(np.exp(logth)))
+                   for i in group) - s
 
     lo, hi = -1.0, 1.0
     while f(lo) < 0.0 and lo > -700:
@@ -491,7 +522,7 @@ def _theta_from_budget(utils, group, s):
     return float(np.exp(brentq(f, lo, hi, xtol=1e-14)))
 
 
-def _profile_block(agg, groups, xb, w, bval, kkt_tol):
+def _profile_block(agg, groups, xb, w, bval):
     """Globally convergent solve for separable aggregators.
 
     The optimum is characterized by a common marginal utility per cluster
@@ -499,7 +530,7 @@ def _profile_block(agg, groups, xb, w, bval, kkt_tol):
     budgets recovered by inner root finds, pins the active constraint.
     """
     utils = agg.utilities
-    n, el = xb.shape
+    el = xb.shape[1]
     sx = [xb[list(g), :].sum(axis=0) for g in groups]
 
     def block_state(dvec):
@@ -542,17 +573,9 @@ def _profile_block(agg, groups, xb, w, bval, kkt_tol):
     _, dvec, theta = util_of_mu(logmu)
     mu = float(np.exp(logmu))
 
-    y = np.empty((n, el))
-    for m, g in enumerate(groups):
-        for i in g:
-            y[i] = utils[i].inverse_deriv(theta[m]) - xb[i]
-    lam = np.empty((len(groups), el))
-    for m in range(len(groups)):
-        lam[m] = -mu * w * theta[m]
-    r = _kkt_residual(agg, groups, xb, w, bval, y, dvec, lam, mu)
-    res = max(_opt_residual(groups, w, r[4], mu, r[2], r[3]),
-              float(np.max(np.abs(_pack(*r[:4])))))
-    return y, dvec, lam, mu, res, 0
+    y = np.stack([u.inverse_deriv(theta[m])
+                  for u, m in zip(utils, _membership(groups)[1])]) - xb
+    return y, dvec, -mu * w * theta, mu
 
 
 def _continuation_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
@@ -561,54 +584,43 @@ def _continuation_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
     each step.  Handles thresholds close to the aggregator supremum."""
     with np.errstate(over="ignore", invalid="ignore"):
         level0 = float(w @ agg.value(xb + y0)) - 1e-3
-    gap_target = agg.sup - bval
-    gap0 = agg.sup - min(level0, bval)
+    gaps = np.geomspace(agg.sup - min(level0, bval), agg.sup - bval, num=24)
     y = y0
-    steps = np.geomspace(gap0, gap_target, num=24)[1:]
-    for gap in steps:
-        out = _newton_block(agg, groups, xb, w, agg.sup - gap, y,
-                            max(kkt_tol, 1e-10), max_iter)
+    for gap in gaps[1:]:
+        out = _newton(agg, groups, _Blocks.single(xb, w, agg.sup - gap), y,
+                      max(kkt_tol, 1e-10), max_iter)[0]
         if out[0] is None:
             return None, out[1]
         y = out[0]
-    return _newton_block(agg, groups, xb, w, bval, y, kkt_tol, max_iter)
+    return _newton(agg, groups, _Blocks.single(xb, w, bval), y, kkt_tol,
+                   max_iter)[0]
 
 
-def _solve_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
-    out = _newton_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter)
-    if out[0] is not None:
-        return out
-    best = out[1]
-    fallbacks = []
-    if xb.shape[0] == 1:
-        fallbacks.append(lambda: _scalar_block(agg, xb, w, bval, kkt_tol))
-    elif len(groups) == xb.shape[0]:
-        fallbacks.append(lambda: _constants_block(agg, xb, w, bval, kkt_tol))
-    if xb.shape[1] == 1:
-        fallbacks.append(lambda: _single_atom_block(agg, groups, xb, w, bval,
-                                                    kkt_tol))
-    if agg.separable:
-        fallbacks.append(lambda: _profile_block(agg, groups, xb, w, bval,
-                                                kkt_tol))
-    for fallback in fallbacks:
+def _fallback(agg, groups, xb, w, bval, y0, kkt_tol, max_iter, best):
+    """Structure-specific solves of a block on which Newton stalled at
+    residual best, each polished by Newton, then the threshold homotopy."""
+    (n, el), one = xb.shape, _Blocks.single(xb, w, bval)
+    for applies, solve in ((n == 1, _scalar_block),
+                           (1 < n == len(groups), _constants_block),
+                           (el == 1, _single_atom_block),
+                           (agg.separable, _profile_block)):
         try:
-            attempt = fallback()
+            attempt = solve(agg, groups, xb, w, bval) if applies else None
         except InversionError:
             continue
-        if attempt[0] is None:
-            best = min(best, attempt[1])
+        if attempt is None:
             continue
-        y, d, lam, mu, res, _ = attempt
-        polish = _newton_block(agg, groups, xb, w, bval, y, kkt_tol, 20)
+        res = _block_residual(agg, groups, one, *attempt)
+        polish = _newton(agg, groups, one, attempt[0], kkt_tol, 20)[0]
         if polish[0] is not None:
-            return polish
+            return (*polish[:5], 0)
         if res <= 10.0 * kkt_tol:
-            return y, d, lam, mu, res, 0
+            return (*attempt, res, 0)
         best = min(best, res, polish[1])
     cont = _continuation_block(agg, groups, xb, w, bval, y0, kkt_tol,
                                max_iter)
     if cont[0] is not None:
-        return cont
+        return (*cont[:5], 0)
     best = min(best, cont[1])
     raise ConvergenceError(
         f"block solve stalled at residual {best:.3e} "
@@ -616,53 +628,36 @@ def _solve_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
     )
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CONDRISK_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution:
     """Minimal total allocation meeting the conditional utility constraint.
 
     Returns the blockwise unique optimal allocation, the risk value per atom
     (constant on each block), the utility-constraint multiplier and the final
-    KKT residual per block.  Blocks are solved independently and assembled in
-    canonical block order regardless of execution order.
+    KKT residual per block.  The blocks are independent programs; one
+    batched Newton steps them together, and a block it does not solve goes
+    through the fallbacks alone.
     """
     start = feasible_start(spec) if start is None else np.asarray(start, float)
-    groups = spec.clusters.groups
-    blocks = _block_data(spec)
-    agg = spec.aggregator
-
-    def run(args):
-        idx, w, xb, bval = args
-        return _solve_block(agg, groups, xb, w, bval, start[:, idx],
-                            spec.kkt_tol, spec.max_iter)
-
-    nthreads = _thread_count()
-    if nthreads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            results = list(pool.map(run, blocks))
-    else:
-        results = [run(blk) for blk in blocks]
-
-    k = spec.space.natoms
-    y_hat = np.empty((spec.nagents, k))
-    rho = np.empty(k)
-    mus = np.empty(len(blocks))
-    resid = np.empty(len(blocks))
-    iters = np.empty(len(blocks), dtype=int)
-    for m, ((idx, w, xb, bval), (y, d, lam, mu, res, it)) in enumerate(
-            zip(blocks, results)):
-        y_hat[:, idx] = y
-        rho[idx] = float(np.sum(d))
-        mus[m] = mu
-        resid[m] = res
-        iters[m] = it
-    return PrimalSolution(y_hat=y_hat, rho=rho, mu=mus,
-                          kkt_residual=resid, iterations=iters)
+    groups, agg = spec.clusters.groups, spec.aggregator
+    cols = np.concatenate(spec.sigma.blocks).astype(np.intp)
+    blocks = _Blocks(spec.x[:, cols], spec.sigma.conditional_weights()[cols],
+                     spec.block_threshold(), np.cumsum(
+                         [0] + [len(blk) for blk in spec.sigma.blocks]))
+    y0 = start[:, cols]
+    results = _newton(agg, groups, blocks, y0, spec.kkt_tol, spec.max_iter)
+    for m, out in enumerate(results):
+        if out[0] is None:
+            own = slice(blocks.start[m], blocks.start[m + 1])
+            results[m] = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
+                                   blocks.b[m], y0[:, own], spec.kkt_tol,
+                                   spec.max_iter, out[1])
+    y_hat = np.empty_like(spec.x)
+    y_hat[:, cols] = np.concatenate([out[0] for out in results], axis=1)
+    _, d, _, mu, resid, iters = zip(*results)
+    return PrimalSolution(
+        y_hat=y_hat, rho=spec.sigma.expand([np.sum(dm) for dm in d]),
+        mu=np.array(mu, dtype=float), kkt_residual=np.array(resid, dtype=float),
+        iterations=np.array(iters, dtype=int))
 
 
 @dataclass(frozen=True)

@@ -286,6 +286,15 @@ class TestPenaltyMemo:
         np.testing.assert_array_equal(rep.alpha1, fresh)
         assert len(solves) == 2 * spec.sigma.nblocks
 
+    def test_rho_with_measure_solves_each_block_once(self, solves):
+        rng = np.random.default_rng(36)
+        spec, _ = random_exponential_instance(rng, kmax=12, nmax=3)
+        q = random_admissible_q(rng, spec)
+        value = rho_with_measure(q, spec)
+        assert spec.sigma.nblocks > 1
+        assert len(solves) == spec.sigma.nblocks
+        np.testing.assert_array_equal(value, dual_value(q, spec))
+
     def test_other_spec_misses(self, canonical_spec, solves):
         q = canonical_q(canonical_spec)
         first = penalty_alpha1(q, canonical_spec)

@@ -1,12 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
-                      ConvergenceError, ExponentialUtility, InversionError,
-                      LambdaAggregator,
+                      ConvergenceError, CustomUtility, ExponentialUtility,
+                      InversionError, LambdaAggregator,
                       RationalPowerUtility, RiskSpec, ScenarioSpace,
-                      SigmaPartition, check_axioms, cond_exp, feasible_start,
-                      grid_min_rho, is_measurable, solve_rho)
+                      SigmaPartition, check_axioms, cond_exp, exp_constants,
+                      feasible_start, grid_min_rho, is_measurable, rho_closed,
+                      solve_rho)
 from condrisk import primal
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
@@ -75,6 +78,20 @@ class TestFeasibleStart:
                             clusters=ClusterConstraint.full_sharing(1))
             starts.append(feasible_start(spec)[0, 0])
         assert starts[0] < starts[1] < starts[2]
+
+    def test_start_where_an_ulp_exceeds_the_step(self):
+        # the start sits near 2e7, where one ulp of it (3.7e-9) is larger
+        # than the 1e-9 step that moves it onto the feasible side
+        space = ScenarioSpace.uniform(2)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.zeros((1, 2)),
+                        aggregator=Aggregator.exponential([1e-6]),
+                        b=np.full(2, -2e-9),
+                        clusters=ClusterConstraint.full_sharing(1))
+        m = feasible_start(spec)
+        assert float(cond_exp(spec.aggregator.value(m), spec.sigma)[0]) >= -2e-9
+        closed = rho_closed(spec.x, spec.b, spec.sigma, exp_constants([1e-6]))
+        np.testing.assert_allclose(solve_rho(spec).rho, closed, rtol=1e-6)
 
 
 class TestSolveRho:
@@ -220,10 +237,152 @@ class TestSolveRho:
         def jump(*args):
             raise InversionError("multiplier root find stopped on a jump")
 
-        monkeypatch.setattr(primal, "_newton_block", lambda *args: (None, 1.0))
+        # Newton stalls on every block it is given, in the batched solve,
+        # in the polish of a fallback and in the continuation
+        monkeypatch.setattr(primal, "_newton",
+                            lambda agg, groups, blocks, *args:
+                            [(None, 1.0)] * blocks.b.size)
         monkeypatch.setattr(primal, "_single_atom_block", jump)
         with pytest.raises(ConvergenceError):
             solve_rho(spec)
+
+
+def dense_kkt_step(agg, groups, xb, w, bval, y, d, lam, mu):
+    """Newton step of one block from its dense KKT Jacobian, in the
+    unknowns (y, d, lam, mu): the reference for the structured step."""
+    n, el = y.shape
+    h = len(groups)
+    member = np.empty(n, dtype=int)
+    for m, g in enumerate(groups):
+        member[list(g)] = m
+    z = xb + y
+    grad, hess = agg.grad(z), agg.hessian(z)
+    r_y = -lam[member] - mu * w * grad
+    r_d = 1.0 + lam.sum(axis=1)
+    r_c = np.stack([y[list(g)].sum(axis=0) - d[m] for m, g in enumerate(groups)])
+    r_u = w @ agg.value(z) - bval
+    ny = n * el
+    size = ny + h + h * el + 1
+    jac = np.zeros((size, size))
+    ar = np.arange(el)
+    for i in range(n):
+        ri = i * el + ar
+        for i2 in range(n):
+            jac[ri, i2 * el + ar] = -mu * w * hess[:, i, i2]
+        li = ny + h + member[i] * el + ar
+        jac[ri, li] = -1.0
+        jac[li, ri] = 1.0
+        jac[ri, -1] = -w * grad[i]
+        jac[-1, ri] = w * grad[i]
+    for m in range(h):
+        lm = ny + h + m * el + ar
+        jac[lm, ny + m] = -1.0
+        jac[ny + m, lm] = 1.0
+    rvec = np.concatenate([r_y.ravel(), r_d, r_c.ravel(), [r_u]])
+    return np.linalg.solve(jac, -rvec)
+
+
+class TestBatchedNewton:
+    AGGREGATORS = {
+        "exponential": Aggregator.exponential([0.5, 1.0, 2.0]),
+        "composite": Aggregator(
+            (ExponentialUtility(1.0), RationalPowerUtility(2.0),
+             ArctanPowerUtility(3.0)),
+            LambdaAggregator.composite(ExponentialUtility(0.8, shifted=True),
+                                       [0.5, 1.0, 0.3])),
+    }
+    GROUPS = {"full": ((0, 1, 2),), "partial": ((0, 2), (1,)),
+              "none": ((0,), (1,), (2,))}
+
+    @pytest.mark.parametrize("kind", sorted(AGGREGATORS))
+    @pytest.mark.parametrize("sharing", sorted(GROUPS))
+    def test_step_equals_dense_kkt_step(self, kind, sharing):
+        agg, groups = self.AGGREGATORS[kind], self.GROUPS[sharing]
+        h = len(groups)
+        rng = np.random.default_rng(16)
+        sizes = np.array([1, 3, 5])
+        for _ in range(5):
+            start = np.concatenate(([0], np.cumsum(sizes)))
+            k = start[-1]
+            w = np.concatenate([rng.dirichlet(np.ones(s)) for s in sizes])
+            blocks = primal._Blocks(rng.uniform(-1.0, 1.0, (3, k)), w,
+                                    rng.uniform(-4.0, -1.0, sizes.size),
+                                    start)
+            y = rng.uniform(-1.0, 1.0, (3, k))
+            d = rng.uniform(-2.0, 2.0, (h, sizes.size))
+            lam = -rng.uniform(0.1, 1.0, (h, k))
+            mu = rng.uniform(0.5, 2.0, sizes.size)
+            r = primal._residual(agg, groups, blocks, y, d, lam, mu)
+            dy, dd, dlam, dmu, ok = primal._newton_step(agg, groups, blocks,
+                                                        y, mu, r)
+            assert ok.all()
+            for m in range(sizes.size):
+                cols = slice(start[m], start[m + 1])
+                dense = dense_kkt_step(agg, groups, blocks.x[:, cols],
+                                       w[cols], blocks.b[m], y[:, cols],
+                                       d[:, m], lam[:, cols], mu[m])
+                step = np.concatenate([dy[:, cols].ravel(), dd[:, m],
+                                       dlam[:, cols].ravel(), [dmu[m]]])
+                assert (np.max(np.abs(step - dense))
+                        <= 1e-10 * np.max(np.abs(dense)))
+
+    def test_blocks_solve_as_if_alone(self):
+        # one agent; a fast block, a slow block near the supremum and two
+        # blocks on which Newton stalls and a fallback takes over
+        probs = np.array([6.6, 3.9, 7.7, 9.4, 28, 0.9, 18.9, 6.9, 17.6])
+        space = ScenarioSpace(tuple(f"w{i}" for i in range(9)),
+                              probs / probs.sum())
+        g = SigmaPartition(space, ((0, 2, 5, 6), (1,), (3,), (4, 7, 8)))
+        spec = RiskSpec(space=space, sigma=g,
+                        x=np.array([[1.7, -0.5, 1.4, 1.3, 2.6, -2.3, 1.4,
+                                     2.6, 2.8]]),
+                        aggregator=Aggregator.exponential([1.7]),
+                        b=g.expand(np.array([-4.9, -0.05, -0.19, -0.31])),
+                        clusters=ClusterConstraint.full_sharing(1))
+        start = feasible_start(spec)
+        sol = solve_rho(spec, start=start)
+        assert sol.iterations[0] < 50 < 100 < sol.iterations[1]
+        assert np.all(sol.iterations[2:] == 0)
+        for m, blk in enumerate(g.blocks):
+            idx = list(blk)
+            sub = ScenarioSpace(tuple(space.atom_labels[i] for i in idx),
+                                space.prob[idx] / space.prob[idx].sum())
+            alone = solve_rho(RiskSpec(
+                space=sub, sigma=SigmaPartition.trivial(sub),
+                x=spec.x[:, idx], aggregator=spec.aggregator, b=spec.b[idx],
+                clusters=spec.clusters), start=start[:, idx])
+            assert alone.iterations[0] == sol.iterations[m]
+            np.testing.assert_allclose(alone.y_hat, sol.y_hat[:, idx],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(alone.rho[0], sol.rho[idx[0]],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(alone.mu[0], sol.mu[m], rtol=1e-12)
+
+    def test_singular_systems_leave_the_others_solved(self, canonical_spec):
+        a = np.array([np.eye(2), np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]]])
+        sol, ok = primal._solve_stack(a, np.ones((3, 2, 1)))
+        assert ok.tolist() == [True, False, False]
+        np.testing.assert_array_equal(sol[0], 1.0)
+        assert np.isnan(sol[1:]).all()
+        # a Hessian of zeros makes every saddle system singular: Newton
+        # gives the block up and a fallback solves it
+        flat = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
+                             lambda x: np.zeros_like(x), sup=0.0)
+        sol = solve_rho(replace(canonical_spec,
+                                aggregator=Aggregator((flat, flat))))
+        assert sol.iterations[0] == 0
+        np.testing.assert_allclose(sol.rho, CANONICAL["rho"], atol=1e-10)
+
+    def test_iterations_count_newton_steps(self, canonical_spec):
+        steps = int(solve_rho(canonical_spec).iterations[0])
+        assert steps > 0
+        # converged on the check after the last step the limit allows
+        capped = solve_rho(replace(canonical_spec, max_iter=steps))
+        assert capped.iterations[0] == steps
+        # a block that Newton may not step is solved by a fallback: 0
+        fallback = solve_rho(replace(canonical_spec, max_iter=0))
+        assert fallback.iterations[0] == 0
+        np.testing.assert_allclose(fallback.rho, CANONICAL["rho"], atol=1e-10)
 
 
 class TestAxioms:
