@@ -133,7 +133,8 @@ def cmd_consistency(sc: Scenario, args) -> dict:
     c = exp_constants(alphas)
     closed = run_consistency(spec.x, spec.b, spec.sigma, sc.sigma_h, c)
     solver = run_consistency(spec.x, spec.b, spec.sigma, sc.sigma_h, c,
-                             use_solver=True)
+                             use_solver=True, kkt_tol=spec.kkt_tol,
+                             max_iter=spec.max_iter)
 
     def block(rep):
         return {

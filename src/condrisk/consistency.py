@@ -6,9 +6,14 @@ through g and then re-hedged at h relate to the direct h-computations by
 exact log/exp identities.  Each verifier returns the largest absolute
 violation found, including the intermediate identities used to derive it.
 
-The identities are asserted for the exponential closed forms; a solver mode
-re-runs the same checks through the numerical machinery at a relaxed
-tolerance, separating formula identity from solver accuracy.
+The four identities query a handful of (positions, partition) instances,
+most of them several times.  One ``_Forms`` object per check computes each
+distinct instance once and memoizes its optimal objects (rho, y, q, a);
+``run_consistency`` shares one such object among all four identities.  The
+identities are asserted for the exponential closed forms; a solver mode
+computes the same objects through ``solve_rho`` and
+``extract_dual_optimizer`` at the given solver tolerances and checks them at
+a relaxed tolerance, separating formula identity from solver accuracy.
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import extract_dual_optimizer
-from .exponential import (ExpConstants, a_hat_closed, q_hat_closed,
-                          rho_closed, y_hat_closed)
+from .exponential import (ExpConstants, q_hat_closed, rho_closed,
+                          y_hat_closed)
 from .preferences import Aggregator
-from .primal import ClusterConstraint, RiskSpec, solve_rho
-from .prob_space import (SigmaPartition, coarsens, cond_exp,
+from .primal import (DEFAULT_KKT_TOL, DEFAULT_MAX_ITER, ClusterConstraint,
+                     PrimalSolution, RiskSpec, solve_rho)
+from .prob_space import (DensityVector, SigmaPartition, coarsens, cond_exp,
                          cond_exp_under_density, is_measurable)
 
 
@@ -35,95 +41,101 @@ def _check_chain(b_h: np.ndarray, g: SigmaPartition, h: SigmaPartition):
             "consistency identities are only asserted under this hypothesis")
 
 
-class _ClosedForms:
-    """Optimal objects (rho, y, q, a) per partition via the closed forms."""
-
-    def __init__(self, b_h, c: ExpConstants):
-        self.b = np.asarray(b_h, dtype=float)
-        self.c = c
-
-    def rho(self, x, part):
-        return rho_closed(x, self.b, part, self.c)
-
-    def y(self, x, part):
-        return y_hat_closed(x, self.b, part, self.c)
-
-    def q(self, x, part):
-        return q_hat_closed(x, part, self.c).q
-
-    def a(self, x, part):
-        return a_hat_closed(x, self.b, part, self.c)
+@dataclass
+class _Entry:
+    """The optimal objects of one (positions, partition) instance; the
+    density and the fair allocation are filled in on first use."""
+    rho: np.ndarray
+    y: np.ndarray
+    spec: RiskSpec | None = None
+    sol: PrimalSolution | None = None
+    dens: DensityVector | None = None
+    a: np.ndarray | None = None
 
 
-class _SolverForms:
-    """Same objects through the Newton solver and dual extraction.
+class _Forms:
+    """Optimal objects (rho, y, q, a) per partition, memoized per
+    (positions, partition) and shared by the identities of one check.
 
-    Solutions are memoized per (positions, partition): every identity
-    re-queries the same handful of instances.
+    The closed-form backend takes rho, y and q from the exponential closed
+    forms; the solver backend takes them from one ``solve_rho`` and one
+    ``extract_dual_optimizer`` call per distinct instance, at the given
+    KKT tolerance and iteration cap.  Both compute the fair allocation the
+    same way, as the conditional expectation of y under q.
     """
 
-    def __init__(self, b_h, c: ExpConstants):
+    def __init__(self, b_h, c: ExpConstants, use_solver: bool,
+                 kkt_tol: float, max_iter: int):
         self.b = np.asarray(b_h, dtype=float)
-        self.agg = Aggregator.exponential(c.alphas)
-        self.n = c.nagents
-        self._cache = {}
+        self.c = c
+        self.solver = ((Aggregator.exponential(c.alphas), kkt_tol, max_iter)
+                       if use_solver else None)
+        self._memo = {}
 
-    def _solve(self, x, part):
+    def _entry(self, x, part) -> _Entry:
         key = (x.tobytes(), part.blocks)
-        if key not in self._cache:
-            spec = RiskSpec(space=part.space, sigma=part, x=x,
-                            aggregator=self.agg, b=self.b,
-                            clusters=ClusterConstraint.full_sharing(self.n))
-            self._cache[key] = (spec, solve_rho(spec))
-        return self._cache[key]
+        if key not in self._memo:
+            self._memo[key] = self._solve(x, part)
+        return self._memo[key]
+
+    def _solve(self, x, part) -> _Entry:
+        if self.solver is None:
+            return _Entry(rho_closed(x, self.b, part, self.c),
+                          y_hat_closed(x, self.b, part, self.c))
+        agg, kkt_tol, max_iter = self.solver
+        spec = RiskSpec(space=part.space, sigma=part, x=x, aggregator=agg,
+                        b=self.b,
+                        clusters=ClusterConstraint.full_sharing(
+                            self.c.nagents),
+                        kkt_tol=kkt_tol, max_iter=max_iter)
+        sol = solve_rho(spec)
+        return _Entry(sol.rho, sol.y_hat, spec, sol)
+
+    def _density(self, x, part) -> DensityVector:
+        e = self._entry(x, part)
+        if e.dens is None:
+            e.dens = (q_hat_closed(x, part, self.c) if self.solver is None
+                      else extract_dual_optimizer(e.sol, e.spec))
+        return e.dens
 
     def rho(self, x, part):
-        return self._solve(x, part)[1].rho
+        return self._entry(x, part).rho
 
     def y(self, x, part):
-        return self._solve(x, part)[1].y_hat
+        return self._entry(x, part).y
 
     def q(self, x, part):
-        spec, sol = self._solve(x, part)
-        return extract_dual_optimizer(sol, spec).q
+        return self._density(x, part).q
 
     def a(self, x, part):
-        spec, sol = self._solve(x, part)
-        q = extract_dual_optimizer(sol, spec)
-        return np.vstack([cond_exp_under_density(q.row(j), sol.y_hat[j], part)
-                          for j in range(self.n)])
+        e = self._entry(x, part)
+        if e.a is None:
+            q = self._density(x, part)
+            e.a = np.vstack([cond_exp_under_density(q.row(j), e.y[j], part)
+                             for j in range(self.c.nagents)])
+        return e.a
 
 
-def _forms(b_h, c, use_solver):
-    return _SolverForms(b_h, c) if use_solver else _ClosedForms(b_h, c)
-
-
-def verify_y_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Allocation identity: re-hedging the g-optimal allocation at h adds
-    the h-optimum of zero to the direct h-optimum, agent by agent."""
+def _prepare(x, b_h, g, h, c, use_solver, kkt_tol=DEFAULT_KKT_TOL,
+             max_iter=DEFAULT_MAX_ITER):
     _check_chain(b_h, g, h)
-    f = _forms(b_h, c, use_solver)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+    return (_Forms(b_h, c, use_solver, kkt_tol, max_iter),
+            np.atleast_2d(np.asarray(x, dtype=float)))
+
+
+def _y_error(f: _Forms, x, g, h) -> float:
     y_g = f.y(x, g)
     lhs = f.y(-y_g, h)
     rhs = f.y(x, h) + f.y(np.zeros_like(x), h)
     err = np.max(np.abs(lhs - rhs))
     # intermediate: the g- and h-optima differ by the scaled risk spread
-    scale = 1.0 / (c.beta * c.alphas)
+    scale = 1.0 / (f.c.beta * f.c.alphas)
     spread = f.rho(x, g) - f.rho(x, h)
     err2 = np.max(np.abs(y_g - (f.y(x, h) + scale[:, None] * spread[None, :])))
     return float(max(err, err2))
 
 
-def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Density chain rule: the g-density times the density of the re-hedged
-    problem at h equals the direct h-density, for both the allocation and
-    the fair-allocation re-hedges."""
-    _check_chain(b_h, g, h)
-    f = _forms(b_h, c, use_solver)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _q_error(f: _Forms, x, g, h) -> float:
     q_g = f.q(x, g)
     q_h = f.q(x, h)
     q_reh_y = f.q(-f.y(x, g), h)
@@ -132,19 +144,14 @@ def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
               np.max(np.abs(q_g * q_reh_a - q_h)))
     # intermediate: the fair-allocation re-hedge density is the ratio of
     # conditional exponential moments at the two levels
-    s = np.exp(-x.sum(axis=0) / c.beta)
+    s = np.exp(-x.sum(axis=0) / f.c.beta)
     ratio = cond_exp(s, g) / cond_exp(s, h)
     err2 = np.max(np.abs(q_reh_a - ratio[None, :]))
     return float(max(err, err2))
 
 
-def verify_a_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Fair-allocation identity, with its four-term decomposition checked
-    term by term as a diagnostic."""
-    _check_chain(b_h, g, h)
-    f = _forms(b_h, c, use_solver)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _a_error(f: _Forms, x, g, h) -> float:
+    c = f.c
     a_g = f.a(x, g)
     a_h = f.a(x, h)
     a_0 = f.a(np.zeros_like(x), h)
@@ -177,16 +184,43 @@ def verify_a_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
     return float(err)
 
 
+def _rho_error(f: _Forms, x, g, h) -> float:
+    lhs = f.rho(-f.y(x, g), h)
+    rhs = f.rho(np.zeros_like(x), h) + f.rho(x, h)
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+def verify_y_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
+                         c: ExpConstants, use_solver: bool = False) -> float:
+    """Allocation identity: re-hedging the g-optimal allocation at h adds
+    the h-optimum of zero to the direct h-optimum, agent by agent."""
+    f, x = _prepare(x, b_h, g, h, c, use_solver)
+    return _y_error(f, x, g, h)
+
+
+def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
+                         c: ExpConstants, use_solver: bool = False) -> float:
+    """Density chain rule: the g-density times the density of the re-hedged
+    problem at h equals the direct h-density, for both the allocation and
+    the fair-allocation re-hedges."""
+    f, x = _prepare(x, b_h, g, h, c, use_solver)
+    return _q_error(f, x, g, h)
+
+
+def verify_a_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
+                         c: ExpConstants, use_solver: bool = False) -> float:
+    """Fair-allocation identity, with its four-term decomposition checked
+    term by term as a diagnostic."""
+    f, x = _prepare(x, b_h, g, h, c, use_solver)
+    return _a_error(f, x, g, h)
+
+
 def verify_rho_recursion(x, b_h, g: SigmaPartition, h: SigmaPartition,
                          c: ExpConstants, use_solver: bool = False) -> float:
     """Risk recursion: hedging the negated g-optimal allocation at h costs
     the h-risk of zero plus the direct h-risk."""
-    _check_chain(b_h, g, h)
-    f = _forms(b_h, c, use_solver)
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    lhs = f.rho(-f.y(x, g), h)
-    rhs = f.rho(np.zeros_like(x), h) + f.rho(x, h)
-    return float(np.max(np.abs(lhs - rhs)))
+    f, x = _prepare(x, b_h, g, h, c, use_solver)
+    return _rho_error(f, x, g, h)
 
 
 @dataclass(frozen=True)
@@ -206,14 +240,18 @@ class ConsistencyReport:
 
 def run_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
                     c: ExpConstants, use_solver: bool = False,
-                    tol: float | None = None) -> ConsistencyReport:
-    """All four identity checks; closed forms at 1e-9, solver mode at 1e-6."""
+                    tol: float | None = None,
+                    kkt_tol: float = DEFAULT_KKT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> ConsistencyReport:
+    """All four identity checks on one shared memo; closed forms at 1e-9,
+    solver mode at 1e-6.  ``kkt_tol`` and ``max_iter`` are the solver
+    tolerances of solver mode."""
     if tol is None:
         tol = 1e-6 if use_solver else 1e-9
+    f, x = _prepare(x, b_h, g, h, c, use_solver, kkt_tol, max_iter)
     return ConsistencyReport(
-        max_abs_err_y=verify_y_consistency(x, b_h, g, h, c, use_solver),
-        max_abs_err_q=verify_q_consistency(x, b_h, g, h, c, use_solver),
-        max_abs_err_a=verify_a_consistency(x, b_h, g, h, c, use_solver),
-        max_abs_err_rho_recursion=verify_rho_recursion(x, b_h, g, h, c,
-                                                       use_solver),
+        max_abs_err_y=_y_error(f, x, g, h),
+        max_abs_err_q=_q_error(f, x, g, h),
+        max_abs_err_a=_a_error(f, x, g, h),
+        max_abs_err_rho_recursion=_rho_error(f, x, g, h),
         tol=tol)

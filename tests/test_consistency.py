@@ -112,3 +112,57 @@ class TestSolverMode:
         err = verify_rho_recursion(x, np.full(4, -1.0), g, h, c,
                                    use_solver=True)
         assert err <= 1e-6
+
+
+class TestSharedMemo:
+    """run_consistency computes every distinct (positions, partition) pair
+    once for all four identities, and reports exactly what the four
+    standalone verifiers report."""
+
+    @staticmethod
+    def _record(monkeypatch, name, key):
+        import condrisk.consistency as cons
+        real, keys = getattr(cons, name), []
+
+        def wrapper(*args):
+            keys.append(key(*args))
+            return real(*args)
+
+        monkeypatch.setattr(cons, name, wrapper)
+        return keys
+
+    @staticmethod
+    def _assert_standalone_equal(rep, args, use_solver):
+        assert rep.max_abs_err_y == verify_y_consistency(*args, use_solver)
+        assert rep.max_abs_err_q == verify_q_consistency(*args, use_solver)
+        assert rep.max_abs_err_a == verify_a_consistency(*args, use_solver)
+        assert rep.max_abs_err_rho_recursion == verify_rho_recursion(
+            *args, use_solver)
+
+    def test_solver_mode_one_solve_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        _, g, h, x, b, c = random_chain(rng, kmax=16)
+        solves = self._record(monkeypatch, "solve_rho",
+                              lambda spec: (spec.x.tobytes(),
+                                            spec.sigma.blocks))
+        extracts = self._record(monkeypatch, "extract_dual_optimizer",
+                                lambda sol, spec: (spec.x.tobytes(),
+                                                   spec.sigma.blocks))
+        rep = run_consistency(x, b, g, h, c, use_solver=True)
+        assert len(solves) == len(set(solves)) >= 3
+        assert sorted(extracts) == sorted(solves)
+        self._assert_standalone_equal(rep, (x, b, g, h, c), True)
+
+    def test_closed_form_one_evaluation_per_pair(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        _, g, h, x, b, c = random_chain(rng, kmax=16)
+        keys = {name: self._record(monkeypatch, name,
+                                   lambda x, *rest: (x.tobytes(),
+                                                     rest[-2].blocks))
+                for name in ("rho_closed", "y_hat_closed", "q_hat_closed")}
+        rep = run_consistency(x, b, g, h, c)
+        pairs = keys["rho_closed"]
+        assert len(pairs) == len(set(pairs)) >= 3
+        assert sorted(keys["y_hat_closed"]) == sorted(pairs)
+        assert sorted(keys["q_hat_closed"]) == sorted(pairs)
+        self._assert_standalone_equal(rep, (x, b, g, h, c), False)

@@ -129,6 +129,34 @@ class TestCliCommands:
         assert report["closed_form"]["passed"] is True
         assert report["solver"]["passed"] is True
 
+    @pytest.mark.parametrize("argv, tolerances, expected", [
+        ([], None, (1e-9, 200)),
+        (["--tol", "1e-7"], None, (1e-7, 200)),
+        ([], {"kkt_tol": 1e-8, "max_iter": 150}, (1e-8, 150)),
+    ])
+    def test_consistency_solver_tolerances(self, tmp_path, capsys,
+                                           monkeypatch, argv, tolerances,
+                                           expected):
+        import condrisk.consistency as cons
+        seen, real = [], cons.solve_rho
+
+        def recording(spec):
+            seen.append((spec.kkt_tol, spec.max_iter))
+            return real(spec)
+
+        monkeypatch.setattr(cons, "solve_rho", recording)
+        extra = {} if tolerances is None else {"tolerances": tolerances}
+        path = write_doc(tmp_path, "chain.json",
+                         atoms={"labels": ["a", "b", "c", "d"],
+                                "probs": [0.25, 0.25, 0.25, 0.25]},
+                         sigma_g=[[0, 1], [2, 3]],
+                         sigma_h=[[0, 1, 2, 3]],
+                         x=[[0.5, -0.5, 1.0, 0.0], [0.0, 0.2, -0.4, 0.3]],
+                         b=[-2.0, -2.0, -2.0, -2.0], **extra)
+        assert main(["consistency", path] + argv) == 0
+        capsys.readouterr()
+        assert seen and set(seen) == {expected}
+
     def test_consistency_requires_sigma_h(self, canonical_file, capsys):
         assert main(["consistency", canonical_file]) == 2
 
