@@ -10,10 +10,10 @@ inversion is well defined everywhere).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 
 class GrowthBoundError(RuntimeError):
@@ -485,6 +485,77 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     return z, done
 
 
+_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
+_BRENT_MAXITER = 100
+
+
+def brent(f, lo: float, hi: float, xtol: float) -> float:
+    """Root of f on the bracket [lo, hi] by Brent's method (Brent 1973,
+    *Algorithms for Minimization Without Derivatives*, ch. 4).
+
+    A step-for-step port of scipy.optimize.brentq with its defaults,
+    rtol = 4 eps and maxiter = 100: it evaluates f at the same points and
+    returns the same root.  Raises ValueError when f(lo) and f(hi) have the
+    same sign or f returns NaN, and RuntimeError when it does not converge.
+    """
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"f({x!r}) is NaN; the root find cannot go on")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre > 0.0) == (fcur > 0.0):
+        raise ValueError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
+    # xcur is the best point so far, xblk the other end of the bracket and
+    # xpre the previous best; scur is the last step and spre the one before
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre > 0.0) != (fcur > 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic interpolation
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C gives inf or nan: bisect
+                stry = math.inf
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0.0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"no convergence after {_BRENT_MAXITER} iterations, "
+                       f"last point {xcur!r}")
+
+
 def multiplier_root(state, level: float, increasing: bool = True):
     """Root t of state(t)[0] = level for a monotone function of a log
     multiplier t; returns (t, state(t)).
@@ -492,13 +563,13 @@ def multiplier_root(state, level: float, increasing: bool = True):
     The bracket starts at [-2, 2] and doubles outwards until it holds a
     sign change or reaches |t| >= 600.  Far out the inversion behind state
     may fail; a t where state raises InversionError gets the value +-1e15
-    of the end of the range on its side of 0.  brentq then pins the root.
+    of the end of the range on its side of 0.  brent then pins the root.
     A root on such a t, or with |state(t)[0] - level| above
     _ROOT_FTOL * max(1, |level|), sits on a jump of an inaccurate state and
     raises InversionError.
     """
     sign = 1.0 if increasing else -1.0
-    # brentq evaluates the bracket ends again and returns a point it has
+    # brent evaluates the bracket ends again and returns a point it has
     # evaluated; each inversion is done once
     seen, failed = {}, set()
 
@@ -516,7 +587,7 @@ def multiplier_root(state, level: float, increasing: bool = True):
         lo *= 2.0
     while sign * f(hi) < 0.0 and hi < 600.0:
         hi *= 2.0
-    root = brentq(f, lo, hi, xtol=1e-14)
+    root = brent(f, lo, hi, 1e-14)
     resid = abs(f(root))
     if root in failed or not resid <= _ROOT_FTOL * max(1.0, abs(level)):
         raise InversionError(

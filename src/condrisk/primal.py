@@ -15,14 +15,14 @@ aggregators) for a block it does not solve.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .preferences import (Aggregator, ExponentialUtility, InversionError,
-                          invert_gradient, multiplier_root)
+                          brent, invert_gradient, multiplier_root)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -90,6 +90,13 @@ class RiskSpec:
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
+        if not (math.isfinite(self.kkt_tol) and self.kkt_tol > 0.0):
+            raise ValueError(f"kkt_tol must be finite and positive, not "
+                             f"{self.kkt_tol!r}")
+        if (not isinstance(self.max_iter, (int, np.integer))
+                or self.max_iter < 0):
+            raise ValueError(f"max_iter must be an integer >= 0, not "
+                             f"{self.max_iter!r}")
         x = np.atleast_2d(np.array(self.x, dtype=float))
         b = np.array(self.b, dtype=float)
         object.__setattr__(self, "x", x)
@@ -171,7 +178,7 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
         while f(hi) < 0.0 and hi < 1e12:
             lo = hi
             hi = 2.0 * hi + 1.0
-    s = brentq(f, lo, hi, xtol=1e-9)
+    s = brent(f, lo, hi, 1e-9)
     # land strictly on the feasible side of the slack target, by steps of
     # at least one ulp (far out 1e-9 is less than one)
     for _ in range(64):
@@ -397,7 +404,7 @@ def _scalar_block(agg, groups, xb, w, bval):
         lo = 2.0 * lo - 1.0
     while util(hi) < 0.0 and hi < 1e12:
         hi = 2.0 * hi + 1.0
-    d = brentq(util, lo, hi, xtol=1e-13)
+    d = brent(util, lo, hi, 1e-13)
     y = np.full_like(xb, d)
     grad = agg.grad(xb + y)
     mu = 1.0 / float(w @ grad[0])
@@ -470,7 +477,7 @@ def _constants_block(agg, groups, xb, w, bval):
         return (val if val is not None else np.nan) - bval
 
     try:
-        logtheta = brentq(f_root, lo, hi, xtol=1e-14)
+        logtheta = brent(f_root, lo, hi, 1e-14)
     except ValueError:
         return None
     c = constants_for(logtheta, warm["c"])
@@ -519,7 +526,7 @@ def _theta_from_budget(utils, group, s):
         lo *= 2.0
     while f(hi) > 0.0 and hi < 700:
         hi *= 2.0
-    return float(np.exp(brentq(f, lo, hi, xtol=1e-14)))
+    return float(np.exp(brent(f, lo, hi, 1e-14)))
 
 
 def _profile_block(agg, groups, xb, w, bval):
@@ -552,7 +559,7 @@ def _profile_block(agg, groups, xb, w, bval):
             lo = 2.0 * lo - 1.0
         while f(hi) > 0.0 and hi < 1e9:
             hi = 2.0 * hi + 1.0
-        return brentq(f, lo, hi, xtol=1e-13)
+        return brent(f, lo, hi, 1e-13)
 
     def util_of_mu(logmu):
         mu = np.exp(logmu)
@@ -569,7 +576,7 @@ def _profile_block(agg, groups, xb, w, bval):
         lo -= 2.0
     while util_of_mu(hi)[0] < 0.0 and hi < 500:
         hi += 2.0
-    logmu = brentq(lambda t: util_of_mu(t)[0], lo, hi, xtol=1e-14)
+    logmu = brent(lambda t: util_of_mu(t)[0], lo, hi, 1e-14)
     _, dvec, theta = util_of_mu(logmu)
     mu = float(np.exp(logmu))
 

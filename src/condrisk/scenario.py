@@ -19,7 +19,8 @@ from jsonschema.validators import validator_for
 
 from .preferences import (Aggregator, ArctanPowerUtility, ExponentialUtility,
                           LambdaAggregator, RationalPowerUtility)
-from .primal import ClusterConstraint, RiskSpec
+from .primal import (DEFAULT_KKT_TOL, DEFAULT_MAX_ITER, ClusterConstraint,
+                     RiskSpec)
 from .prob_space import ScenarioSpace, SigmaPartition
 
 
@@ -152,7 +153,8 @@ def parse_scenario(path: str) -> Scenario:
         aggregator=aggregator,
         b=np.asarray(doc["b"], dtype=float),
         clusters=ClusterConstraint(tuple(tuple(g) for g in doc["clusters"])),
-        kkt_tol=tol.get("kkt_tol", 1e-9),
-        max_iter=tol.get("max_iter", 200),
+        kkt_tol=tol.get("kkt_tol", DEFAULT_KKT_TOL),
+        # the schema's integer admits 200.0
+        max_iter=int(tol.get("max_iter", DEFAULT_MAX_ITER)),
     )
     return Scenario(spec=spec, sigma_h=sigma_h)

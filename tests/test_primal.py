@@ -35,6 +35,15 @@ class TestRiskSpecInvariants:
                      clusters=ClusterConstraint.full_sharing(3))
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("kkt_tol", np.inf), ("kkt_tol", np.nan), ("kkt_tol", -1.0),
+        ("kkt_tol", 0.0), ("max_iter", -1), ("max_iter", 200.0),
+    ])
+    def test_rejects_bad_tolerances(self, canonical_spec, field, value):
+        with pytest.raises(ValueError, match=field):
+            replace(canonical_spec, **{field: value})
+
+
 class TestFeasibleStart:
     def test_zero_position_slack(self):
         space = ScenarioSpace.uniform(2)

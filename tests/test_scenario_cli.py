@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import condrisk
 from condrisk import ScenarioError, parse_scenario
 from condrisk.cli import main
 from conftest import CANONICAL
@@ -86,6 +90,16 @@ class TestParsing:
                          tolerances={"kkt_tol": 1e-8, "max_iter": 50})
         sc = parse_scenario(path)
         assert sc.spec.kkt_tol == 1e-8 and sc.spec.max_iter == 50
+
+    def test_integral_float_max_iter(self, tmp_path, capsys):
+        # JSON Schema's integer admits 200.0; the solver needs an int
+        reports = []
+        for value in (200, 200.0):
+            path = write_doc(tmp_path, f"tol{value}.json",
+                             tolerances={"max_iter": value})
+            assert main(["risk", path]) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 class TestCliCommands:
@@ -202,6 +216,11 @@ class TestCliErrors:
         path = write_doc(tmp_path, "umb.json", b=[-2.0, -1.0])
         assert main(["risk", str(path)]) == 2
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "-1", "0"])
+    def test_bad_tolerance_exit_code(self, canonical_file, capsys, tol):
+        assert main(["risk", canonical_file, "--tol", tol]) == 2
+        assert "kkt_tol" in capsys.readouterr().err
+
     def test_convergence_failure_exit_code(self, canonical_file, monkeypatch,
                                            capsys):
         from condrisk.primal import ConvergenceError
@@ -257,3 +276,15 @@ class TestDeterminism:
         assert main(["risk", canonical_file]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["rho"]["block0"] == "%.12g" % CANONICAL["rho"]
+
+
+def test_import_loads_no_scipy():
+    """scipy is a test dependency only: the package and its CLI run on
+    numpy and jsonschema."""
+    src = Path(condrisk.__file__).resolve().parent.parent
+    code = ("import sys, condrisk, condrisk.cli; print(sorted("
+            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, timeout=120,
+                         env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
