@@ -556,15 +556,28 @@ def brent(f, lo: float, hi: float, xtol: float) -> float:
                        f"last point {xcur!r}")
 
 
+def bracketed_root(f, limit: float, xtol: float) -> float:
+    """Root of an increasing f: the bracket starts at [-2, 2], each end
+    doubles outwards until f changes sign across the bracket or the end
+    passes +-limit, and brent with xtol then pins the root.  Raises
+    ValueError, as brent does, when no sign change was found."""
+    lo, hi = -2.0, 2.0
+    while f(lo) > 0.0 and lo > -limit:
+        lo *= 2.0
+    while f(hi) < 0.0 and hi < limit:
+        hi *= 2.0
+    return brent(f, lo, hi, xtol)
+
+
 def multiplier_root(state, level: float, increasing: bool = True):
     """Root t of state(t)[0] = level for a monotone function of a log
     multiplier t; returns (t, state(t)).
 
-    The bracket starts at [-2, 2] and doubles outwards until it holds a
-    sign change or reaches |t| >= 600.  Far out the inversion behind state
-    may fail; a t where state raises InversionError gets the value +-1e15
-    of the end of the range on its side of 0.  brent then pins the root.
-    A root on such a t, or with |state(t)[0] - level| above
+    bracketed_root finds it with limit 600, on state(t)[0] - level
+    negated for a decreasing state (which leaves every brent iterate as it
+    is).  Far out the inversion behind state may fail; a t where state
+    raises InversionError gets the value +-1e15 of the end of the range on
+    its side of 0.  A root on such a t, or with |state(t)[0] - level| above
     _ROOT_FTOL * max(1, |level|), sits on a jump of an inaccurate state and
     raises InversionError.
     """
@@ -580,14 +593,9 @@ def multiplier_root(state, level: float, increasing: bool = True):
             except InversionError:
                 failed.add(t)
                 seen[t] = (sign * np.copysign(1e15, t),)
-        return seen[t][0] - level
+        return sign * (seen[t][0] - level)
 
-    lo, hi = -2.0, 2.0
-    while sign * f(lo) > 0.0 and lo > -600.0:
-        lo *= 2.0
-    while sign * f(hi) < 0.0 and hi < 600.0:
-        hi *= 2.0
-    root = brent(f, lo, hi, 1e-14)
+    root = bracketed_root(f, 600.0, 1e-14)
     resid = abs(f(root))
     if root in failed or not resid <= _ROOT_FTOL * max(1.0, abs(level)):
         raise InversionError(

@@ -8,9 +8,10 @@ positions clears a threshold B on every block.
 
 Each block of the information partition yields an independent equality-
 constrained concave program; one damped Newton iteration on the KKT systems
-steps all blocks of a solve together, with structure-specific fallbacks
-(among them a globally convergent profile/bisection solve for separable
-aggregators) for a block it does not solve.
+steps all blocks of a solve together, each from a start sized for that
+block's own threshold and positions.  A block Newton does not solve goes to
+one of two scalar root-find fallbacks, for a single agent or a single atom,
+or is refused.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .preferences import (Aggregator, ExponentialUtility, InversionError,
-                          brent, invert_gradient, multiplier_root)
+from .preferences import (Aggregator, InversionError, bracketed_root,
+                          invert_gradient, multiplier_root)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -153,42 +154,42 @@ class PrimalSolution:
         return bool(np.all(np.isfinite(self.kkt_residual)))
 
 
-def feasible_start(spec: RiskSpec) -> np.ndarray:
-    """Constant-per-agent allocation satisfying the utility constraint with
-    positive slack on every block.
-
-    Shifts every agent by its sup-norm plus a common scalar chosen so the
-    aggregated utility of the constant vector clears the largest threshold.
-    """
-    agg = spec.aggregator
-    bmax = float(spec.b.max())
-    slack = min(1e-6, (agg.sup - bmax) / 2.0)
-    target = bmax + slack
-    ones = np.ones(spec.nagents)
+def _start_level(agg, bval: float) -> float:
+    """The scalar s with U(s 1) >= bval + min(1e-6, (sup - bval)/2): the
+    root of U(s 1) at that slack target, moved onto its feasible side."""
+    target = bval + min(1e-6, (agg.sup - bval) / 2.0)
+    ones = np.ones(agg.nagents)
 
     def f(s):
         return float(agg.value(s * ones)) - target
 
-    lo, hi = 0.0, 1.0
-    if f(0.0) >= 0.0:
-        while f(lo) >= 0.0 and lo > -1e12:
-            hi = lo
-            lo = 2.0 * lo - 1.0
-    else:
-        while f(hi) < 0.0 and hi < 1e12:
-            lo = hi
-            hi = 2.0 * hi + 1.0
-    s = brent(f, lo, hi, 1e-9)
+    s = bracketed_root(f, 1e12, 1e-9)
     # land strictly on the feasible side of the slack target, by steps of
     # at least one ulp (far out 1e-9 is less than one)
     for _ in range(64):
         if not f(s) < 0.0:
-            break
+            return s
         s = max(s + 1e-9, float(np.nextafter(s, np.inf)))
-    else:
-        raise ConvergenceError(f"no feasible start near {s!r}")
-    shift = np.max(np.abs(spec.x), axis=1) + s
-    return np.tile(shift[:, None], (1, spec.space.natoms))
+    raise ConvergenceError(f"no feasible start near {s!r}")
+
+
+def feasible_start(spec: RiskSpec) -> np.ndarray:
+    """Allocation, constant per agent on each block, satisfying the utility
+    constraint with positive slack on every block.
+
+    Block m gets the scalar s_m of _start_level for its threshold b_m, one
+    root find per distinct threshold, and agent i the constant s_m - min
+    over the block's atoms of x_i: the tightest constant that keeps every
+    atom of the block at z >= s_m.  Each block so starts near its own
+    solution, whatever the thresholds and positions of the others.
+    """
+    bthr = spec.block_threshold().tolist()
+    level = {bval: _start_level(spec.aggregator, bval) for bval in set(bthr)}
+    start = np.empty_like(spec.x)
+    for blk, bval in zip(spec.sigma.blocks, bthr):
+        idx = list(blk)
+        start[:, idx] = (level[bval] - spec.x[:, idx].min(axis=1))[:, None]
+    return start
 
 
 def _block_data(spec: RiskSpec):
@@ -399,93 +400,11 @@ def _scalar_block(agg, groups, xb, w, bval):
             val = float(w @ agg.value(xb + d))
         return np.clip(val, -1e15, 1e15) - bval
 
-    lo, hi = -1.0, 1.0
-    while util(lo) > 0.0 and lo > -1e12:
-        lo = 2.0 * lo - 1.0
-    while util(hi) < 0.0 and hi < 1e12:
-        hi = 2.0 * hi + 1.0
-    d = brent(util, lo, hi, 1e-13)
+    d = bracketed_root(util, 1e12, 1e-13)
     y = np.full_like(xb, d)
     grad = agg.grad(xb + y)
     mu = 1.0 / float(w @ grad[0])
     return y, np.array([d]), (-mu * w * grad[0])[None, :], mu
-
-
-def _constants_block(agg, groups, xb, w, bval):
-    """Fallback for all-singleton clusters: every agent's allocation is a
-    single constant on the block, so the program reduces to N constants.
-
-    The optimum equalizes the expected marginal utilities across agents; a
-    scalar root find on that common level wraps a small log-space Newton
-    for the constants (well conditioned even when marginals are tiny).
-    """
-    def constants_for(logtheta, c0):
-        c = c0.copy()
-        for _ in range(100):
-            with np.errstate(over="ignore", invalid="ignore"):
-                grad = agg.grad(xb + c[:, None])
-                mg = grad @ w
-                f = np.log(mg) - logtheta
-            if not np.all(np.isfinite(f)):
-                return None
-            if np.max(np.abs(f)) <= 1e-13:
-                return c
-            hess = agg.hessian(xb + c[:, None])   # (L, n, n)
-            jac = np.tensordot(w, hess, axes=(0, 0)) / mg[:, None]
-            try:
-                step = np.linalg.solve(jac, -f)
-            except np.linalg.LinAlgError:
-                return None
-            t, base = 1.0, np.max(np.abs(f))
-            for _ in range(60):
-                cand = c + t * step
-                with np.errstate(over="ignore", invalid="ignore"):
-                    fc = np.log(agg.grad(xb + cand[:, None]) @ w) - logtheta
-                if np.all(np.isfinite(fc)) and np.max(np.abs(fc)) < base:
-                    c = cand
-                    break
-                t *= 0.5
-            else:
-                return None
-        return c
-
-    def util_at(logtheta, c0):
-        c = constants_for(logtheta, c0)
-        if c is None:
-            return None, None
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(np.clip(w @ agg.value(xb + c[:, None]), -1e15, 1e15))
-        return val, c
-
-    c_guess = np.zeros(xb.shape[0])
-    lo, hi = -2.0, 2.0
-    val, c_lo = util_at(lo, c_guess)
-    while val is not None and val < bval and lo > -600.0:
-        lo *= 2.0
-        val, c_lo = util_at(lo, c_lo if c_lo is not None else c_guess)
-    val, c_hi = util_at(hi, c_guess)
-    while val is not None and val > bval and hi < 600.0:
-        hi *= 2.0
-        val, c_hi = util_at(hi, c_hi if c_hi is not None else c_guess)
-
-    warm = {"c": c_guess}
-
-    def f_root(logtheta):
-        val, c = util_at(logtheta, warm["c"])
-        if c is not None:
-            warm["c"] = c
-        return (val if val is not None else np.nan) - bval
-
-    try:
-        logtheta = brent(f_root, lo, hi, 1e-14)
-    except ValueError:
-        return None
-    c = constants_for(logtheta, warm["c"])
-    if c is None:
-        return None
-    y = np.tile(c[:, None], (1, xb.shape[1]))
-    mu = 1.0 / float(np.exp(logtheta))
-    return y, c.copy(), -mu * w[None, :] * agg.grad(xb + y), mu
 
 
 def _single_atom_block(agg, groups, xb, w, bval):
@@ -509,113 +428,18 @@ def _single_atom_block(agg, groups, xb, w, bval):
     return y, d, np.full((len(groups), 1), -1.0), mu
 
 
-def _theta_from_budget(utils, group, s):
-    """Common within-cluster marginal utility given the cluster budget s
-    (allocation plus positions summed over the cluster, one atom)."""
-    if all(isinstance(utils[i], ExponentialUtility) for i in group):
-        beta = sum(1.0 / utils[i].alpha for i in group)
-        c = sum(np.log(utils[i].alpha) / utils[i].alpha for i in group)
-        return float(np.exp((c - s) / beta))
-
-    def f(logth):  # cluster sum of the points with marginal exp(logth)
-        return sum(float(utils[i].inverse_deriv(np.exp(logth)))
-                   for i in group) - s
-
-    lo, hi = -1.0, 1.0
-    while f(lo) < 0.0 and lo > -700:
-        lo *= 2.0
-    while f(hi) > 0.0 and hi < 700:
-        hi *= 2.0
-    return float(np.exp(brent(f, lo, hi, 1e-14)))
-
-
-def _profile_block(agg, groups, xb, w, bval):
-    """Globally convergent solve for separable aggregators.
-
-    The optimum is characterized by a common marginal utility per cluster
-    and atom; bisecting on the scalar utility multiplier, with the cluster
-    budgets recovered by inner root finds, pins the active constraint.
-    """
-    utils = agg.utilities
-    el = xb.shape[1]
-    sx = [xb[list(g), :].sum(axis=0) for g in groups]
-
-    def block_state(dvec):
-        theta = np.empty((len(groups), el))
-        for m, g in enumerate(groups):
-            for om in range(el):
-                theta[m, om] = _theta_from_budget(utils, g, dvec[m] + sx[m][om])
-        return theta
-
-    def d_for_mu(mu, m):
-        g = groups[m]
-
-        def f(dm):
-            th = np.array([_theta_from_budget(utils, g, dm + s) for s in sx[m]])
-            return float(w @ th) - 1.0 / mu
-
-        lo, hi = -1.0, 1.0
-        while f(lo) < 0.0 and lo > -1e9:
-            lo = 2.0 * lo - 1.0
-        while f(hi) > 0.0 and hi < 1e9:
-            hi = 2.0 * hi + 1.0
-        return brent(f, lo, hi, 1e-13)
-
-    def util_of_mu(logmu):
-        mu = np.exp(logmu)
-        dvec = np.array([d_for_mu(mu, m) for m in range(len(groups))])
-        theta = block_state(dvec)
-        total = np.zeros(el)
-        for m, g in enumerate(groups):
-            for i in g:
-                total += utils[i].value(utils[i].inverse_deriv(theta[m]))
-        return float(w @ total) - bval, dvec, theta
-
-    lo, hi = 0.0, 0.0
-    while util_of_mu(lo)[0] > 0.0 and lo > -500:
-        lo -= 2.0
-    while util_of_mu(hi)[0] < 0.0 and hi < 500:
-        hi += 2.0
-    logmu = brent(lambda t: util_of_mu(t)[0], lo, hi, 1e-14)
-    _, dvec, theta = util_of_mu(logmu)
-    mu = float(np.exp(logmu))
-
-    y = np.stack([u.inverse_deriv(theta[m])
-                  for u, m in zip(utils, _membership(groups)[1])]) - xb
-    return y, dvec, -mu * w * theta, mu
-
-
-def _continuation_block(agg, groups, xb, w, bval, y0, kkt_tol, max_iter):
-    """Homotopy in the threshold: walk the utility level geometrically from
-    the start's comfortable level toward the target, warm-starting Newton at
-    each step.  Handles thresholds close to the aggregator supremum."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        level0 = float(w @ agg.value(xb + y0)) - 1e-3
-    gaps = np.geomspace(agg.sup - min(level0, bval), agg.sup - bval, num=24)
-    y = y0
-    for gap in gaps[1:]:
-        out = _newton(agg, groups, _Blocks.single(xb, w, agg.sup - gap), y,
-                      max(kkt_tol, 1e-10), max_iter)[0]
-        if out[0] is None:
-            return None, out[1]
-        y = out[0]
-    return _newton(agg, groups, _Blocks.single(xb, w, bval), y, kkt_tol,
-                   max_iter)[0]
-
-
-def _fallback(agg, groups, xb, w, bval, y0, kkt_tol, max_iter, best):
-    """Structure-specific solves of a block on which Newton stalled at
-    residual best, each polished by Newton, then the threshold homotopy."""
+def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
+    """Solves of a block on which Newton stalled at residual best, for the
+    two structures that reduce to one scalar root, each polished by
+    Newton."""
     (n, el), one = xb.shape, _Blocks.single(xb, w, bval)
     for applies, solve in ((n == 1, _scalar_block),
-                           (1 < n == len(groups), _constants_block),
-                           (el == 1, _single_atom_block),
-                           (agg.separable, _profile_block)):
-        try:
-            attempt = solve(agg, groups, xb, w, bval) if applies else None
-        except InversionError:
+                           (el == 1, _single_atom_block)):
+        if not applies:
             continue
-        if attempt is None:
+        try:
+            attempt = solve(agg, groups, xb, w, bval)
+        except InversionError:
             continue
         res = _block_residual(agg, groups, one, *attempt)
         polish = _newton(agg, groups, one, attempt[0], kkt_tol, 20)[0]
@@ -624,11 +448,6 @@ def _fallback(agg, groups, xb, w, bval, y0, kkt_tol, max_iter, best):
         if res <= 10.0 * kkt_tol:
             return (*attempt, res, 0)
         best = min(best, res, polish[1])
-    cont = _continuation_block(agg, groups, xb, w, bval, y0, kkt_tol,
-                               max_iter)
-    if cont[0] is not None:
-        return (*cont[:5], 0)
-    best = min(best, cont[1])
     raise ConvergenceError(
         f"block solve stalled at residual {best:.3e} "
         f"(tolerance {kkt_tol:.1e})", residual=best
@@ -650,14 +469,13 @@ def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution
     blocks = _Blocks(spec.x[:, cols], spec.sigma.conditional_weights()[cols],
                      spec.block_threshold(), np.cumsum(
                          [0] + [len(blk) for blk in spec.sigma.blocks]))
-    y0 = start[:, cols]
-    results = _newton(agg, groups, blocks, y0, spec.kkt_tol, spec.max_iter)
+    results = _newton(agg, groups, blocks, start[:, cols], spec.kkt_tol,
+                      spec.max_iter)
     for m, out in enumerate(results):
         if out[0] is None:
             own = slice(blocks.start[m], blocks.start[m + 1])
             results[m] = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
-                                   blocks.b[m], y0[:, own], spec.kkt_tol,
-                                   spec.max_iter, out[1])
+                                   blocks.b[m], spec.kkt_tol, out[1])
     y_hat = np.empty_like(spec.x)
     y_hat[:, cols] = np.concatenate([out[0] for out in results], axis=1)
     _, d, _, mu, resid, iters = zip(*results)

@@ -64,7 +64,8 @@ class TestFeasibleStart:
                         b=canonical_spec.b, clusters=canonical_spec.clusters)
         m0 = feasible_start(base)
         m = feasible_start(canonical_spec)
-        shift = np.max(np.abs(canonical_spec.x), axis=1)
+        # one block: each agent moves by minus its least position on it
+        shift = -np.min(canonical_spec.x, axis=1)
         np.testing.assert_allclose(m, m0 + shift[:, None], atol=1e-12)
 
     def test_threshold_near_supremum(self):
@@ -246,8 +247,8 @@ class TestSolveRho:
         def jump(*args):
             raise InversionError("multiplier root find stopped on a jump")
 
-        # Newton stalls on every block it is given, in the batched solve,
-        # in the polish of a fallback and in the continuation
+        # Newton stalls on every block it is given, in the batched solve
+        # and in the polish of a fallback
         monkeypatch.setattr(primal, "_newton",
                             lambda agg, groups, blocks, *args:
                             [(None, 1.0)] * blocks.b.size)
@@ -335,20 +336,31 @@ class TestBatchedNewton:
                 assert (np.max(np.abs(step - dense))
                         <= 1e-10 * np.max(np.abs(dense)))
 
-    def test_blocks_solve_as_if_alone(self):
-        # one agent; a fast block, a slow block near the supremum and two
-        # blocks on which Newton stalls and a fallback takes over
+    @staticmethod
+    def four_block_spec(b_blocks):
+        """One agent, four blocks: the instance of the batching and
+        locality tests."""
         probs = np.array([6.6, 3.9, 7.7, 9.4, 28, 0.9, 18.9, 6.9, 17.6])
         space = ScenarioSpace(tuple(f"w{i}" for i in range(9)),
                               probs / probs.sum())
         g = SigmaPartition(space, ((0, 2, 5, 6), (1,), (3,), (4, 7, 8)))
-        spec = RiskSpec(space=space, sigma=g,
+        return RiskSpec(space=space, sigma=g,
                         x=np.array([[1.7, -0.5, 1.4, 1.3, 2.6, -2.3, 1.4,
                                      2.6, 2.8]]),
                         aggregator=Aggregator.exponential([1.7]),
-                        b=g.expand(np.array([-4.9, -0.05, -0.19, -0.31])),
+                        b=g.expand(np.array(b_blocks)),
                         clusters=ClusterConstraint.full_sharing(1))
-        start = feasible_start(spec)
+
+    def test_blocks_solve_as_if_alone(self):
+        # one agent; a fast block, a slow block near the supremum and two
+        # blocks on which Newton stalls and a fallback takes over, all from
+        # one constant start sized for the largest threshold and shifted by
+        # the largest |x| (the per-block start solves all four quickly)
+        spec = self.four_block_spec([-4.9, -0.05, -0.19, -0.31])
+        g, space = spec.sigma, spec.space
+        level = feasible_start(replace(spec, x=np.zeros_like(spec.x),
+                                       b=np.full(space.natoms, spec.b.max())))
+        start = level + np.max(np.abs(spec.x), axis=1)[:, None]
         sol = solve_rho(spec, start=start)
         assert sol.iterations[0] < 50 < 100 < sol.iterations[1]
         assert np.all(sol.iterations[2:] == 0)
@@ -367,20 +379,47 @@ class TestBatchedNewton:
                                        rtol=1e-12, atol=1e-12)
             np.testing.assert_allclose(alone.mu[0], sol.mu[m], rtol=1e-12)
 
-    def test_singular_systems_leave_the_others_solved(self, canonical_spec):
+    def test_start_is_local_to_each_block(self):
+        # the local property reaches the solver: raising one block's
+        # threshold toward the supremum leaves every other block's start,
+        # Newton path and solution exactly as they were
+        spec = self.four_block_spec([-4.9, -0.05, -0.19, -0.31])
+        spec_r = self.four_block_spec([-4.9, -1e-3, -0.19, -0.31])
+        sol, sol_r = solve_rho(spec), solve_rho(spec_r)
+        for m, blk in enumerate(spec.sigma.blocks):
+            if m == 1:
+                continue
+            idx = list(blk)
+            np.testing.assert_array_equal(feasible_start(spec_r)[:, idx],
+                                          feasible_start(spec)[:, idx])
+            assert sol_r.iterations[m] == sol.iterations[m]
+            np.testing.assert_allclose(sol_r.y_hat[:, idx], sol.y_hat[:, idx],
+                                       rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(sol_r.mu[m], sol.mu[m], rtol=1e-12)
+
+    def test_singular_systems_leave_the_others_solved(self):
         a = np.array([np.eye(2), np.zeros((2, 2)), [[1.0, 2.0], [2.0, 4.0]]])
         sol, ok = primal._solve_stack(a, np.ones((3, 2, 1)))
         assert ok.tolist() == [True, False, False]
         np.testing.assert_array_equal(sol[0], 1.0)
         assert np.isnan(sol[1:]).all()
-        # a Hessian of zeros makes every saddle system singular: Newton
-        # gives the block up and a fallback solves it
+        # a Hessian of zeros makes the saddle system of two agents in one
+        # cluster singular: Newton gives the block up at once and, on one
+        # atom, the single-atom fallback solves it (one agent would not do:
+        # its saddle system [[0, -1], [1, 0]] stays regular)
         flat = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
                              lambda x: np.zeros_like(x), sup=0.0)
-        sol = solve_rho(replace(canonical_spec,
-                                aggregator=Aggregator((flat, flat))))
+        space = ScenarioSpace.uniform(1)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[1.0], [-0.5]]),
+                        aggregator=Aggregator((flat, flat)),
+                        b=np.full(1, -2.0),
+                        clusters=ClusterConstraint.full_sharing(2))
+        sol = solve_rho(spec)
         assert sol.iterations[0] == 0
-        np.testing.assert_allclose(sol.rho, CANONICAL["rho"], atol=1e-10)
+        closed = rho_closed(spec.x, spec.b, spec.sigma,
+                            exp_constants([1.0, 1.0]))
+        np.testing.assert_allclose(sol.rho, closed, rtol=1e-10, atol=1e-10)
 
     def test_iterations_count_newton_steps(self, canonical_spec):
         steps = int(solve_rho(canonical_spec).iterations[0])
@@ -388,10 +427,24 @@ class TestBatchedNewton:
         # converged on the check after the last step the limit allows
         capped = solve_rho(replace(canonical_spec, max_iter=steps))
         assert capped.iterations[0] == steps
-        # a block that Newton may not step is solved by a fallback: 0
-        fallback = solve_rho(replace(canonical_spec, max_iter=0))
+        # a block that Newton may not step is refused unless a fallback
+        # applies: none does to two agents on two atoms
+        with pytest.raises(ConvergenceError):
+            solve_rho(replace(canonical_spec, max_iter=0))
+        # on one atom the single-atom fallback solves it: 0 steps
+        space = ScenarioSpace.uniform(1)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[0.5], [-0.3]]),
+                        aggregator=Aggregator.exponential([1.0, 2.0]),
+                        b=np.full(1, -1.5),
+                        clusters=ClusterConstraint.full_sharing(2),
+                        max_iter=0)
+        fallback = solve_rho(spec)
         assert fallback.iterations[0] == 0
-        np.testing.assert_allclose(fallback.rho, CANONICAL["rho"], atol=1e-10)
+        closed = rho_closed(spec.x, spec.b, spec.sigma,
+                            exp_constants([1.0, 2.0]))
+        np.testing.assert_allclose(fallback.rho, closed, rtol=1e-10,
+                                   atol=1e-10)
 
 
 class TestAxioms:
