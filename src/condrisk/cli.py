@@ -4,7 +4,7 @@ One subcommand per verification cluster; each reads a scenario file, runs
 the computation and emits a deterministic JSON report (stable key order,
 numbers as 12-significant-digit decimal strings).
 
-Exit codes: 0 success (the report carries a pass field), 1 scenario schema
+Exit codes: 0 success (the report carries a pass field), 1 scenario format
 error, 2 domain invariant violation, 3 convergence failure.
 """
 

@@ -160,14 +160,20 @@ def penalty_alpha1(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     return spec.sigma.expand(vals)
 
 
-def dual_value(q: DensityVector, spec: RiskSpec) -> np.ndarray:
-    """Dual objective per atom: density-weighted cost of the positions
-    minus the penalty."""
+def _dual_terms(q: DensityVector, spec: RiskSpec):
+    """(penalty, dual objective) per atom: the objective is the
+    density-weighted cost of the positions minus the penalty."""
     alpha1 = penalty_alpha1(q, spec)
     cost = np.zeros(spec.space.natoms)
     for j in range(spec.nagents):
         cost += cond_exp(q.row(j) * (-spec.x[j]), spec.sigma)
-    return cost - alpha1
+    return alpha1, cost - alpha1
+
+
+def dual_value(q: DensityVector, spec: RiskSpec) -> np.ndarray:
+    """Dual objective per atom: density-weighted cost of the positions
+    minus the penalty."""
+    return _dual_terms(q, spec)[1]
 
 
 def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
@@ -227,10 +233,6 @@ def dual_report(sol: PrimalSolution, q: DensityVector,
         return DualReport(alpha1=np.full(k, np.inf),
                           dual_value=np.full(k, -np.inf),
                           gap=np.full(k, np.inf), in_q1=False)
-    alpha1 = penalty_alpha1(q, spec)
-    cost = np.zeros(spec.space.natoms)
-    for j in range(spec.nagents):
-        cost += cond_exp(q.row(j) * (-spec.x[j]), spec.sigma)
-    value = cost - alpha1
+    alpha1, value = _dual_terms(q, spec)
     return DualReport(alpha1=alpha1, dual_value=value,
                       gap=sol.rho - value, in_q1=True)

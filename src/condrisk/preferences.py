@@ -57,8 +57,9 @@ class ExponentialUtility(UnivariateUtility):
     shifted: bool = False
 
     def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+        if not (np.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be finite and positive, not "
+                             f"{self.alpha!r}")
 
     @property
     def sup(self) -> float:
@@ -85,8 +86,8 @@ class RationalPowerUtility(UnivariateUtility):
     p: float
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("p must exceed 1")
+        if not (np.isfinite(self.p) and self.p > 1):
+            raise ValueError(f"p must be finite and exceed 1, not {self.p!r}")
 
     @property
     def sup(self) -> float:
@@ -128,8 +129,8 @@ class ArctanPowerUtility(UnivariateUtility):
     p: float
 
     def __post_init__(self):
-        if self.p <= 1:
-            raise ValueError("p must exceed 1")
+        if not (np.isfinite(self.p) and self.p > 1):
+            raise ValueError(f"p must be finite and exceed 1, not {self.p!r}")
 
     @property
     def sup(self) -> float:
@@ -237,8 +238,9 @@ class LambdaAggregator:
             raise ValueError("composite form needs both u and weights")
         if self.weights is not None:
             w = np.array(self.weights, dtype=float)
-            if np.any(w < 0.0):
-                raise ValueError("weights must be nonnegative")
+            if not (np.all(np.isfinite(w)) and np.all(w >= 0.0)):
+                raise ValueError(f"lambda weights must be finite and "
+                                 f"nonnegative, not {w.tolist()!r}")
             if not np.isfinite(self.u.sup):
                 raise ValueError("composite outer utility must be bounded above")
             w.setflags(write=False)

@@ -49,6 +49,10 @@ class ScenarioSpace:
             raise ValueError("number of labels must match number of atoms")
         if len(set(labels)) != len(labels):
             raise ValueError("atom labels must be unique")
+        if not np.all(np.isfinite(prob)):
+            bad = {labels[i]: float(prob[i])
+                   for i in np.flatnonzero(~np.isfinite(prob))}
+            raise ValueError(f"non-finite atom probabilities {bad}")
         if np.any(prob <= 0.0):
             raise ValueError("every atom must have strictly positive probability")
         if abs(prob.sum() - 1.0) > PROB_SUM_TOL:

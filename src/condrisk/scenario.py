@@ -1,105 +1,126 @@
 """Scenario file parsing: JSON documents describing a complete problem.
 
-A scenario bundles the atoms, the information partition (plus an optional
-coarser one for consistency runs), per-agent utility specifications, an
-optional interdependence term, the position matrix, the threshold vector,
-the risk-sharing clusters and solver tolerances.  Structural validation is
-schema-driven with field-path error reporting; domain invariants are
-enforced by the constructed objects themselves.
+A scenario holds the atoms, the information partition (and an optional
+coarser one), the agents' utilities, an optional interdependence term, the
+positions, the threshold, the risk-sharing clusters and solver tolerances.
+One table, `_DOCUMENT`, holds the format, and `_check` names the first
+field that breaks it.  Domain invariants (finite values, partitions that
+cover the atoms, measurability) are enforced by the constructed objects.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-
-import numpy as np
-from jsonschema.exceptions import best_match
-from jsonschema.validators import validator_for
+from typing import Callable, NamedTuple
 
 from .preferences import (Aggregator, ArctanPowerUtility, ExponentialUtility,
                           LambdaAggregator, RationalPowerUtility)
-from .primal import (DEFAULT_KKT_TOL, DEFAULT_MAX_ITER, ClusterConstraint,
-                     RiskSpec)
+from .primal import ClusterConstraint, RiskSpec
 from .prob_space import ScenarioSpace, SigmaPartition
 
 
 class ScenarioError(ValueError):
-    """Malformed scenario document (schema violation or bad reference)."""
+    """Malformed scenario document (format violation or bad reference)."""
 
 
-_UTILITY_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "kind": {"enum": ["exponential", "rational_power", "arctan_power"]},
-        "alpha": {"type": "number"},
-        "p": {"type": "number"},
-        "shifted": {"type": "boolean"},
-    },
-    "required": ["kind"],
-    "additionalProperties": False,
-}
+class _Leaf(NamedTuple):
+    """A value of one of `types` that passes `test`, kept as `cast` of
+    itself; json.load gives bool its own type, so a bool is no number."""
+    types: tuple
+    reason: str
+    test: Callable | None = None
+    cast: Callable | None = None
 
-_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "atoms": {
-            "type": "object",
-            "properties": {
-                "labels": {"type": "array", "items": {"type": "string"}},
-                "probs": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["labels", "probs"],
-            "additionalProperties": False,
-        },
-        "sigma_g": {"type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}}},
-        "sigma_h": {"type": "array",
-                    "items": {"type": "array", "items": {"type": "integer"}}},
-        "agents": {"type": "array", "items": _UTILITY_SCHEMA, "minItems": 1},
-        "lambda": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["zero", "composite"]},
-                "u": _UTILITY_SCHEMA,
-                "weights": {"type": "array", "items": {"type": "number"}},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
-        },
-        "x": {"type": "array",
-              "items": {"type": "array", "items": {"type": "number"}}},
-        "b": {"type": "array", "items": {"type": "number"}},
-        "clusters": {"type": "array",
-                     "items": {"type": "array", "items": {"type": "integer"}}},
-        "tolerances": {
-            "type": "object",
-            "properties": {
-                "kkt_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-    },
-    "required": ["atoms", "sigma_g", "agents", "x", "b", "clusters"],
-    "additionalProperties": False,
-}
-
-# built once: jsonschema.validate would check the schema and build a new
-# validator on every call
-_VALIDATOR = validator_for(_SCHEMA)(_SCHEMA)
+    def accepts(self, value) -> bool:
+        return type(value) in self.types and (self.test is None
+                                              or self.test(value))
 
 
-def _build_utility(node):
-    kind = node["kind"]
-    if kind == "exponential":
-        if "alpha" not in node:
-            raise ScenarioError("exponential utility needs field 'alpha'")
+class _Object(NamedTuple):
+    fields: dict
+    required: tuple = ()
+    kinds: dict | None = None  # each allowed 'kind' -> the fields it needs
+
+
+def _kinded(fields, kinds) -> _Object:
+    kind = _Leaf((str,), f"is not one of {list(kinds)}", kinds.__contains__)
+    return _Object({"kind": kind, **fields}, ("kind",), kinds)
+
+
+# An array is [rule of its items, (test, reason) of the whole array...].
+_NUMBER = _Leaf((int, float), "is not a number")
+# 1.0 is an integer, as in JSON Schema; partitions and the solver get an int
+_INTEGER = _Leaf((int, float), "is not an integer",
+                 lambda v: type(v) is int or v.is_integer(), int)
+_UTILITY = _kinded({"alpha": _NUMBER, "p": _NUMBER,
+                    "shifted": _Leaf((bool,), "is not a boolean")},
+                   {"exponential": ("alpha",), "rational_power": ("p",),
+                    "arctan_power": ("p",)})
+_DOCUMENT = _Object({
+    "atoms": _Object({"labels": [_Leaf((str,), "is not a string")],
+                      "probs": [_NUMBER]}, ("labels", "probs")),
+    "sigma_g": [[_INTEGER]],
+    "sigma_h": [[_INTEGER]],
+    "agents": [_UTILITY, (len, "is empty")],
+    "lambda": _kinded({"u": _UTILITY, "weights": [_NUMBER]},
+                      {"zero": (), "composite": ("u", "weights")}),
+    "x": [[_NUMBER], (lambda rows: len(set(map(len, rows))) < 2,
+                      "must be a rectangular matrix of numbers")],
+    "b": [_NUMBER],
+    "clusters": [[_INTEGER]],
+    # a NaN kkt_tol passes here and RiskSpec refuses it, as any non-finite
+    "tolerances": _Object({
+        "kkt_tol": _Leaf((int, float), "is not > 0", lambda v: not v <= 0),
+        "max_iter": _Leaf((int, float), "is not an integer >= 1",
+                          lambda v: _INTEGER.test(v) and v >= 1, int)}),
+}, ("atoms", "sigma_g", "agents", "x", "b", "clusters"))
+
+
+def _check(node, rule, where: tuple) -> None:
+    """Check node against an _Object or array rule, casting its leaves in
+    place; raise ScenarioError(field path, reason) at the first fault."""
+    if isinstance(rule, _Object):
+        if type(node) is not dict:
+            raise ScenarioError(where, "is not an object")
+        for key, value in node.items():
+            sub = rule.fields.get(key)
+            if sub is None:
+                raise ScenarioError(where, f"unexpected field {key!r}")
+            elif not isinstance(sub, _Leaf):
+                _check(value, sub, where + (key,))
+            elif not sub.accepts(value):
+                raise ScenarioError(where + (key,), f"{value!r} {sub.reason}")
+            elif sub.cast is not None:
+                node[key] = sub.cast(value)
+        needs = rule.kinds[node["kind"]] if "kind" in node else ()
+        for key in rule.required + needs:
+            if key not in node:
+                raise ScenarioError(where, f"missing field {key!r}")
+        return
+    if type(node) is not list:
+        raise ScenarioError(where, "is not an array")
+    items, *whole = rule
+    if not isinstance(items, _Leaf):
+        for i, value in enumerate(node):
+            _check(value, items, where + (i,))
+    # one pass over an array of scalars, the bulk of most documents
+    elif not (set(map(type, node)).issubset(items.types)
+              and (items.test is None or all(map(items.test, node)))):
+        i = next(i for i, v in enumerate(node) if not items.accepts(v))
+        raise ScenarioError(where + (i,), f"{node[i]!r} {items.reason}")
+    elif items.cast is not None:
+        node[:] = map(items.cast, node)
+    for test, reason in whole:
+        if not test(node):
+            raise ScenarioError(where, reason)
+
+
+def _utility(node):
+    if node["kind"] == "exponential":
         return ExponentialUtility(node["alpha"], node.get("shifted", False))
-    if "p" not in node:
-        raise ScenarioError(f"{kind} utility needs field 'p'")
-    cls = RationalPowerUtility if kind == "rational_power" else ArctanPowerUtility
-    return cls(node["p"])
+    return {"rational_power": RationalPowerUtility,
+            "arctan_power": ArctanPowerUtility}[node["kind"]](node["p"])
 
 
 @dataclass(frozen=True)
@@ -109,52 +130,30 @@ class Scenario:
 
 
 def parse_scenario(path: str) -> Scenario:
-    """Load, schema-validate and build a scenario from a JSON file."""
+    """Load, check and build a scenario from a JSON file."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
+        _check(doc, _DOCUMENT, ())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc
-    error = best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<root>"
-        raise ScenarioError(f"{path}: field '{where}': {error.message}")
+    except ScenarioError as exc:
+        where, reason = exc.args
+        where = "/".join(map(str, where)) or "<root>"
+        raise ScenarioError(f"{path}: field '{where}': {reason}") from None
 
-    space = ScenarioSpace(tuple(doc["atoms"]["labels"]),
-                          np.asarray(doc["atoms"]["probs"], dtype=float))
-    sigma_g = SigmaPartition(space, tuple(tuple(b) for b in doc["sigma_g"]))
-    sigma_h = None
-    if "sigma_h" in doc:
-        sigma_h = SigmaPartition(space, tuple(tuple(b) for b in doc["sigma_h"]))
-
-    utilities = tuple(_build_utility(node) for node in doc["agents"])
-    lam_node = doc.get("lambda", {"kind": "zero"})
-    if lam_node["kind"] == "zero":
-        lam = LambdaAggregator.zero()
-    else:
-        if "u" not in lam_node or "weights" not in lam_node:
-            raise ScenarioError("composite lambda needs fields 'u' and 'weights'")
-        lam = LambdaAggregator.composite(_build_utility(lam_node["u"]),
-                                         np.asarray(lam_node["weights"], float))
-    aggregator = Aggregator(utilities, lam)
-
-    try:
-        x = np.asarray(doc["x"], dtype=float)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: field 'x': must be a rectangular "
-                            "matrix of numbers") from exc
-
-    tol = doc.get("tolerances", {})
-    spec = RiskSpec(
-        space=space,
-        sigma=sigma_g,
-        x=x,
-        aggregator=aggregator,
-        b=np.asarray(doc["b"], dtype=float),
-        clusters=ClusterConstraint(tuple(tuple(g) for g in doc["clusters"])),
-        kkt_tol=tol.get("kkt_tol", DEFAULT_KKT_TOL),
-        # the schema's integer admits 200.0
-        max_iter=int(tol.get("max_iter", DEFAULT_MAX_ITER)),
-    )
+    # the constructors take lists and make their own float arrays
+    space = ScenarioSpace(doc["atoms"]["labels"], doc["atoms"]["probs"])
+    sigma_g = SigmaPartition(space, doc["sigma_g"])
+    sigma_h = (SigmaPartition(space, doc["sigma_h"]) if "sigma_h" in doc
+               else None)
+    utilities = tuple(map(_utility, doc["agents"]))
+    lam = doc.get("lambda", {"kind": "zero"})
+    lam = (LambdaAggregator.zero() if lam["kind"] == "zero" else
+           LambdaAggregator.composite(_utility(lam["u"]), lam["weights"]))
+    spec = RiskSpec(space=space, sigma=sigma_g, x=doc["x"],
+                    aggregator=Aggregator(utilities, lam), b=doc["b"],
+                    clusters=ClusterConstraint(doc["clusters"]),
+                    **doc.get("tolerances", {}))
     return Scenario(spec=spec, sigma_h=sigma_h)

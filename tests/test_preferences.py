@@ -113,6 +113,22 @@ class TestAggGrad:
             np.testing.assert_allclose(h[:, j], num, rtol=1e-5, atol=1e-8)
 
 
+@pytest.mark.parametrize("make, name", [
+    (lambda v: ExponentialUtility(v), "alpha"),
+    (lambda v: ExponentialUtility(v, shifted=True), "alpha"),
+    (lambda v: RationalPowerUtility(v), "p"),
+    (lambda v: ArctanPowerUtility(v), "p"),
+    (lambda v: LambdaAggregator.composite(ExponentialUtility(1.0, True),
+                                          [v, 0.5]), "weights"),
+], ids=["exponential", "shifted", "rational_power", "arctan_power",
+        "lambda_weights"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, -1.0])
+def test_constructors_reject_bad_parameters(make, name, value):
+    # NaN fails no comparison: each check must ask for a finite value
+    with pytest.raises(ValueError, match=name):
+        make(value)
+
+
 class TestAggregatorProperties:
     def test_strict_monotonicity_and_concavity(self):
         a = Aggregator.exponential([1.0, 2.0, 0.5])

@@ -19,6 +19,13 @@ class TestScenarioSpace:
         with pytest.raises(ValueError):
             space([1.0, 0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_probability(self, bad):
+        # NaN fails no comparison, and a partition of this space would
+        # then not equal itself
+        with pytest.raises(ValueError, match=r"non-finite .*'a'"):
+            ScenarioSpace(("a", "b"), [bad, 1.0])
+
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError):
             space([0.5, 0.6])

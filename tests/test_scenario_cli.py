@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -38,6 +39,18 @@ def write_doc(tmp_path, name, **overrides):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+# Edits of a document, for the tables of malformed and non-finite input
+def _without(key):
+    return lambda doc: {k: v for k, v in doc.items() if k != key}
+
+
+def _with(**changes):
+    return lambda doc: {**doc, **changes}
+
+
+EXP = {"kind": "exponential", "alpha": 1.0}
 
 
 class TestParsing:
@@ -212,6 +225,24 @@ class TestCliErrors:
         err = capsys.readouterr().err
         assert "supremum" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (_with(atoms={"labels": ["w0", "w1"], "probs": [math.nan, 0.5]}),
+         "non-finite atom probabilities"),
+        (_with(agents=[{**EXP, "alpha": math.nan}, EXP]),
+         "alpha must be finite"),
+        (_with(**{"lambda": {"kind": "composite", "weights": [0.5, math.inf],
+                             "u": {**EXP, "shifted": True}}}),
+         "lambda weights must be finite"),
+        (_with(x=[[1.0, math.nan], [0.0, 0.0]]), "non-finite"),
+    ], ids=["probs", "alpha", "weights", "x"])
+    def test_non_finite_input_exit_code(self, tmp_path, capsys, edit,
+                                        message):
+        path = tmp_path / "nonfinite.json"
+        # json writes NaN and Infinity, and reads them back
+        path.write_text(json.dumps(edit(CANONICAL_DOC)))
+        assert main(["risk", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_unmeasurable_threshold_exit_code(self, tmp_path):
         path = write_doc(tmp_path, "umb.json", b=[-2.0, -1.0])
         assert main(["risk", str(path)]) == 2
@@ -244,6 +275,59 @@ class TestCliErrors:
         monkeypatch.setattr(cli, "extract_dual_optimizer", boom)
         assert main(["dual", canonical_file]) == 3
         assert "convergence failure" in capsys.readouterr().err
+
+
+# One structural violation per document: (edit of the canonical document,
+# field the error names); an accepted variant names None instead and must
+# give the canonical report.
+DOCUMENT_TABLE = {
+    "root_not_object": (lambda doc: [doc], "<root>"),
+    "unknown_root_key": (_with(extra=1), "<root>"),
+    "missing_b": (_without("b"), "<root>"),
+    "missing_probs": (_with(atoms={"labels": ["w0", "w1"]}), "atoms"),
+    "label_not_string": (_with(atoms={"labels": [0, "w1"],
+                                      "probs": [0.5, 0.5]}),
+                         "atoms/labels/0"),
+    "probability_string": (_with(atoms={"labels": ["w0", "w1"],
+                                        "probs": ["0.5", 0.5]}),
+                           "atoms/probs/0"),
+    "boolean_in_x": (_with(x=[[1.0, -1.0], [0.0, True]]), "x/1/1"),
+    "fractional_block_index": (_with(sigma_g=[[0, 1.5]]), "sigma_g/0/1"),
+    "ragged_x": (_with(x=[[1.0, -1.0], [0.0]]), "x"),
+    "no_agents": (_with(agents=[]), "agents"),
+    "unknown_kind": (_with(agents=[EXP, {"kind": "quadratic"}]),
+                     "agents/1/kind"),
+    "alpha_string": (_with(agents=[{"kind": "exponential", "alpha": "1"},
+                                   EXP]), "agents/0/alpha"),
+    "shifted_not_boolean": (_with(agents=[EXP, {**EXP, "shifted": 1}]),
+                            "agents/1/shifted"),
+    "lambda_kind": (_with(**{"lambda": {"kind": "linear"}}), "lambda/kind"),
+    "lambda_extra_key": (_with(**{"lambda": {"kind": "zero", "beta": 1}}),
+                         "lambda"),
+    "kkt_tol_zero": (_with(tolerances={"kkt_tol": 0}), "tolerances/kkt_tol"),
+    "max_iter_zero": (_with(tolerances={"max_iter": 0}),
+                      "tolerances/max_iter"),
+    "max_iter_string": (_with(tolerances={"max_iter": "5"}),
+                        "tolerances/max_iter"),
+    "integral_float_blocks": (_with(sigma_g=[[0.0, 1.0]]), None),
+    "integral_float_clusters": (_with(clusters=[[0.0, 1]]), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOCUMENT_TABLE))
+def test_document_table(tmp_path, capsys, name):
+    edit, field = DOCUMENT_TABLE[name]
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(edit(json.loads(json.dumps(CANONICAL_DOC)))))
+    code = main(["risk", str(path)])
+    out, err = capsys.readouterr()
+    if field is None:
+        assert code == 0
+        assert main(["risk", write_doc(tmp_path, "canonical.json")]) == 0
+        assert out == capsys.readouterr().out
+    else:
+        assert code == 1
+        assert f"field '{field}'" in err
 
 
 class TestDeterminism:
@@ -279,11 +363,16 @@ class TestDeterminism:
 
 
 def test_import_loads_no_scipy():
-    """scipy is a test dependency only: the package and its CLI run on
-    numpy and jsonschema."""
+    """numpy is the only runtime dependency: importing the package and its
+    CLI loads no top-level module outside the standard library but numpy
+    and condrisk itself (scipy, for one, is a test dependency only)."""
     src = Path(condrisk.__file__).resolve().parent.parent
-    code = ("import sys, condrisk, condrisk.cli; print(sorted("
-            "m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    # modules the interpreter loaded at start-up (a site hook, say) are
+    # not the package's
+    code = ("import sys; before = set(sys.modules)\n"
+            "import condrisk, condrisk.cli\n"
+            "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+            " - set(sys.stdlib_module_names) - {'numpy', 'condrisk'}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, timeout=120,
                          env={**os.environ, "PYTHONPATH": str(src)})
