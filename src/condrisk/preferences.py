@@ -57,7 +57,7 @@ class ExponentialUtility(UnivariateUtility):
     shifted: bool = False
 
     def __post_init__(self):
-        if not (np.isfinite(self.alpha) and self.alpha > 0):
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, not "
                              f"{self.alpha!r}")
 
@@ -86,7 +86,7 @@ class RationalPowerUtility(UnivariateUtility):
     p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p > 1):
+        if not (math.isfinite(self.p) and self.p > 1):
             raise ValueError(f"p must be finite and exceed 1, not {self.p!r}")
 
     @property
@@ -129,7 +129,7 @@ class ArctanPowerUtility(UnivariateUtility):
     p: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.p) and self.p > 1):
+        if not (math.isfinite(self.p) and self.p > 1):
             raise ValueError(f"p must be finite and exceed 1, not {self.p!r}")
 
     @property
@@ -311,7 +311,8 @@ class Aggregator:
         if self.lam.is_zero and all(
                 isinstance(u, ExponentialUtility) and not u.shifted
                 for u in self.utilities):
-            exp_alphas = np.array([u.alpha for u in self.utilities])
+            exp_alphas = np.array([u.alpha for u in self.utilities],
+                                  dtype=float)
         object.__setattr__(self, "_exp_alphas", exp_alphas)
 
     @property

@@ -50,9 +50,9 @@ def _kinded(fields, kinds) -> _Object:
 
 # An array is [rule of its items, (test, reason) of the whole array...].
 _NUMBER = _Leaf((int, float), "is not a number")
-# 1.0 is an integer, as in JSON Schema; partitions and the solver get an int
+# 1.0 is an integer, as in JSON Schema; the partitions make it an int
 _INTEGER = _Leaf((int, float), "is not an integer",
-                 lambda v: type(v) is int or v.is_integer(), int)
+                 lambda v: type(v) is int or v.is_integer())
 _UTILITY = _kinded({"alpha": _NUMBER, "p": _NUMBER,
                     "shifted": _Leaf((bool,), "is not a boolean")},
                    {"exponential": ("alpha",), "rational_power": ("p",),
@@ -78,7 +78,7 @@ _DOCUMENT = _Object({
 
 
 def _check(node, rule, where: tuple) -> None:
-    """Check node against an _Object or array rule, casting its leaves in
+    """Check node against an _Object or array rule, casting its fields in
     place; raise ScenarioError(field path, reason) at the first fault."""
     if isinstance(rule, _Object):
         if type(node) is not dict:
@@ -109,8 +109,6 @@ def _check(node, rule, where: tuple) -> None:
               and (items.test is None or all(map(items.test, node)))):
         i = next(i for i, v in enumerate(node) if not items.accepts(v))
         raise ScenarioError(where + (i,), f"{node[i]!r} {items.reason}")
-    elif items.cast is not None:
-        node[:] = map(items.cast, node)
     for test, reason in whole:
         if not test(node):
             raise ScenarioError(where, reason)

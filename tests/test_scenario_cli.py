@@ -243,6 +243,19 @@ class TestCliErrors:
         assert main(["risk", str(path)]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("agent", [
+        {"kind": "exponential", "alpha": 2 ** 64},
+        {"kind": "rational_power", "p": 2 ** 64},
+        {"kind": "arctan_power", "p": 2 ** 64},
+    ], ids=["alpha", "rational_power", "arctan_power"])
+    def test_integer_beyond_int64_exit_code(self, tmp_path, capsys, agent):
+        # json reads 2**64 as a Python int that numpy holds only as an
+        # object; the CLI must still end with one of its exit codes
+        path = write_doc(tmp_path, "bigint.json", agents=[agent, EXP])
+        assert main(["risk", str(path)]) in (2, 3)
+        assert capsys.readouterr().err.startswith(
+            ("invariant violation", "convergence failure"))
+
     def test_unmeasurable_threshold_exit_code(self, tmp_path):
         path = write_doc(tmp_path, "umb.json", b=[-2.0, -1.0])
         assert main(["risk", str(path)]) == 2
