@@ -8,9 +8,9 @@ inequality against every feasible allocation, which on finite spaces
 reduces to equality of densities within each risk-sharing cluster.
 
 All programs here are equality-constrained concave problems whose optima
-are characterized by a gradient proportionality; they are solved by
-inverting the aggregator gradient along a scalar multiplier that a root
-find pins to the active constraint.
+are characterized by a gradient proportionality.  For exponential agents
+the multiplier has a closed form; otherwise one Newton root find on the
+log multipliers of all blocks pins them to the active constraints.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .preferences import Aggregator, invert_gradient, multiplier_root
-from .primal import PrimalSolution, RiskSpec, _block_data
+from .preferences import InversionError, utility_level_roots, xlogx
+from .primal import PrimalSolution, RiskSpec, _Blocks
 from .prob_space import DensityVector, cond_exp
 
 FAIRNESS_TOL = 1e-8
@@ -53,49 +53,6 @@ def _check_density(q: DensityVector, spec: RiskSpec) -> None:
         raise ValueError("density vector has wrong number of agents")
 
 
-def _sup_values(agg: Aggregator) -> np.ndarray:
-    return np.array([u.sup for u in agg.utilities])
-
-
-def _solve_scaled_gradient(agg, qb, w, target_util):
-    """Find mu > 0 with E_w[U(z(mu))] = target_util where
-    grad U(z(mu)) = qb / mu; returns (z, mu).
-
-    Zero density entries push the corresponding coordinate to its upper
-    limit: utility contributes its supremum, cost contributes nothing
-    (separable aggregators only).
-    """
-    zero = qb <= 0.0
-    if np.any(zero) and not agg.separable:
-        raise NotImplementedError(
-            "vanishing densities with an interdependence term")
-    if np.any(zero):
-        sup_u = _sup_values(agg)
-        util_zero = np.where(zero, sup_u[:, None], 0.0).sum(axis=0)
-        qpos = np.where(zero, 1.0, qb)
-    else:
-        util_zero = np.zeros(qb.shape[1])
-        qpos = qb
-
-    def util_at(logmu):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            z = invert_gradient(agg, qpos / np.exp(logmu))
-            if np.any(zero):
-                vals = np.stack([u.value(z[j])
-                                 for j, u in enumerate(agg.utilities)])
-                total = np.where(zero, 0.0, vals).sum(axis=0) + util_zero
-            else:
-                total = agg.value(z)
-            # clip so bracket endpoints stay finite for the root finder
-            val = float(np.clip(w @ total, -1e15, 1e15))
-        return val, z
-
-    logmu, (_, z) = multiplier_root(util_at, target_util)
-    if np.any(zero):
-        z = np.where(zero, 0.0, z)  # cost-free coordinates drop out
-    return z, float(np.exp(logmu))
-
-
 def fairness_blocks(q: DensityVector, spec: RiskSpec,
                     tol: float = FAIRNESS_TOL) -> np.ndarray:
     """Per-block fairness flags via the within-cluster swap family.
@@ -124,9 +81,46 @@ def in_q1(q: DensityVector, spec: RiskSpec) -> bool:
     return bool(fairness_blocks(q, spec).all())
 
 
+def _alpha1_exponential(q: DensityVector, spec: RiskSpec) -> np.ndarray:
+    """Penalty per block for exponential agents, raw or shifted, without
+    an interdependence term, in closed form.
+
+    grad U(z) = q/mu gives u_j(z_j) = s_j - q_j/(mu alpha_j), with s_j = 1
+    for a shifted agent and 0 otherwise, so E_w[U] = b fixes
+    mu = E_w[sum_j q_j/alpha_j] / (k - b) for the number k of shifted
+    agents.  The penalty E_w[sum_j q_j (-z_j)] is then
+    E_w[sum_j (q_j/alpha_j) log(q_j/(mu alpha_j))] with 0 log 0 = 0: a zero
+    density leaves its agent at the supremum at no cost.
+    """
+    alphas, k = spec.aggregator.exponential_form
+    blocks, cols = _Blocks.from_spec(spec)
+    first = blocks.start[:-1]
+    r = q.q[:, cols] / alphas[:, None]
+    mass = np.add.reduceat(blocks.w * r.sum(axis=0), first)
+    slack = k - blocks.b
+    if not np.all(slack > 0.0):
+        raise InversionError(f"utility level {blocks.b.max()!r} is not below "
+                             f"the supremum {float(k)!r}")
+    return (np.add.reduceat(blocks.w * xlogx(r).sum(axis=0), first)
+            - mass * np.log(mass / slack))
+
+
+def _alpha1_newton(q: DensityVector, spec: RiskSpec) -> np.ndarray:
+    """Penalty per block for any aggregator: the z with grad U(z) = q/mu
+    and E_w[U(z)] = b, mu pinned for all blocks at once by one Newton root
+    find on log mu, gives the penalty E_w[sum_j q_j (-z_j)]."""
+    blocks, cols = _Blocks.from_spec(spec)
+    qc = q.q[:, cols]
+    z, _ = utility_level_roots(spec.aggregator, qc, blocks.w, blocks.start,
+                               blocks.b)
+    return -np.add.reduceat(blocks.w * (qc * z).sum(axis=0),
+                            blocks.start[:-1])
+
+
 @lru_cache(maxsize=1)
 def _alpha1_blocks(q: DensityVector, spec: RiskSpec) -> np.ndarray:
-    """Shortfall part of the penalty, per block, by direct maximization.
+    """Shortfall part of the penalty, per block, by direct maximization:
+    in closed form for exponential agents, by Newton otherwise.
 
     The last result is kept for the same pair of objects: a dual optimizer
     is checked for its gap and then reported with the same q and spec.
@@ -136,11 +130,9 @@ def _alpha1_blocks(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     construction.
     """
     _check_density(q, spec)
-    out = np.empty(spec.sigma.nblocks)
-    for m, (idx, w, _, bval) in enumerate(_block_data(spec)):
-        qb = q.q[:, idx]
-        z, _ = _solve_scaled_gradient(spec.aggregator, qb, w, bval)
-        out[m] = float((w[None, :] * qb * (-z)).sum())
+    solve = (_alpha1_newton if spec.aggregator.exponential_form is None
+             else _alpha1_exponential)
+    out = solve(q, spec)
     out.setflags(write=False)
     return out
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import extract_dual_optimizer, in_q1
-from .preferences import invert_gradient, multiplier_root
-from .primal import PrimalSolution, RiskSpec, _block_data, solve_rho
+from .preferences import gradient_path, multiplier_newton, xlogx
+from .primal import PrimalSolution, RiskSpec, _Blocks, solve_rho
 from .prob_space import (DensityVector, cond_exp, cond_exp_under_density,
                          is_measurable)
 
@@ -46,6 +46,55 @@ class EquilibriumTriple:
             raise ValueError("per-agent budgets do not sum to the total")
 
 
+def _pi_exponential(q: DensityVector, budget: np.ndarray,
+                    spec: RiskSpec) -> np.ndarray:
+    """pi per block for exponential agents, raw or shifted, without an
+    interdependence term, in closed form.
+
+    grad U(z) = mu q gives z_j = -log(mu q_j/alpha_j)/alpha_j, so with
+    r_j = q_j/alpha_j and 0 log 0 = 0 the budget
+    E_w[sum_j q_j (z_j - x_j)] = a fixes
+
+        log mu = -(a + E_w[sum_j q_j x_j] + E_w[sum_j r_j log r_j])
+                 / E_w[sum_j r_j],
+
+    and the utility is then pi = k - mu E_w[sum_j r_j] for the number k of
+    shifted agents.
+    """
+    alphas, k = spec.aggregator.exponential_form
+    blocks, cols = _Blocks.from_spec(spec)
+    first = blocks.start[:-1]
+    qc = q.q[:, cols]
+    r = qc / alphas[:, None]
+    mass = np.add.reduceat(blocks.w * r.sum(axis=0), first)
+    logmu = -(budget + np.add.reduceat(blocks.w * (qc * blocks.x).sum(axis=0),
+                                       first)
+              + np.add.reduceat(blocks.w * xlogx(r).sum(axis=0), first)) / mass
+    return k - np.exp(logmu) * mass
+
+
+def _pi_newton(q: DensityVector, budget: np.ndarray,
+               spec: RiskSpec) -> np.ndarray:
+    """pi per block for any aggregator: grad U(z) = mu q, with the budget
+    E_w[sum_j q_j (z_j - x_j)] = a pinning mu for all blocks at once by one
+    Newton root find on t = log mu.  The cost falls with t at the slope
+    exp(-t) E_w[g^T (-H)^{-1} g] for g = mu q."""
+    blocks, cols = _Blocks.from_spec(spec)
+    first = blocks.start[:-1]
+    qc = q.q[:, cols]
+
+    def state(t):
+        z, value, slope = gradient_path(spec.aggregator, qc, -t[blocks.of])
+        cost = np.add.reduceat(blocks.w * (qc * (z - blocks.x)).sum(axis=0),
+                               first)
+        return (cost, -np.exp(-t) * np.add.reduceat(blocks.w * slope, first),
+                value)
+
+    _, value = multiplier_newton(state, budget, np.zeros(budget.size),
+                                 increasing=False)
+    return np.add.reduceat(blocks.w * value, first)
+
+
 def pi_problem(q: DensityVector, budget_a: np.ndarray,
                spec: RiskSpec) -> np.ndarray:
     """Best conditional expected utility within a measure-weighted budget.
@@ -53,42 +102,18 @@ def pi_problem(q: DensityVector, budget_a: np.ndarray,
     Maximizes E[U(X+Y)|g] over allocations with total q-value equal to the
     budget on each block (the constraint binds by strict monotonicity).
     The optimum has grad U(X+Y) proportional to the densities; the scalar
-    multiplier is pinned by the budget.
+    multiplier is pinned by the budget, in closed form for exponential
+    agents.
     """
     if not in_q1(q, spec):
         raise ValueError("measure vector is not admissible")
     budget_a = spec.space.check_values(budget_a, "budget")
     if not is_measurable(budget_a, spec.sigma):
         raise ValueError("budget must be partition-measurable")
-    agg = spec.aggregator
-    out = np.empty(spec.sigma.nblocks)
-    for m, (idx, w, xb, _) in enumerate(_block_data(spec)):
-        qb = q.q[:, idx]
-        a_blk = float(budget_a[idx[0]])
-        zero = qb <= 0.0
-        if np.any(zero) and not agg.separable:
-            raise NotImplementedError(
-                "vanishing densities with an interdependence term")
-        qpos = np.where(zero, 1.0, qb)
-
-        def value_at(logmu):
-            with np.errstate(divide="ignore", over="ignore",
-                             invalid="ignore"):
-                z = invert_gradient(agg, np.exp(logmu) * qpos)
-                y = z - xb
-                cost = (w[None, :] * np.where(zero, 0.0, qb * y)).sum()
-            return float(np.clip(cost, -1e15, 1e15)), y, z
-
-        _, (_, y, z) = multiplier_root(value_at, a_blk, increasing=False)
-        if np.any(zero):
-            vals = np.stack([u.value(z[j])
-                             for j, u in enumerate(agg.utilities)])
-            sup_u = np.array([u.sup for u in agg.utilities])
-            total = np.where(zero, sup_u[:, None], vals).sum(axis=0)
-            out[m] = float(w @ total)
-        else:
-            out[m] = float(w @ agg.value(xb + y))
-    return spec.sigma.expand(out)
+    budget = np.array([budget_a[blk[0]] for blk in spec.sigma.blocks])
+    solve = (_pi_newton if spec.aggregator.exponential_form is None
+             else _pi_exponential)
+    return spec.sigma.expand(solve(q, budget, spec))
 
 
 @dataclass(frozen=True)

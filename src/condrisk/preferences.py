@@ -22,7 +22,8 @@ class GrowthBoundError(RuntimeError):
 
 class InversionError(RuntimeError):
     """Gradient inversion did not converge or left a non-finite point, or a
-    root find along its multiplier stopped on a jump rather than a root."""
+    root find along its multiplier found no root, failed to converge or
+    stopped on a jump rather than a root."""
 
 
 class UnivariateUtility:
@@ -306,13 +307,16 @@ class Aggregator:
             raise ValueError("need at least one agent utility")
         if not self.lam.is_zero and self.lam.weights.size != self.nagents:
             raise ValueError("lambda weights must have one entry per agent")
-        # vectorized fast path for the common all-exponential separable case
-        exp_alphas = None
-        if self.lam.is_zero and all(
-                isinstance(u, ExponentialUtility) and not u.shifted
-                for u in self.utilities):
-            exp_alphas = np.array([u.alpha for u in self.utilities],
-                                  dtype=float)
+        # closed forms for exponential agents without interdependence term,
+        # and a vectorized fast path when none of them is shifted
+        exp_form = exp_alphas = None
+        if self.lam.is_zero and all(isinstance(u, ExponentialUtility)
+                                    for u in self.utilities):
+            alphas = np.array([u.alpha for u in self.utilities], dtype=float)
+            shifted = sum(u.shifted for u in self.utilities)
+            exp_form = (alphas, shifted)
+            exp_alphas = None if shifted else alphas
+        object.__setattr__(self, "_exp_form", exp_form)
         object.__setattr__(self, "_exp_alphas", exp_alphas)
 
     @property
@@ -329,6 +333,13 @@ class Aggregator:
         """Exponent vector when every agent is raw exponential and the
         interdependence term vanishes; None otherwise."""
         return self._exp_alphas
+
+    @property
+    def exponential_form(self) -> tuple | None:
+        """(exponents, number of shifted agents) when every agent is
+        exponential, raw or shifted, and the interdependence term vanishes;
+        None otherwise."""
+        return self._exp_form
 
     @property
     def separable(self) -> bool:
@@ -572,39 +583,168 @@ def bracketed_root(f, limit: float, xtol: float) -> float:
     return brent(f, lo, hi, xtol)
 
 
-def multiplier_root(state, level: float, increasing: bool = True):
-    """Root t of state(t)[0] = level for a monotone function of a log
-    multiplier t; returns (t, state(t)).
+_ROOT_REACH = 2.0
+_ROOT_LIMIT = 600.0
+_ROOT_MAX_ITER = 100
+_ROOT_STEP_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
-    bracketed_root finds it with limit 600, on state(t)[0] - level
-    negated for a decreasing state (which leaves every brent iterate as it
-    is).  Far out the inversion behind state may fail; a t where state
-    raises InversionError gets the value +-1e15 of the end of the range on
-    its side of 0.  A root on such a t, or with |state(t)[0] - level| above
-    _ROOT_FTOL * max(1, |level|), sits on a jump of an inaccurate state and
-    raises InversionError.
+
+def multiplier_newton(state, level, t, increasing: bool = True):
+    """Roots t_m of value_m(t_m) = level_m for monotone functions of log
+    multipliers, all m at once; returns (t, payload of state at t).
+
+    state(t) returns (value, slope, payload): per root the value and its
+    derivative at t_m, and whatever the caller needs at t.  Each root is
+    found by Newton's method from t_m, safeguarded as follows:
+
+    - it keeps the bracket of the points where its value was below and
+      above its level;
+    - a Newton step that leaves a closed bracket, or does not halve the
+      previous step inside it, is replaced by bisection;
+    - towards an open side the step is capped at a reach that starts at 2
+      and doubles with each capped step, within |t| <= 600;
+    - where state raises InversionError, or a value is not finite, each
+      root that stepped there goes half way back to its last good point.
+
+    A root is done when |value - level| <= 1e-9 max(1, |level|) and the
+    Newton step that led to it was below 1e-9 (1 + |t|), so that quadratic
+    convergence leaves t at round-off, or the next step would not halve it,
+    so that the value is at round-off.  Raises InversionError when the
+    level is out of reach within |t| <= 600, when the bracket shrinks to a
+    point with |value - level| above that tolerance (a jump), when state
+    fails at the start, and after 100 steps without convergence.
     """
     sign = 1.0 if increasing else -1.0
-    # brent evaluates the bracket ends again and returns a point it has
-    # evaluated; each inversion is done once
-    seen, failed = {}, set()
+    level = sign * np.asarray(level, dtype=float)
+    t = np.array(t, dtype=float)
+    tol = _ROOT_FTOL * np.maximum(1.0, np.abs(level))
+    lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
+    good = np.full(t.shape, np.nan)  # the last point with a finite value
+    last = np.full(t.shape, np.inf)  # the step that led to t
+    newton_last = np.zeros(t.shape, dtype=bool)
+    reach = np.full(t.shape, _ROOT_REACH)
+    done = np.zeros(t.shape, dtype=bool)
+    for _ in range(_ROOT_MAX_ITER):
+        try:
+            value, slope, payload = state(t)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                f = sign * np.asarray(value, dtype=float) - level
+                newton = t - f / (sign * np.asarray(slope, dtype=float))
+        except InversionError:
+            f = newton = np.full(t.shape, np.nan)
+        failed = ~np.isfinite(f) & ~done
+        if np.any(failed & np.isnan(good)):
+            raise InversionError(
+                "multiplier root find failed at its start t = "
+                f"{t[failed & np.isnan(good)].tolist()}")
+        with np.errstate(invalid="ignore"):
+            step, scale = np.abs(newton - t), 1.0 + np.abs(t)
+            collapsed = hi - lo <= 2.0 * _EPS * scale
+            # t is at round-off: its bracket is a point, the next step is
+            # below round-off, the Newton step to t was small enough for
+            # quadratic convergence, or the next one would not halve it
+            settled = (collapsed | (step <= 4.0 * _EPS * scale)
+                       | (newton_last & ((last <= _ROOT_STEP_TOL * scale)
+                                         | ~(step <= 0.5 * last))))
+            done |= ~failed & (np.abs(f) <= tol) & settled
+        if done.all():
+            return t, payload
+        act = ~done & ~failed
+        jump = act & collapsed
+        if jump.any():
+            raise InversionError(
+                "multiplier root find stopped at |f| = "
+                f"{float(np.max(np.abs(f[jump]))):.3e}: the function jumps "
+                "there")
+        lo = np.where(act & (f < 0.0), t, lo)
+        hi = np.where(act & (f > 0.0), t, hi)
+        good = np.where(act, t, good)
+        closed = np.isfinite(lo) & np.isfinite(hi)
+        with np.errstate(invalid="ignore"):
+            inside = (newton > lo) & (newton < hi)
+            # towards the open side: Newton within reach, else the reach
+            towards = np.where(f < 0.0, 1.0, -1.0)
+            want = np.where(inside, newton - t, towards * np.inf)
+            capped = ~(np.abs(want) <= reach)
+            keep = np.where(closed, inside & (step <= 0.5 * last), ~capped)
+        nxt = np.where(closed, np.where(keep, newton, 0.5 * (lo + hi)),
+                       t + np.clip(want, -reach, reach))
+        nxt = np.clip(nxt, -_ROOT_LIMIT, _ROOT_LIMIT)
+        stuck = act & ~closed & (nxt == t)
+        if stuck.any():
+            raise InversionError(
+                f"no multiplier within |log mu| <= {_ROOT_LIMIT:g} reaches "
+                f"the level {(sign * level[stuck]).tolist()}")
+        reach = np.where(act & ~closed & capped, 2.0 * reach, reach)
+        back = good + 0.5 * (t - good)
+        reach = np.where(failed, 0.5 * np.abs(t - good), reach)
+        nxt = np.where(failed, back, np.where(act, nxt, t))
+        last = np.where(failed, np.abs(back - good),
+                        np.where(act, np.abs(nxt - t), last))
+        newton_last = np.where(act, keep, newton_last & ~failed)
+        t = nxt
+    raise InversionError(f"multiplier root find did not converge in "
+                         f"{_ROOT_MAX_ITER} steps")
 
-    def f(t):
-        if t not in seen:
-            try:
-                seen[t] = state(t)
-            except InversionError:
-                failed.add(t)
-                seen[t] = (sign * np.copysign(1e15, t),)
-        return sign * (seen[t][0] - level)
 
-    root = bracketed_root(f, 600.0, 1e-14)
-    resid = abs(f(root))
-    if root in failed or not resid <= _ROOT_FTOL * max(1.0, abs(level)):
-        raise InversionError(
-            f"multiplier root find stopped at |f| = {resid:.3e}: the "
-            "function jumps there")
-    return root, seen[root]
+def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
+    """(z, U(z), slope) columnwise along grad U(z) = g = q exp(-t), with t
+    one entry per column.
+
+    dz/dt = (-H)^{-1} g for the Hessian H of U at z, so U(z) changes with
+    t at the slope g^T (-H)^{-1} g, which Sherman-Morrison gives on the
+    diagonal-plus-rank-one Hessian.  A zero entry of q (separable
+    aggregators only) leaves its agent at the supremum: z_j is +infinity,
+    reported as 0, u_j(z_j) is the agent's supremum, and the entry adds
+    nothing to the slope.
+    """
+    zero = q <= 0.0
+    vanish = bool(zero.any())
+    if vanish and not a.separable:
+        raise NotImplementedError(
+            "vanishing densities with an interdependence term")
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        g = q * np.exp(-t)
+        z = invert_gradient(a, np.where(zero, 1.0, g) if vanish else g)
+        d = -np.stack([u.deriv2(z[j]) for j, u in enumerate(a.utilities)])
+        slope = (g * g / d).sum(axis=0)
+        if not a.separable:
+            beta = a.lam.weights[:, None]
+            c = -a.lam.u.deriv2((beta * z).sum(axis=0))
+            bg, bb = (beta * g / d).sum(axis=0), (beta * beta / d).sum(axis=0)
+            slope = slope - c * bg * bg / (1.0 + c * bb)
+        if vanish:
+            sup = np.array([[u.sup] for u in a.utilities])
+            own = np.stack([u.value(z[j]) for j, u in enumerate(a.utilities)])
+            value = np.where(zero, sup, own).sum(axis=0)
+            z = np.where(zero, 0.0, z)
+        else:
+            value = a.value(z)
+    return z, value, slope
+
+
+def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
+                        start: np.ndarray, level: np.ndarray):
+    """The point z with grad U(z) = q / mu_m on the columns
+    start[m]:start[m + 1] of block m and E_w[U(z)] = level_m there, for
+    every block at once by multiplier_newton on t = log mu from 0; returns
+    (z, t).  A level at or above the supremum of U has no such point and
+    raises InversionError."""
+    level = np.asarray(level, dtype=float)
+    if np.any(level >= a.sup):
+        raise InversionError(f"utility level {level.max()!r} is not below "
+                             f"the supremum {a.sup!r}")
+    first = start[:-1]
+    of = np.repeat(np.arange(level.size), np.diff(start))
+
+    def state(t):
+        z, value, slope = gradient_path(a, q, t[of])
+        return (np.add.reduceat(w * value, first),
+                np.add.reduceat(w * slope, first), z)
+
+    t, z = multiplier_newton(state, level, np.zeros(level.size))
+    return z, t
 
 
 def agg_value(a: Aggregator, x) -> float:
@@ -615,6 +755,12 @@ def agg_grad(a: Aggregator, x) -> np.ndarray:
     return a.grad(np.asarray(x, dtype=float))
 
 
+def xlogx(r: np.ndarray) -> np.ndarray:
+    """r log r elementwise for r >= 0, with 0 log 0 = 0."""
+    pos = r > 0.0
+    return np.where(pos, r * np.log(np.where(pos, r, 1.0)), 0.0)
+
+
 def conjugate_V(alphas, y) -> float:
     """Convex conjugate of the raw exponential aggregator at y > 0:
     sum_j (y_j/alpha_j) (log(y_j/alpha_j) - 1), extended by 0 at y_j = 0."""
@@ -623,8 +769,7 @@ def conjugate_V(alphas, y) -> float:
     if np.any(y < 0.0):
         raise ValueError("conjugate argument must be nonnegative")
     r = y / alphas
-    terms = np.where(r > 0.0, r * (np.log(np.where(r > 0.0, r, 1.0)) - 1.0), 0.0)
-    return float(terms.sum())
+    return float((xlogx(r) - r).sum())
 
 
 def growth_bound(a: Aggregator, candidate=None, grid_half_width: float = 10.0,

@@ -23,7 +23,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .preferences import (Aggregator, InversionError, bracketed_root,
-                          invert_gradient, multiplier_root)
+                          utility_level_roots)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -192,17 +192,6 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
     return start
 
 
-def _block_data(spec: RiskSpec):
-    """Per-block views: atom indices, conditional weights, positions, threshold."""
-    w_all = spec.sigma.conditional_weights()
-    bthr = spec.block_threshold()
-    out = []
-    for m, blk in enumerate(spec.sigma.blocks):
-        idx = np.asarray(blk, dtype=np.intp)
-        out.append((idx, w_all[idx], spec.x[:, idx], bthr[m]))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class _Blocks:
     """Blocks side by side: block m owns the columns start[m]:start[m + 1]
@@ -212,6 +201,14 @@ class _Blocks:
     w: np.ndarray
     b: np.ndarray
     start: np.ndarray
+
+    @classmethod
+    def from_spec(cls, spec: RiskSpec):
+        """The blocks of a problem, and the atom of each of their columns."""
+        cols = np.concatenate(spec.sigma.blocks).astype(np.intp)
+        start = np.cumsum([0] + [len(blk) for blk in spec.sigma.blocks])
+        return cls(spec.x[:, cols], spec.sigma.conditional_weights()[cols],
+                   spec.block_threshold(), start), cols
 
     @classmethod
     def single(cls, xb, w, bval) -> "_Blocks":
@@ -411,18 +408,13 @@ def _single_atom_block(agg, groups, xb, w, bval):
     """Fallback for one-atom blocks, valid for any aggregator.
 
     With a single atom every cluster multiplier equals -1, so all marginal
-    utilities coincide at the reciprocal of the utility multiplier; a scalar
-    root find on that multiplier pins the active constraint.
+    utilities coincide at the reciprocal of the utility multiplier; a
+    Newton root find on its logarithm pins the active constraint.
     """
-    def state(logmu):
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            target = np.full((agg.nagents, 1), np.exp(-logmu))
-            z = invert_gradient(agg, target)
-            val = float(np.clip(agg.value(z)[0], -1e15, 1e15))
-        return val, z
-
-    logmu, (_, z) = multiplier_root(state, bval)
-    mu = float(np.exp(logmu))
+    z, logmu = utility_level_roots(agg, np.ones((agg.nagents, 1)),
+                                   np.ones(1), np.array([0, 1]),
+                                   np.array([bval]))
+    mu = float(np.exp(logmu[0]))
     y = z - xb
     d = np.array([y[list(g), 0].sum() for g in groups])
     return y, d, np.full((len(groups), 1), -1.0), mu
@@ -465,10 +457,7 @@ def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution
     """
     start = feasible_start(spec) if start is None else np.asarray(start, float)
     groups, agg = spec.clusters.groups, spec.aggregator
-    cols = np.concatenate(spec.sigma.blocks).astype(np.intp)
-    blocks = _Blocks(spec.x[:, cols], spec.sigma.conditional_weights()[cols],
-                     spec.block_threshold(), np.cumsum(
-                         [0] + [len(blk) for blk in spec.sigma.blocks]))
+    blocks, cols = _Blocks.from_spec(spec)
     results = _newton(agg, groups, blocks, start[:, cols], spec.kkt_tol,
                       spec.max_iter)
     for m, out in enumerate(results):

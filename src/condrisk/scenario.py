@@ -127,11 +127,19 @@ class Scenario:
     sigma_h: SigmaPartition | None
 
 
+def _json_int(text: str):
+    """A JSON integer; one of 300 digits or more is read by float, which
+    makes one beyond the float range +-inf, as json reads a float literal
+    beyond it.  The finite checks of the constructed objects then refuse
+    it and name the field, instead of an OverflowError on conversion."""
+    return int(text) if len(text) < 300 else float(text)
+
+
 def parse_scenario(path: str) -> Scenario:
     """Load, check and build a scenario from a JSON file."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         _check(doc, _DOCUMENT, ())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "

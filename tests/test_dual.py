@@ -1,15 +1,17 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ClusterConstraint, DensityVector,
+                      ExponentialUtility, InversionError,
                       PenaltyDivergenceError, RiskSpec, ScenarioSpace,
                       SigmaPartition, cond_exp, conjugate_V, dual_report,
                       dual_value, extract_dual_optimizer, in_q1,
                       parse_scenario, penalty_alpha1, q_hat_closed,
                       rho_with_measure, solve_rho)
-from condrisk import dual
+from condrisk import dual, equilibrium, pi_problem, preferences
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
 
@@ -262,15 +264,17 @@ class TestFairnessAtOptimum:
 class TestPenaltyMemo:
     @pytest.fixture
     def solves(self, monkeypatch):
-        """Counts the blockwise penalty maximizations."""
+        """Counts the penalty computations, one per (q, spec) pair, in
+        closed form or by Newton."""
         calls = []
-        inner = dual._solve_scaled_gradient
+        for name in ("_alpha1_exponential", "_alpha1_newton"):
+            inner = getattr(dual, name)
 
-        def counted(*args):
-            calls.append(1)
-            return inner(*args)
+            def counted(*args, inner=inner):
+                calls.append(1)
+                return inner(*args)
 
-        monkeypatch.setattr(dual, "_solve_scaled_gradient", counted)
+            monkeypatch.setattr(dual, name, counted)
         return calls
 
     def test_report_reuses_the_gap_check_solve(self, solves):
@@ -281,10 +285,10 @@ class TestPenaltyMemo:
         q = extract_dual_optimizer(sol, spec)
         after_extract = len(solves)
         rep = dual_report(sol, q, spec)
-        assert len(solves) == after_extract == spec.sigma.nblocks
+        assert len(solves) == after_extract == 1
         fresh = penalty_alpha1(DensityVector(q.q.copy(), q.sigma), spec)
         np.testing.assert_array_equal(rep.alpha1, fresh)
-        assert len(solves) == 2 * spec.sigma.nblocks
+        assert len(solves) == 2
 
     def test_rho_with_measure_solves_each_block_once(self, solves):
         rng = np.random.default_rng(36)
@@ -292,7 +296,7 @@ class TestPenaltyMemo:
         q = random_admissible_q(rng, spec)
         value = rho_with_measure(q, spec)
         assert spec.sigma.nblocks > 1
-        assert len(solves) == spec.sigma.nblocks
+        assert len(solves) == 1
         np.testing.assert_array_equal(value, dual_value(q, spec))
 
     def test_other_spec_misses(self, canonical_spec, solves):
@@ -323,3 +327,84 @@ class TestPenaltyMemo:
         assert len(solves) == 1
         np.testing.assert_array_equal(
             first, penalty_alpha1(canonical_q(canonical_spec), canonical_spec))
+
+
+def exponential_instance_with_zeros(rng, shifted):
+    """Random exponential instance, raw or with some shifted agents, and a
+    random admissible q with about 30% zero densities (at least one
+    positive entry per block)."""
+    spec, _ = random_exponential_instance(rng, kmax=16, nmax=4,
+                                          clusters=int(rng.integers(1, 3)))
+    if shifted:
+        flags = rng.random(spec.nagents) < 0.6
+        agg = Aggregator(tuple(ExponentialUtility(u.alpha, bool(f)) for u, f
+                               in zip(spec.aggregator.utilities, flags)))
+        spec = replace(spec, aggregator=agg, b=spec.b + flags.sum())
+    q = np.empty((spec.nagents, spec.space.natoms))
+    for group in spec.clusters.groups:
+        row = rng.uniform(0.05, 2.0, size=spec.space.natoms)
+        row[rng.random(row.size) < 0.3] = 0.0
+        for blk in spec.sigma.blocks:
+            if not row[list(blk)].any():
+                row[blk[0]] = 1.0
+        q[list(group)] = row / cond_exp(row, spec.sigma)
+    return spec, DensityVector(q, spec.sigma)
+
+
+class TestNewtonAgainstClosedForms:
+    """The batched Newton on log mu, which serves every aggregator without
+    a closed form, checked against the exponential closed forms to 1e-12
+    relative to max(1, |value|): a value near 0 is a difference of terms of
+    order one."""
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
+    def test_penalty_and_pi(self, shifted):
+        rng = np.random.default_rng(37 + shifted)
+        zeros = 0
+        for _ in range(60):
+            spec, q = exponential_instance_with_zeros(rng, shifted)
+            assert spec.aggregator.exponential_form is not None
+            zeros += int((q.q == 0.0).sum())
+            np.testing.assert_allclose(dual._alpha1_newton(q, spec),
+                                       dual._alpha1_exponential(q, spec),
+                                       rtol=1e-12, atol=1e-12)
+            budget = rng.uniform(-3.0, 3.0, size=spec.sigma.nblocks)
+            np.testing.assert_allclose(
+                equilibrium._pi_newton(q, budget, spec),
+                equilibrium._pi_exponential(q, budget, spec),
+                rtol=1e-12, atol=1e-12)
+        assert zeros > 0
+
+
+class TestNewtonRefusals:
+    COMPOSITE = (Path(__file__).resolve().parents[1] / "scenarios"
+                 / "composite.json")
+
+    def test_inversion_failure_mid_solve(self, monkeypatch):
+        spec = parse_scenario(str(self.COMPOSITE)).spec
+        q = DensityVector(np.ones((spec.nagents, spec.space.natoms)),
+                          spec.sigma)
+        inner, calls = preferences.invert_gradient, []
+
+        def failing(agg, target):
+            calls.append(1)
+            if len(calls) > 1:
+                raise InversionError("gradient inversion failed")
+            return inner(agg, target)
+
+        monkeypatch.setattr(preferences, "invert_gradient", failing)
+        with pytest.raises(InversionError):
+            dual._alpha1_newton(q, spec)
+        calls.clear()
+        with pytest.raises(InversionError):
+            pi_problem(q, np.zeros(spec.space.natoms), spec)
+
+    def test_threshold_at_supremum(self, canonical_spec):
+        # RiskSpec refuses such a threshold, so set it past the check
+        q = canonical_q(canonical_spec)
+        for above in (0.0, 1.0):
+            spec = make_canonical_spec()
+            object.__setattr__(spec, "b", np.full(2, above))
+            for solve in (dual._alpha1_exponential, dual._alpha1_newton):
+                with pytest.raises(InversionError, match="supremum"):
+                    solve(q, spec)

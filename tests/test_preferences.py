@@ -6,7 +6,8 @@ from condrisk import (Aggregator, ArctanPowerUtility, CustomUtility,
                       LambdaAggregator, RationalPowerUtility, agg_grad,
                       agg_value, conjugate_V, growth_bound)
 from condrisk import preferences
-from condrisk.preferences import invert_gradient, multiplier_root
+from condrisk.preferences import (invert_gradient, multiplier_newton,
+                                  utility_level_roots)
 
 ALL_KINDS = [
     ExponentialUtility(1.0),
@@ -300,27 +301,118 @@ class TestInvertGradient:
         assert issubclass(InversionError, RuntimeError)
 
 
-class TestMultiplierRoot:
+def scalar(value, slope, payload="z"):
+    """A one-root state from scalar value and slope functions of t."""
+    return lambda t: (np.array([value(t[0])]), np.array([slope(t[0])]),
+                      payload)
+
+
+class TestMultiplierNewton:
     def test_finds_root_and_returns_state(self):
-        root, (val, payload) = multiplier_root(
-            lambda t: (np.tanh(t), "z"), 0.5)
-        assert root == pytest.approx(np.arctanh(0.5), abs=1e-13)
+        root, payload = multiplier_newton(
+            scalar(np.tanh, lambda t: 1.0 - np.tanh(t) ** 2), [0.5], [0.0])
+        assert root[0] == pytest.approx(np.arctanh(0.5), abs=1e-13)
         assert payload == "z"
 
     def test_decreasing(self):
-        root, _ = multiplier_root(lambda t: (-3.0 * t, None), 6.0,
-                                  increasing=False)
-        assert root == pytest.approx(-2.0, abs=1e-13)
+        root, _ = multiplier_newton(scalar(lambda t: -3.0 * t,
+                                           lambda t: -3.0),
+                                    [6.0], [0.0], increasing=False)
+        assert root[0] == pytest.approx(-2.0, abs=1e-13)
 
     def test_jump_raises(self):
         with pytest.raises(InversionError, match="jumps"):
-            multiplier_root(lambda t: (1.0 if t > 0.3 else -1.0, "z"), 0.0)
+            multiplier_newton(scalar(lambda t: 1.0 if t > 0.3 else -1.0,
+                                     lambda t: 0.0), [0.0], [0.0])
 
-    def test_failed_endpoint_counts_as_out_of_range(self):
+    def test_inversion_error_at_a_far_point(self):
+        # from t = 4 Newton on exp(t) = exp(4.5) steps to 4.65, where the
+        # state fails; the root finder steps half way back and goes on
+        failures = []
+
         def state(t):
-            if t > 5.0:
+            if t[0] > 4.6:
+                failures.append(t[0])
                 raise InversionError("beyond range")
-            return t, "z"
+            return np.exp(t), np.exp(t), "z"
 
-        root, _ = multiplier_root(state, 4.5)
-        assert root == pytest.approx(4.5, abs=1e-13)
+        root, payload = multiplier_newton(state, [np.exp(4.5)], [4.0])
+        assert failures and payload == "z"
+        assert root[0] == pytest.approx(4.5, abs=1e-13)
+
+    def test_roots_of_a_batch(self):
+        # one root per entry, each on its own path; a non-finite value of
+        # the second only sends that one back
+        levels = np.array([0.5, np.exp(4.5), -2.0])
+
+        def state(t):
+            with np.errstate(over="ignore"):
+                value = np.array([np.tanh(t[0]),
+                                  np.exp(t[1]) if t[1] <= 4.6 else np.inf,
+                                  -np.exp(-t[2])])
+            slope = np.array([1.0 - np.tanh(t[0]) ** 2, np.exp(t[1]),
+                              np.exp(-t[2])])
+            return value, slope, t.copy()
+
+        root, at = multiplier_newton(state, levels, [0.0, 4.0, 3.0])
+        np.testing.assert_allclose(root, [np.arctanh(0.5), 4.5, -np.log(2.0)],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(at, root)
+
+    def test_level_out_of_reach_raises(self):
+        # the root t = 1000 lies beyond |log mu| <= 600
+        with pytest.raises(InversionError, match="reaches"):
+            multiplier_newton(scalar(lambda t: t / 1000.0, lambda t: 1e-3),
+                              [1.0], [0.0])
+
+    def test_failure_at_every_point_raises(self):
+        calls = []
+
+        def state(t):
+            calls.append(t[0])
+            if len(calls) > 1:
+                raise InversionError("fails mid-solve")
+            return np.array([-1.0]), np.array([1.0]), "z"
+
+        with pytest.raises(InversionError, match="did not converge"):
+            multiplier_newton(state, [0.0], [0.0])
+
+
+class TestUtilityLevelRoots:
+    AGG = Aggregator((RationalPowerUtility(2.0), ArctanPowerUtility(1.5)))
+
+    def test_level_met_blockwise(self):
+        rng = np.random.default_rng(40)
+        q = rng.uniform(0.2, 2.0, size=(2, 5))
+        w = np.array([0.5, 0.5, 0.2, 0.3, 0.5])
+        start = np.array([0, 2, 5])
+        level = np.array([-1.0, 0.5])
+        z, t = utility_level_roots(self.AGG, q, w, start, level)
+        np.testing.assert_allclose(self.AGG.grad(z),
+                                   q / np.exp(np.repeat(t, [2, 3])),
+                                   rtol=1e-12)
+        util = np.add.reduceat(w * self.AGG.value(z), start[:-1])
+        np.testing.assert_allclose(util, level, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("above", [0.0, 1e-12, 1.0])
+    def test_level_at_or_above_supremum_raises(self, above):
+        level = np.array([-1.0, self.AGG.sup + above])
+        with pytest.raises(InversionError, match="supremum"):
+            utility_level_roots(self.AGG, np.ones((2, 2)), np.ones(2),
+                                np.array([0, 1, 2]), level)
+
+    def test_inversion_failure_mid_solve_raises(self, monkeypatch):
+        a = composite_aggregator(np.random.default_rng(41))
+        inner, calls = preferences.invert_gradient, []
+
+        def failing(agg, target):
+            calls.append(1)
+            if len(calls) > 2:
+                raise InversionError("gradient inversion failed")
+            return inner(agg, target)
+
+        monkeypatch.setattr(preferences, "invert_gradient", failing)
+        with pytest.raises(InversionError):
+            utility_level_roots(a, np.ones((4, 3)), np.full(3, 1.0 / 3.0),
+                                np.array([0, 3]), np.array([-1.0]))
+        assert len(calls) > 2

@@ -256,6 +256,33 @@ class TestCliErrors:
         assert capsys.readouterr().err.startswith(
             ("invariant violation", "convergence failure"))
 
+    BEYOND_FLOAT = int("9" * 401)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_with(b=[-BEYOND_FLOAT, -BEYOND_FLOAT]),
+         "threshold contains non-finite"),
+        (_with(x=[[BEYOND_FLOAT, -1.0], [0.0, 0.0]]),
+         "positions contains non-finite"),
+        (_with(atoms={"labels": ["w0", "w1"], "probs": [BEYOND_FLOAT, 0.5]}),
+         "non-finite atom probabilities"),
+        (_with(agents=[{**EXP, "alpha": BEYOND_FLOAT}, EXP]),
+         "alpha must be finite"),
+        (_with(agents=[{"kind": "rational_power", "p": BEYOND_FLOAT}, EXP]),
+         "p must be finite"),
+        (_with(**{"lambda": {"kind": "composite",
+                             "weights": [0.5, BEYOND_FLOAT],
+                             "u": {**EXP, "shifted": True}}}),
+         "lambda weights must be finite"),
+    ], ids=["b", "x", "probs", "alpha", "p", "weights"])
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys,
+                                                  edit, message):
+        # json reads such an integer exactly; as a float it is infinite
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(edit(CANONICAL_DOC)))
+        assert main(["risk", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation") and message in err
+
     def test_unmeasurable_threshold_exit_code(self, tmp_path):
         path = write_doc(tmp_path, "umb.json", b=[-2.0, -1.0])
         assert main(["risk", str(path)]) == 2
