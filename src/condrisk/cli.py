@@ -18,8 +18,7 @@ from dataclasses import replace
 import numpy as np
 
 from .consistency import run_consistency
-from .dual import (DualGapError, dual_report, extract_dual_optimizer,
-                   rho_with_measure)
+from .dual import DualGapError, dual_report, extract_dual_optimizer
 from .equilibrium import build_equilibrium, pi_problem, verify_msorte
 from .exponential import (a_hat_closed, alpha1_entropic, exp_constants,
                           q_hat_closed, rho_closed, y_hat_closed)
@@ -80,7 +79,9 @@ def cmd_dual(sc: Scenario, args) -> dict:
         "alpha1": _per_block(rep.alpha1, spec.sigma),
         "dual_value": _per_block(rep.dual_value, spec.sigma),
         "gap": _per_block(rep.gap, spec.sigma),
-        "rho_with_measure": _per_block(rho_with_measure(q, spec), spec.sigma),
+        # rho_with_measure is dual_value; the report's value is the one
+        # solved from the primal start
+        "rho_with_measure": _per_block(rep.dual_value, spec.sigma),
         "q": _matrix(q.q),
     }
 

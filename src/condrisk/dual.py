@@ -10,7 +10,8 @@ reduces to equality of densities within each risk-sharing cluster.
 All programs here are equality-constrained concave problems whose optima
 are characterized by a gradient proportionality.  For exponential agents
 the multiplier has a closed form; otherwise one Newton root find on the
-log multipliers of all blocks pins them to the active constraints.
+log multipliers of all blocks pins them to the active constraints.  Where
+a primal solution is at hand, that Newton starts at its multipliers.
 """
 
 from __future__ import annotations
@@ -105,34 +106,48 @@ def _alpha1_exponential(q: DensityVector, spec: RiskSpec) -> np.ndarray:
             - mass * np.log(mass / slack))
 
 
-def _alpha1_newton(q: DensityVector, spec: RiskSpec) -> np.ndarray:
+def _alpha1_newton(q: DensityVector, spec: RiskSpec,
+                   sol: PrimalSolution | None = None) -> np.ndarray:
     """Penalty per block for any aggregator: the z with grad U(z) = q/mu
     and E_w[U(z)] = b, mu pinned for all blocks at once by one Newton root
-    find on log mu, gives the penalty E_w[sum_j q_j (-z_j)]."""
+    find on log mu, gives the penalty E_w[sum_j q_j (-z_j)].
+
+    The Newton starts at log mu = 0, or at the log of the multipliers of
+    the primal solution sol when one is given.  At the dual optimizer
+    extracted from sol, q = mu grad U(X + Y_hat) on every block, so that
+    start is the root up to the solver's tolerance; for any other q it is
+    only a start, and the root meets the same tolerance as from 0.
+    """
     blocks, cols = _Blocks.from_spec(spec)
     qc = q.q[:, cols]
+    t0 = None
+    if sol is not None and sol.mu.shape == blocks.b.shape:
+        usable = np.isfinite(sol.mu) & (sol.mu > 0.0)
+        t0 = np.log(np.where(usable, sol.mu, 1.0))
     z, _ = utility_level_roots(spec.aggregator, qc, blocks.w, blocks.start,
-                               blocks.b)
+                               blocks.b, t0)
     return -np.add.reduceat(blocks.w * (qc * z).sum(axis=0),
                             blocks.start[:-1])
 
 
 @lru_cache(maxsize=1)
-def _alpha1_blocks(q: DensityVector, spec: RiskSpec) -> np.ndarray:
+def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
+                   sol: PrimalSolution | None) -> np.ndarray:
     """Shortfall part of the penalty, per block, by direct maximization:
-    in closed form for exponential agents, by Newton otherwise.
+    in closed form for exponential agents, by Newton otherwise, started at
+    the multipliers of sol when given.
 
-    The last result is kept for the same pair of objects: a dual optimizer
-    is checked for its gap and then reported with the same q and spec.
-    Both hash by identity, and every array they hold is a write-protected
-    private copy, so identity implies equal inputs as long as the agent
-    utilities, which may wrap user callables, do not change after
-    construction.
+    The last result is kept for the same three objects: a dual optimizer
+    is checked for its gap and then reported with the same q, spec and
+    sol.  All three hash by identity, and every array they hold is a
+    write-protected private copy, so identity implies equal inputs as
+    long as the agent utilities, which may wrap user callables, do not
+    change after construction.
     """
     _check_density(q, spec)
-    solve = (_alpha1_newton if spec.aggregator.exponential_form is None
-             else _alpha1_exponential)
-    out = solve(q, spec)
+    out = (_alpha1_exponential(q, spec)
+           if spec.aggregator.exponential_form is not None
+           else _alpha1_newton(q, spec, sol))
     out.setflags(write=False)
     return out
 
@@ -144,18 +159,25 @@ def penalty_alpha1(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     representation is unbounded (feasible allocations form a cone), which is
     reported as a divergence rather than a value.
     """
+    return _penalty(q, spec, None)
+
+
+def _penalty(q: DensityVector, spec: RiskSpec,
+             sol: PrimalSolution | None) -> np.ndarray:
+    """penalty_alpha1, its Newton started at the multipliers of sol."""
     ok = fairness_blocks(q, spec)
-    vals = _alpha1_blocks(q, spec)
+    vals = _alpha1_blocks(q, spec, sol)
     if not ok.all():
         partial = np.where(ok, vals, np.inf)
         raise PenaltyDivergenceError(np.flatnonzero(~ok), spec.sigma.expand(partial))
     return spec.sigma.expand(vals)
 
 
-def _dual_terms(q: DensityVector, spec: RiskSpec):
+def _dual_terms(q: DensityVector, spec: RiskSpec,
+                sol: PrimalSolution | None):
     """(penalty, dual objective) per atom: the objective is the
     density-weighted cost of the positions minus the penalty."""
-    alpha1 = penalty_alpha1(q, spec)
+    alpha1 = _penalty(q, spec, sol)
     cost = np.zeros(spec.space.natoms)
     for j in range(spec.nagents):
         cost += cond_exp(q.row(j) * (-spec.x[j]), spec.sigma)
@@ -165,7 +187,7 @@ def _dual_terms(q: DensityVector, spec: RiskSpec):
 def dual_value(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     """Dual objective per atom: density-weighted cost of the positions
     minus the penalty."""
-    return _dual_terms(q, spec)[1]
+    return _dual_terms(q, spec, None)[1]
 
 
 def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
@@ -186,7 +208,7 @@ def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
     q = q / cond_exp(q, spec.sigma)
     dens = DensityVector(q, spec.sigma)
     if check_gap:
-        gap = np.abs(sol.rho - dual_value(dens, spec))
+        gap = np.abs(sol.rho - _dual_terms(dens, spec, sol)[1])
         if gap.max() > 5.0 * spec.kkt_tol:
             raise DualGapError(
                 f"duality gap {gap.max():.3e} exceeds 5*kkt_tol; "
@@ -225,6 +247,6 @@ def dual_report(sol: PrimalSolution, q: DensityVector,
         return DualReport(alpha1=np.full(k, np.inf),
                           dual_value=np.full(k, -np.inf),
                           gap=np.full(k, np.inf), in_q1=False)
-    alpha1, value = _dual_terms(q, spec)
+    alpha1, value = _dual_terms(q, spec, sol)
     return DualReport(alpha1=alpha1, dual_value=value,
                       gap=sol.rho - value, in_q1=True)

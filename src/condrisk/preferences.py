@@ -668,8 +668,9 @@ def multiplier_newton(state, level, t, increasing: bool = True):
             want = np.where(inside, newton - t, towards * np.inf)
             capped = ~(np.abs(want) <= reach)
             keep = np.where(closed, inside & (step <= 0.5 * last), ~capped)
-        nxt = np.where(closed, np.where(keep, newton, 0.5 * (lo + hi)),
-                       t + np.clip(want, -reach, reach))
+            # a root that is done keeps an open bracket, -inf + inf
+            nxt = np.where(closed, np.where(keep, newton, 0.5 * (lo + hi)),
+                           t + np.clip(want, -reach, reach))
         nxt = np.clip(nxt, -_ROOT_LIMIT, _ROOT_LIMIT)
         stuck = act & ~closed & (nxt == t)
         if stuck.any():
@@ -725,12 +726,14 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
 
 
 def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
-                        start: np.ndarray, level: np.ndarray):
+                        start: np.ndarray, level: np.ndarray, t0=None):
     """The point z with grad U(z) = q / mu_m on the columns
     start[m]:start[m + 1] of block m and E_w[U(z)] = level_m there, for
-    every block at once by multiplier_newton on t = log mu from 0; returns
-    (z, t).  A level at or above the supremum of U has no such point and
-    raises InversionError."""
+    every block at once by multiplier_newton on t = log mu from t0, or
+    from 0 when t0 is None; returns (z, t).  Where the root find from t0
+    fails, it is made again from 0: a start far from the roots may lie
+    where grad U cannot be inverted to round-off.  A level at or above
+    the supremum of U has no such point and raises InversionError."""
     level = np.asarray(level, dtype=float)
     if np.any(level >= a.sup):
         raise InversionError(f"utility level {level.max()!r} is not below "
@@ -743,6 +746,12 @@ def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
         return (np.add.reduceat(w * value, first),
                 np.add.reduceat(w * slope, first), z)
 
+    if t0 is not None:
+        try:
+            t, z = multiplier_newton(state, level, t0)
+            return z, t
+        except InversionError:
+            pass
     t, z = multiplier_newton(state, level, np.zeros(level.size))
     return z, t
 

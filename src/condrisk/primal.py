@@ -161,7 +161,8 @@ def _start_level(agg, bval: float) -> float:
     ones = np.ones(agg.nagents)
 
     def f(s):
-        return float(agg.value(s * ones)) - target
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(agg.value(s * ones)) - target
 
     s = bracketed_root(f, 1e12, 1e-9)
     # land strictly on the feasible side of the slack target, by steps of

@@ -4,15 +4,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condrisk import (Aggregator, ClusterConstraint, DensityVector,
-                      ExponentialUtility, InversionError,
-                      PenaltyDivergenceError, RiskSpec, ScenarioSpace,
+from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
+                      DensityVector, ExponentialUtility, InversionError,
+                      LambdaAggregator, PenaltyDivergenceError,
+                      RationalPowerUtility, RiskSpec, ScenarioSpace,
                       SigmaPartition, cond_exp, conjugate_V, dual_report,
                       dual_value, extract_dual_optimizer, in_q1,
                       parse_scenario, penalty_alpha1, q_hat_closed,
                       rho_with_measure, solve_rho)
 from condrisk import dual, equilibrium, pi_problem, preferences
-from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
+from conftest import (CANONICAL, make_canonical_spec,
+                      random_exponential_instance, random_partition)
 
 
 def canonical_q(spec):
@@ -286,9 +288,13 @@ class TestPenaltyMemo:
         after_extract = len(solves)
         rep = dual_report(sol, q, spec)
         assert len(solves) == after_extract == 1
-        fresh = penalty_alpha1(DensityVector(q.q.copy(), q.sigma), spec)
+        # a copy of q misses; from the same primal start it gives the same
+        # bits, and from the cold start the same root
+        copy = DensityVector(q.q.copy(), q.sigma)
+        fresh = dual._penalty(copy, spec, sol)
         np.testing.assert_array_equal(rep.alpha1, fresh)
         assert len(solves) == 2
+        assert_same_root(penalty_alpha1(copy, spec), fresh)
 
     def test_rho_with_measure_solves_each_block_once(self, solves):
         rng = np.random.default_rng(36)
@@ -327,6 +333,86 @@ class TestPenaltyMemo:
         assert len(solves) == 1
         np.testing.assert_array_equal(
             first, penalty_alpha1(canonical_q(canonical_spec), canonical_spec))
+
+
+def random_composite_instance(rng):
+    """Four agents in two clusters under a composite aggregator, as in
+    scenarios/composite.json, on a random space of at most three blocks."""
+    k = int(rng.integers(3, 13))
+    space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                          rng.dirichlet(np.ones(k) * 2.0))
+    g = random_partition(rng, space, max_blocks=3)
+    p = rng.uniform(1.5, 3.0, size=3)
+    lam = LambdaAggregator.composite(
+        ExponentialUtility(rng.uniform(0.5, 1.5), shifted=True),
+        rng.uniform(0.2, 1.0, size=4))
+    agg = Aggregator((ExponentialUtility(rng.uniform(0.5, 2.0), shifted=True),
+                      RationalPowerUtility(p[0]), ArctanPowerUtility(p[1]),
+                      RationalPowerUtility(p[2])), lam)
+    b = g.expand(rng.uniform(-2.0, 0.5 * agg.sup, size=g.nblocks))
+    return RiskSpec(space=space, sigma=g, x=rng.normal(size=(4, k)),
+                    aggregator=agg, b=b,
+                    clusters=ClusterConstraint(((0, 1), (2, 3))))
+
+
+def assert_same_root(got, want):
+    """Penalties agree to 1e-12 relative to max(1, |want|)."""
+    err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
+    assert err.max() <= 1e-12, err.max()
+
+
+class TestPrimalStart:
+    """The penalty Newton started at the multipliers of a primal solution
+    finds the root of the cold start at 0, from near or far."""
+
+    COMPOSITE = (Path(__file__).resolve().parents[1] / "scenarios"
+                 / "composite.json")
+
+    def instances(self):
+        yield parse_scenario(str(self.COMPOSITE)).spec
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            yield random_composite_instance(rng)
+
+    def test_extracted_optimizer_matches_the_cold_start(self):
+        for spec in self.instances():
+            sol = solve_rho(spec)
+            q = extract_dual_optimizer(sol, spec)
+            assert_same_root(dual._alpha1_newton(q, spec, sol),
+                             dual._alpha1_newton(q, spec))
+
+    @pytest.mark.parametrize("shift", [-8.0, 8.0])
+    def test_far_start_reaches_the_same_root(self, shift):
+        for spec in self.instances():
+            sol = solve_rho(spec)
+            q = extract_dual_optimizer(sol, spec)
+            far = replace(sol, mu=sol.mu * np.exp(shift))
+            assert_same_root(dual._alpha1_newton(q, spec, far),
+                             dual._alpha1_newton(q, spec))
+
+    def test_other_admissible_q_gets_its_cold_penalty(self):
+        rng = np.random.default_rng(62)
+        for spec in self.instances():
+            sol = solve_rho(spec)
+            q = random_admissible_q(rng, spec)
+            assert_same_root(dual._alpha1_newton(q, spec, sol),
+                             dual._alpha1_newton(q, spec))
+
+    def test_gap_check_evaluates_at_most_two_states(self, monkeypatch):
+        spec = parse_scenario(str(self.COMPOSITE)).spec
+        sol = solve_rho(spec)
+        inner, calls = preferences.gradient_path, []
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(preferences, "gradient_path", counted)
+        q = extract_dual_optimizer(sol, spec)
+        assert 1 <= len(calls) <= 2
+        warm = len(calls)
+        penalty_alpha1(q, spec)
+        assert len(calls) - warm > 2
 
 
 def exponential_instance_with_zeros(rng, shifted):

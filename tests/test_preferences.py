@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -359,6 +361,17 @@ class TestMultiplierNewton:
                                    rtol=0, atol=1e-13)
         np.testing.assert_array_equal(at, root)
 
+    def test_root_done_at_its_start_warns_nothing(self):
+        # the first root is done at its first evaluation and keeps an open
+        # bracket while the second goes on stepping
+        def state(t):
+            return np.exp(t), np.exp(t), t.copy()
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            root, _ = multiplier_newton(state, [1.0, np.exp(3.0)], [0.0, 0.0])
+        np.testing.assert_allclose(root, [0.0, 3.0], rtol=0, atol=1e-13)
+
     def test_level_out_of_reach_raises(self):
         # the root t = 1000 lies beyond |log mu| <= 600
         with pytest.raises(InversionError, match="reaches"):
@@ -393,6 +406,23 @@ class TestUtilityLevelRoots:
                                    rtol=1e-12)
         util = np.add.reduceat(w * self.AGG.value(z), start[:-1])
         np.testing.assert_allclose(util, level, rtol=0, atol=1e-12)
+
+    def test_start_that_fails_is_made_again_from_zero(self, monkeypatch):
+        q, w = np.ones((2, 4)), np.full(4, 0.25)
+        start, level = np.array([0, 2, 4]), np.array([-1.0, 0.5])
+        cold = utility_level_roots(self.AGG, q, w, start, level)
+        inner = preferences.invert_gradient
+
+        def bounded(agg, target):
+            if np.max(target) > 1e6:
+                raise InversionError("target beyond range")
+            return inner(agg, target)
+
+        monkeypatch.setattr(preferences, "invert_gradient", bounded)
+        z, t = utility_level_roots(self.AGG, q, w, start, level,
+                                   np.array([-30.0, 0.0]))
+        np.testing.assert_allclose(t, cold[1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(z, cold[0], rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("above", [0.0, 1e-12, 1.0])
     def test_level_at_or_above_supremum_raises(self, above):

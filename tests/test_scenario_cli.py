@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -250,9 +251,12 @@ class TestCliErrors:
     ], ids=["alpha", "rational_power", "arctan_power"])
     def test_integer_beyond_int64_exit_code(self, tmp_path, capsys, agent):
         # json reads 2**64 as a Python int that numpy holds only as an
-        # object; the CLI must still end with one of its exit codes
+        # object; the CLI must still end with one of its exit codes, and
+        # the bracket search of the start may overflow without a warning
         path = write_doc(tmp_path, "bigint.json", agents=[agent, EXP])
-        assert main(["risk", str(path)]) in (2, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["risk", str(path)]) in (2, 3)
         assert capsys.readouterr().err.startswith(
             ("invariant violation", "convergence failure"))
 
