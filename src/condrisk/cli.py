@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
@@ -179,7 +180,9 @@ def cmd_msorte(sc: Scenario, args) -> dict:
 
 def cmd_oracle(sc: Scenario, args) -> dict:
     spec = sc.spec
-    step = args.step or 1e-3
+    step = 1e-3 if args.step is None else args.step
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"--step must be finite and positive, not {step!r}")
     base = float(np.abs(spec.x).sum(axis=0).max())
     start = feasible_start(spec)
     width = 2.0 * base + float(np.abs(start.sum(axis=0)).max()) + 2.0

@@ -6,14 +6,20 @@ through g and then re-hedged at h relate to the direct h-computations by
 exact log/exp identities.  Each verifier returns the largest absolute
 violation found, including the intermediate identities used to derive it.
 
-The four identities query a handful of (positions, partition) instances,
-most of them several times.  One ``_Forms`` object per check computes each
-distinct instance once and memoizes its optimal objects (rho, y, q, a);
+The four identities query five (positions, partition) instances, most of
+them several times.  One ``_Forms`` object per check computes each distinct
+instance once and memoizes its optimal objects (rho, y, q, a);
 ``run_consistency`` shares one such object among all four identities.  The
 identities are asserted for the exponential closed forms; a solver mode
-computes the same objects through ``solve_rho`` and
+computes the same objects through ``solve_batch`` and
 ``extract_dual_optimizer`` at the given solver tolerances and checks them at
 a relaxed tolerance, separating formula identity from solver accuracy.
+
+Solver mode solves the instances in two batches, one batched Newton each:
+(x, g), (x, h) and (0, h) first, then the re-hedged (-y_g, h) and
+(-a_g, h), whose positions come from the first.  Newton steps every block
+on its own, so batching keeps each block's iterates and the results equal
+those of one ``solve_rho`` per instance.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .exponential import (ExpConstants, q_hat_closed, rho_closed,
                           y_hat_closed)
 from .preferences import Aggregator
 from .primal import (DEFAULT_KKT_TOL, DEFAULT_MAX_ITER, ClusterConstraint,
-                     PrimalSolution, RiskSpec, solve_rho)
+                     PrimalSolution, RiskSpec, solve_batch)
 from .prob_space import (DensityVector, SigmaPartition, coarsens, cond_exp,
                          cond_exp_under_density, is_measurable)
 
@@ -58,9 +64,10 @@ class _Forms:
     (positions, partition) and shared by the identities of one check.
 
     The closed-form backend takes rho, y and q from the exponential closed
-    forms; the solver backend takes them from one ``solve_rho`` and one
+    forms; the solver backend takes them from one solve and one
     ``extract_dual_optimizer`` call per distinct instance, at the given
-    KKT tolerance and iteration cap.  Both compute the fair allocation the
+    KKT tolerance and iteration cap, and solves the instances of one
+    ``solve`` call in one batch.  Both compute the fair allocation the
     same way, as the conditional expectation of y under q.
     """
 
@@ -72,24 +79,31 @@ class _Forms:
                        if use_solver else None)
         self._memo = {}
 
-    def _entry(self, x, part) -> _Entry:
-        key = (x.tobytes(), part.blocks)
-        if key not in self._memo:
-            self._memo[key] = self._solve(x, part)
-        return self._memo[key]
-
-    def _solve(self, x, part) -> _Entry:
+    def solve(self, pairs):
+        """Fill the memo entries of the (positions, partition) pairs that
+        are missing; the solver backend solves them in one batch."""
+        todo = {}
+        for x, part in pairs:
+            key = (x.tobytes(), part.blocks)
+            if key not in self._memo:
+                todo[key] = (x, part)
         if self.solver is None:
-            return _Entry(rho_closed(x, self.b, part, self.c),
-                          y_hat_closed(x, self.b, part, self.c))
-        agg, kkt_tol, max_iter = self.solver
-        spec = RiskSpec(space=part.space, sigma=part, x=x, aggregator=agg,
-                        b=self.b,
-                        clusters=ClusterConstraint.full_sharing(
-                            self.c.nagents),
-                        kkt_tol=kkt_tol, max_iter=max_iter)
-        sol = solve_rho(spec)
-        return _Entry(sol.rho, sol.y_hat, spec, sol)
+            for key, (x, part) in todo.items():
+                self._memo[key] = _Entry(rho_closed(x, self.b, part, self.c),
+                                         y_hat_closed(x, self.b, part, self.c))
+        elif todo:
+            agg, kkt_tol, max_iter = self.solver
+            clusters = ClusterConstraint.full_sharing(self.c.nagents)
+            specs = [RiskSpec(space=part.space, sigma=part, x=x,
+                              aggregator=agg, b=self.b, clusters=clusters,
+                              kkt_tol=kkt_tol, max_iter=max_iter)
+                     for x, part in todo.values()]
+            for key, spec, sol in zip(todo, specs, solve_batch(specs)):
+                self._memo[key] = _Entry(sol.rho, sol.y_hat, spec, sol)
+
+    def _entry(self, x, part) -> _Entry:
+        self.solve([(x, part)])
+        return self._memo[(x.tobytes(), part.blocks)]
 
     def _density(self, x, part) -> DensityVector:
         e = self._entry(x, part)
@@ -118,9 +132,13 @@ class _Forms:
 
 def _prepare(x, b_h, g, h, c, use_solver, kkt_tol=DEFAULT_KKT_TOL,
              max_iter=DEFAULT_MAX_ITER):
+    """The memo of one check and the positions, with the instances at x
+    and at zero that every identity needs filled in one batch."""
     _check_chain(b_h, g, h)
-    return (_Forms(b_h, c, use_solver, kkt_tol, max_iter),
-            np.atleast_2d(np.asarray(x, dtype=float)))
+    f = _Forms(b_h, c, use_solver, kkt_tol, max_iter)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    f.solve([(x, g), (x, h), (np.zeros_like(x), h)])
+    return f, x
 
 
 def _y_error(f: _Forms, x, g, h) -> float:
@@ -249,6 +267,8 @@ def run_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
     if tol is None:
         tol = 1e-6 if use_solver else 1e-9
     f, x = _prepare(x, b_h, g, h, c, use_solver, kkt_tol, max_iter)
+    # the two re-hedged instances, in a second batch
+    f.solve([(-f.y(x, g), h), (-f.a(x, g), h)])
     return ConsistencyReport(
         max_abs_err_y=_y_error(f, x, g, h),
         max_abs_err_q=_q_error(f, x, g, h),

@@ -9,6 +9,8 @@ truth for the solvers, not to scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .primal import RiskSpec
@@ -22,6 +24,9 @@ class EmptyFeasibleGridError(ValueError):
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    if not (math.isfinite(step) and step > 0.0):
+        raise ValueError(f"grid step must be finite and positive, not "
+                         f"{step!r}")
     n = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(n)
 

@@ -174,6 +174,23 @@ def _start_level(agg, bval: float) -> float:
     raise ConvergenceError(f"no feasible start near {s!r}")
 
 
+def _start_levels(agg, specs) -> dict:
+    """_start_level of every distinct block threshold of the specs, one
+    root find each."""
+    bvals = {b for spec in specs for b in spec.block_threshold().tolist()}
+    return {bval: _start_level(agg, bval) for bval in bvals}
+
+
+def _block_start(spec: RiskSpec, level: dict) -> np.ndarray:
+    """The start of feasible_start, from the start level of each
+    threshold."""
+    start = np.empty_like(spec.x)
+    for blk, bval in zip(spec.sigma.blocks, spec.block_threshold().tolist()):
+        idx = list(blk)
+        start[:, idx] = (level[bval] - spec.x[:, idx].min(axis=1))[:, None]
+    return start
+
+
 def feasible_start(spec: RiskSpec) -> np.ndarray:
     """Allocation, constant per agent on each block, satisfying the utility
     constraint with positive slack on every block.
@@ -184,13 +201,7 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
     atom of the block at z >= s_m.  Each block so starts near its own
     solution, whatever the thresholds and positions of the others.
     """
-    bthr = spec.block_threshold().tolist()
-    level = {bval: _start_level(spec.aggregator, bval) for bval in set(bthr)}
-    start = np.empty_like(spec.x)
-    for blk, bval in zip(spec.sigma.blocks, bthr):
-        idx = list(blk)
-        start[:, idx] = (level[bval] - spec.x[:, idx].min(axis=1))[:, None]
-    return start
+    return _block_start(spec, _start_levels(spec.aggregator, [spec]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,6 +225,15 @@ class _Blocks:
     @classmethod
     def single(cls, xb, w, bval) -> "_Blocks":
         return cls(xb, w, np.array([bval], float), np.array([0, xb.shape[1]]))
+
+    @classmethod
+    def join(cls, parts) -> "_Blocks":
+        """The blocks of several problems side by side, in order."""
+        sizes = [n for p in parts for n in np.diff(p.start)]
+        return cls(np.concatenate([p.x for p in parts], axis=1),
+                   np.concatenate([p.w for p in parts]),
+                   np.concatenate([p.b for p in parts]),
+                   np.cumsum([0] + sizes))
 
     @cached_property
     def of(self) -> np.ndarray:  # block of each column
@@ -447,6 +467,51 @@ def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
     )
 
 
+def solve_batch(specs, starts=None) -> list[PrimalSolution]:
+    """solve_rho of several problems at once, one PrimalSolution each.
+
+    The blocks of all specs go side by side into one batched Newton, which
+    steps each block on its own, so every block takes the iterates of a
+    solve of its problem alone and the results equal those of solve_rho
+    spec by spec.  The start levels are found once per distinct threshold
+    of the batch.  All specs must share the aggregator object, the cluster
+    groups and the solver tolerances; ``starts``, if given, holds one start
+    per spec.
+    """
+    agg, groups = specs[0].aggregator, specs[0].clusters.groups
+    kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
+    for spec in specs[1:]:
+        if (spec.aggregator is not agg or spec.clusters.groups != groups
+                or spec.kkt_tol != kkt_tol or spec.max_iter != max_iter):
+            raise ValueError("a batch of solves must share the aggregator, "
+                             "the cluster groups, kkt_tol and max_iter")
+    if starts is None:
+        level = _start_levels(agg, specs)
+        starts = [_block_start(spec, level) for spec in specs]
+    parts = [_Blocks.from_spec(spec) for spec in specs]
+    blocks = _Blocks.join([p for p, _ in parts])
+    y0 = np.concatenate([np.asarray(start, float)[:, cols]
+                         for start, (_, cols) in zip(starts, parts)], axis=1)
+    results = _newton(agg, groups, blocks, y0, kkt_tol, max_iter)
+    for m, out in enumerate(results):
+        if out[0] is None:
+            own = slice(blocks.start[m], blocks.start[m + 1])
+            results[m] = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
+                                   blocks.b[m], kkt_tol, out[1])
+    sols, first = [], 0
+    for spec, (part, cols) in zip(specs, parts):
+        own, first = results[first:first + part.b.size], first + part.b.size
+        y_hat = np.empty_like(spec.x)
+        y_hat[:, cols] = np.concatenate([out[0] for out in own], axis=1)
+        _, d, _, mu, resid, iters = zip(*own)
+        sols.append(PrimalSolution(
+            y_hat=y_hat, rho=spec.sigma.expand([np.sum(dm) for dm in d]),
+            mu=np.array(mu, dtype=float),
+            kkt_residual=np.array(resid, dtype=float),
+            iterations=np.array(iters, dtype=int)))
+    return sols
+
+
 def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution:
     """Minimal total allocation meeting the conditional utility constraint.
 
@@ -454,25 +519,9 @@ def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution
     (constant on each block), the utility-constraint multiplier and the final
     KKT residual per block.  The blocks are independent programs; one
     batched Newton steps them together, and a block it does not solve goes
-    through the fallbacks alone.
+    through the fallbacks alone.  This is solve_batch of one spec.
     """
-    start = feasible_start(spec) if start is None else np.asarray(start, float)
-    groups, agg = spec.clusters.groups, spec.aggregator
-    blocks, cols = _Blocks.from_spec(spec)
-    results = _newton(agg, groups, blocks, start[:, cols], spec.kkt_tol,
-                      spec.max_iter)
-    for m, out in enumerate(results):
-        if out[0] is None:
-            own = slice(blocks.start[m], blocks.start[m + 1])
-            results[m] = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
-                                   blocks.b[m], spec.kkt_tol, out[1])
-    y_hat = np.empty_like(spec.x)
-    y_hat[:, cols] = np.concatenate([out[0] for out in results], axis=1)
-    _, d, _, mu, resid, iters = zip(*results)
-    return PrimalSolution(
-        y_hat=y_hat, rho=spec.sigma.expand([np.sum(dm) for dm in d]),
-        mu=np.array(mu, dtype=float), kkt_residual=np.array(resid, dtype=float),
-        iterations=np.array(iters, dtype=int))
+    return solve_batch([spec], None if start is None else [start])[0]
 
 
 @dataclass(frozen=True)
@@ -508,33 +557,27 @@ def check_axioms(spec: RiskSpec, spec2: RiskSpec,
         raise ValueError("mixing weight must lie in [0, 1]")
     tol = 5.0 * spec.kkt_tol
 
+    # the seven instances are independent: one batch solves them all
     x, z = spec.x, spec2.x
-    rho_x = solve_rho(spec).rho
-    rho_z = solve_rho(spec2).rho
-
-    # monotonicity, on the comparable envelope pair
-    rho_lo = solve_rho(spec.with_x(np.minimum(x, z))).rho
-    rho_hi = solve_rho(spec.with_x(np.maximum(x, z))).rho
-    mono_gap = float(np.max(rho_hi - rho_lo))
-
-    # conditional convexity with the supplied measurable weight
-    xmix = lam[None, :] * x + (1.0 - lam[None, :]) * z
-    rho_mix = solve_rho(spec.with_x(xmix)).rho
-    conv_gap = float(np.max(rho_mix - (lam * rho_x + (1.0 - lam) * rho_z)))
-
-    # conditional cash additivity with a measurable vector shift
     n = spec.nagents
+    xmix = lam[None, :] * x + (1.0 - lam[None, :]) * z
     y_g = np.stack([(1.0 + j / max(n, 1)) * lam for j in range(n)])
-    rho_shift = solve_rho(spec.with_x(x + y_g)).rho
-    add_err = float(np.max(np.abs(rho_shift - (rho_x - y_g.sum(axis=0)))))
-
-    # local property on a union of partition blocks
     mask = np.zeros(spec.space.natoms)
     for m, blk in enumerate(spec.sigma.blocks):
         if m % 2 == 0:
             mask[list(blk)] = 1.0
     x_loc = mask[None, :] * x + (1.0 - mask[None, :]) * z
-    rho_loc = solve_rho(spec.with_x(x_loc)).rho
+    rho_x, rho_z, rho_lo, rho_hi, rho_mix, rho_shift, rho_loc = (
+        sol.rho for sol in solve_batch([spec] + [spec.with_x(v) for v in (
+            z, np.minimum(x, z), np.maximum(x, z), xmix, x + y_g, x_loc)]))
+
+    # monotonicity, on the comparable envelope pair
+    mono_gap = float(np.max(rho_hi - rho_lo))
+    # conditional convexity with the supplied measurable weight
+    conv_gap = float(np.max(rho_mix - (lam * rho_x + (1.0 - lam) * rho_z)))
+    # conditional cash additivity with a measurable vector shift
+    add_err = float(np.max(np.abs(rho_shift - (rho_x - y_g.sum(axis=0)))))
+    # local property on a union of partition blocks
     loc_err = float(np.max(np.abs(rho_loc - (mask * rho_x + (1.0 - mask) * rho_z))))
 
     return AxiomReport(monotonicity_gap=mono_gap, convexity_gap=conv_gap,

@@ -142,13 +142,16 @@ class TestSharedMemo:
     def test_solver_mode_one_solve_per_pair(self, monkeypatch):
         rng = np.random.default_rng(48)
         _, g, h, x, b, c = random_chain(rng, kmax=16)
-        solves = self._record(monkeypatch, "solve_rho",
-                              lambda spec: (spec.x.tobytes(),
-                                            spec.sigma.blocks))
+        batches = self._record(monkeypatch, "solve_batch",
+                               lambda specs: [(spec.x.tobytes(),
+                                               spec.sigma.blocks)
+                                              for spec in specs])
         extracts = self._record(monkeypatch, "extract_dual_optimizer",
                                 lambda sol, spec: (spec.x.tobytes(),
                                                    spec.sigma.blocks))
         rep = run_consistency(x, b, g, h, c, use_solver=True)
+        solves = [pair for batch in batches for pair in batch]
+        assert len(batches) <= 2
         assert len(solves) == len(set(solves)) >= 3
         assert sorted(extracts) == sorted(solves)
         self._assert_standalone_equal(rep, (x, b, g, h, c), True)

@@ -84,3 +84,13 @@ class TestGridMaxAlpha1:
         q = DensityVector(np.ones((1, 2)), spec.sigma)
         with pytest.raises(EmptyFeasibleGridError):
             grid_max_alpha1(q, spec, (-3.0, 0.1), 1e-2)  # utility cap below b
+
+
+@pytest.mark.parametrize("step", [0.0, -0.01, np.inf, np.nan])
+def test_rejects_a_step_not_finite_and_positive(step):
+    spec = make_canonical_spec()
+    q = DensityVector(np.tile(CANONICAL["q"], (2, 1)), spec.sigma)
+    with pytest.raises(ValueError, match="grid step"):
+        grid_min_rho(spec, -1.0, 1.0, step)
+    with pytest.raises(ValueError, match="grid step"):
+        grid_max_alpha1(q, spec, (-4.0, 4.0), step)

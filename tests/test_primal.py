@@ -447,6 +447,88 @@ class TestBatchedNewton:
                                    atol=1e-10)
 
 
+def assert_same_solution(got, want):
+    for field in ("y_hat", "rho", "mu", "kkt_residual", "iterations"):
+        np.testing.assert_array_equal(getattr(got, field),
+                                      getattr(want, field), err_msg=field)
+
+
+class TestSolveBatch:
+    @staticmethod
+    def random_specs(rng, agg, groups, count):
+        """Specs on their own spaces and partitions, of 1 to 4 blocks,
+        sharing one aggregator and cluster structure."""
+        specs = []
+        for _ in range(count):
+            k = int(rng.integers(1, 9))
+            space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                                  rng.dirichlet(np.ones(k)))
+            nb = int(rng.integers(1, min(k, 4) + 1))
+            cuts = np.sort(rng.choice(np.arange(1, k), nb - 1, replace=False))
+            g = SigmaPartition(space, tuple(
+                tuple(int(i) for i in blk)
+                for blk in np.split(rng.permutation(k), cuts)))
+            specs.append(RiskSpec(
+                space=space, sigma=g,
+                x=rng.uniform(-2.0, 2.0, (agg.nagents, k)), aggregator=agg,
+                b=g.expand(rng.uniform(-4.0, -1.0, nb)),
+                clusters=ClusterConstraint(groups)))
+        return specs
+
+    @pytest.mark.parametrize("kind", sorted(TestBatchedNewton.AGGREGATORS))
+    @pytest.mark.parametrize("sharing", sorted(TestBatchedNewton.GROUPS))
+    def test_batch_equals_one_by_one(self, kind, sharing):
+        rng = np.random.default_rng(50)
+        specs = self.random_specs(rng, TestBatchedNewton.AGGREGATORS[kind],
+                                  TestBatchedNewton.GROUPS[sharing], 5)
+        assert len({spec.sigma.nblocks for spec in specs}) > 1
+        batch = primal.solve_batch(specs)
+        assert len(batch) == len(specs)
+        for got, spec in zip(batch, specs):
+            assert_same_solution(got, solve_rho(spec))
+
+    def test_fallback_blocks_in_a_batch(self, monkeypatch):
+        # from the constant start of test_blocks_solve_as_if_alone, Newton
+        # stalls on two single-agent blocks and the scalar fallback takes
+        # them, while the blocks of the other spec converge in Newton
+        spec = TestBatchedNewton.four_block_spec([-4.9, -0.05, -0.19, -0.31])
+        level = feasible_start(replace(spec, x=np.zeros_like(spec.x),
+                                       b=np.full(spec.space.natoms,
+                                                 spec.b.max())))
+        start = level + np.max(np.abs(spec.x), axis=1)[:, None]
+        other = replace(spec, x=spec.x - 1.0,
+                        sigma=SigmaPartition.trivial(spec.space),
+                        b=np.full(spec.space.natoms, -2.0))
+        apart = solve_rho(spec, start=start), solve_rho(other)
+        fallbacks, real = [], primal._scalar_block
+
+        def counting(*args):
+            fallbacks.append(args[-1])
+            return real(*args)
+
+        monkeypatch.setattr(primal, "_scalar_block", counting)
+        batch = primal.solve_batch([spec, other],
+                                   [start, feasible_start(other)])
+        assert fallbacks == [-0.19, -0.31]
+        assert np.all(batch[0].iterations[2:] == 0)
+        assert batch[1].iterations[0] > 0
+        for got, want in zip(batch, apart):
+            assert_same_solution(got, want)
+
+    def test_rejects_what_a_batch_cannot_share(self, canonical_spec):
+        same = canonical_spec.with_x(canonical_spec.x + 1.0)
+        assert len(primal.solve_batch([canonical_spec, same])) == 2
+        for other in (
+                replace(canonical_spec,
+                        aggregator=Aggregator.exponential([1.0, 1.0])),
+                replace(canonical_spec,
+                        clusters=ClusterConstraint.no_sharing(2)),
+                replace(canonical_spec, kkt_tol=1e-8),
+                replace(canonical_spec, max_iter=100)):
+            with pytest.raises(ValueError, match="batch"):
+                primal.solve_batch([canonical_spec, other])
+
+
 class TestAxioms:
     def test_cash_additivity_exact_shift(self, canonical_spec):
         sol = solve_rho(canonical_spec)

@@ -166,13 +166,13 @@ class TestCliCommands:
                                            monkeypatch, argv, tolerances,
                                            expected):
         import condrisk.consistency as cons
-        seen, real = [], cons.solve_rho
+        seen, real = [], cons.solve_batch
 
-        def recording(spec):
-            seen.append((spec.kkt_tol, spec.max_iter))
-            return real(spec)
+        def recording(specs):
+            seen.extend((spec.kkt_tol, spec.max_iter) for spec in specs)
+            return real(specs)
 
-        monkeypatch.setattr(cons, "solve_rho", recording)
+        monkeypatch.setattr(cons, "solve_batch", recording)
         extra = {} if tolerances is None else {"tolerances": tolerances}
         path = write_doc(tmp_path, "chain.json",
                          atoms={"labels": ["a", "b", "c", "d"],
@@ -193,6 +193,13 @@ class TestCliCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
         assert float(report["max_dev_rho"]) <= 0.01
+
+    @pytest.mark.parametrize("step", ["0", "-0.01", "inf", "nan"])
+    def test_oracle_bad_step_exit_code(self, canonical_file, capsys, step):
+        assert main(["oracle", canonical_file, "--step", step]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("invariant violation: --step ")
 
     def test_expcheck_rejects_nonexponential(self, tmp_path, capsys):
         path = write_doc(tmp_path, "rp.json",
