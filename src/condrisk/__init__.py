@@ -20,10 +20,8 @@ from .exponential import (ExpConstants, a_hat_closed, alpha1_entropic,
                           y_hat_closed)
 from .oracle import EmptyFeasibleGridError, grid_max_alpha1, grid_min_rho
 from .preferences import (Aggregator, ArctanPowerUtility, CustomUtility,
-                          ExponentialUtility, GrowthBoundError,
-                          InversionError, LambdaAggregator,
-                          RationalPowerUtility, agg_grad, agg_value,
-                          conjugate_V, growth_bound)
+                          ExponentialUtility, InversionError,
+                          LambdaAggregator, RationalPowerUtility, conjugate_V)
 from .primal import (AxiomReport, ClusterConstraint, ConvergenceError,
                      PrimalSolution, RiskSpec, check_axioms, feasible_start,
                      solve_rho)
@@ -37,19 +35,18 @@ __all__ = [
     "ConsistencyReport", "ConvergenceError", "CustomUtility", "DensityVector",
     "DualGapError", "DualReport", "EmptyFeasibleGridError",
     "EquilibriumTriple", "ExpConstants", "ExponentialUtility",
-    "GrowthBoundError", "InversionError", "LambdaAggregator", "MsorteReport",
+    "InversionError", "LambdaAggregator", "MsorteReport",
     "PenaltyDivergenceError", "PrimalSolution", "RationalPowerUtility",
-    "RiskSpec", "Scenario", "ScenarioError", "ScenarioSpace",
-    "SigmaPartition", "a_hat_closed", "agg_grad", "agg_value",
-    "alpha1_entropic", "build_equilibrium", "check_axioms", "coarsens",
-    "cond_exp", "cond_exp_under_density", "cond_relative_entropy",
+    "RiskSpec", "Scenario", "ScenarioError", "ScenarioSpace", "SigmaPartition",
+    "a_hat_closed", "alpha1_entropic", "build_equilibrium", "check_axioms",
+    "coarsens", "cond_exp", "cond_exp_under_density", "cond_relative_entropy",
     "conjugate_V", "dual_report", "dual_value", "exp_constants",
     "extract_dual_optimizer", "feasible_start", "grid_max_alpha1",
-    "grid_min_rho", "growth_bound", "in_q1", "is_measurable",
-    "parse_scenario", "penalty_alpha1", "pi_problem", "q_hat_closed",
-    "rho_closed", "rho_with_measure", "run_consistency", "solve_rho",
-    "verify_a_consistency", "verify_msorte", "verify_q_consistency",
-    "verify_rho_recursion", "verify_y_consistency", "y_hat_closed",
+    "grid_min_rho", "in_q1", "is_measurable", "parse_scenario",
+    "penalty_alpha1", "pi_problem", "q_hat_closed", "rho_closed",
+    "rho_with_measure", "run_consistency", "solve_rho", "verify_a_consistency",
+    "verify_msorte", "verify_q_consistency", "verify_rho_recursion",
+    "verify_y_consistency", "y_hat_closed",
 ]
 
 __version__ = "0.1.0"

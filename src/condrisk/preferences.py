@@ -1,7 +1,8 @@
 """Agent preferences: univariate utilities, the multivariate aggregator
 (sum of agent utilities plus an optional concave interdependence term),
-analytic derivatives, the exponential convex conjugate, and linear growth
-bounds used by the solvers.
+analytic derivatives, the exponential convex conjugate, and the root
+finders the solvers use: one bracketed Newton for scalar roots and
+gradient inversion, and a safeguarded Newton on log multipliers.
 
 All utilities are strictly increasing and strictly concave on the real
 line, with derivative decreasing from +infinity to 0 (so marginal-utility
@@ -16,14 +17,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-class GrowthBoundError(RuntimeError):
-    """A candidate linear upper bound failed grid certification."""
-
-
 class InversionError(RuntimeError):
-    """Gradient inversion did not converge or left a non-finite point, or a
-    root find along its multiplier found no root, failed to converge or
-    stopped on a jump rather than a root."""
+    """Gradient inversion did not converge or left a non-finite point, a
+    bracketed root find found no sign change or did not converge, or a root
+    find along its multiplier found no root, failed to converge or stopped
+    on a jump rather than a root."""
 
 
 class UnivariateUtility:
@@ -201,26 +199,13 @@ class CustomUtility(UnivariateUtility):
         return (self.deriv(x + h) - self.deriv(x - h)) / (2.0 * h)
 
     def inverse_deriv(self, m):
+        """Every entry at once by increasing_roots on m - u'(x); where
+        deriv2 is 0 or wrong, bisection takes over from Newton."""
         m = np.asarray(m, dtype=float)
-        out = np.empty_like(m, dtype=float)
-        for idx, target in np.ndenumerate(m):
-            lo, hi = -1.0, 1.0
-            while self.deriv(hi) > target:
-                hi *= 2.0
-                if hi > 1e12:
-                    break
-            while self.deriv(lo) < target:
-                lo *= 2.0
-                if lo < -1e12:
-                    break
-            for _ in range(200):
-                mid = 0.5 * (lo + hi)
-                if self.deriv(mid) > target:
-                    lo = mid
-                else:
-                    hi = mid
-            out[idx] = 0.5 * (lo + hi)
-        return out
+        flat = m.ravel()
+        x = increasing_roots(lambda x: flat - self.deriv(x),
+                             lambda x: -self.deriv2(x), flat.size)
+        return x.reshape(m.shape)
 
 
 @dataclass(frozen=True)
@@ -383,13 +368,89 @@ class Aggregator:
         return cls(tuple(ExponentialUtility(a, shifted) for a in alphas))
 
 
-_INVERT_MAX_ITER = 100
-_INVERT_STEP_TOL = 1e-12
+_BRACKET_LIMIT = 1e12
+_BRACKET_MAX_ITER = 100
+_BRACKET_STEP_TOL = 1e-12
 # Where the interdependence term swamps every agent's own marginal by many
 # orders of magnitude, t pins little more than beta^T z and z can miss it.
 _INVERT_GRAD_TOL = 1e-9
 # |f| at an accepted multiplier root, relative to max(1, |level|)
 _ROOT_FTOL = 1e-9
+
+
+def _bracketed_newton(state, slope, s, lo, hi, f, payload, active):
+    """Newton's method on increasing functions, one root per column, each
+    inside its bracket lo < root < hi; it starts at s, where state gave
+    f and payload.
+
+    state(s) returns (f(s), payload) for every column at once and
+    slope(s, payload) the derivative of f there.  A column bisects its
+    bracket when the Newton step leaves it or does not halve the previous
+    step (a steep power-like f makes Newton converge only linearly), and is
+    done once its step is at most 1e-12 (1 + |s|).  Only the columns
+    flagged in active step.  Returns (s, f, payload) at the last point
+    evaluated, the step from there and the done flags.
+    """
+    active = active.copy()
+    done = np.zeros_like(active)
+    last = np.full(s.shape, np.inf)
+    for _ in range(_BRACKET_MAX_ITER):
+        newton = s - f / slope(s, payload)
+        tol = _BRACKET_STEP_TOL * (1.0 + np.abs(s))
+        small = np.abs(newton - s) <= tol
+        keep = small | ((newton > lo) & (newton < hi)
+                        & (np.abs(newton - s) <= 0.5 * last))
+        step = np.where(keep, newton, 0.5 * (lo + hi))
+        done |= active & (np.abs(step - s) <= tol)
+        active &= ~done
+        if not active.any():
+            break
+        last = np.where(active, np.abs(step - s), last)
+        s = np.where(active, step, s)
+        f, payload = state(s)
+        lo = np.where(active & (f < 0.0), s, lo)
+        hi = np.where(active & (f > 0.0), s, hi)
+    return s, f, payload, step, done
+
+
+def increasing_roots(value, slope, n: int) -> np.ndarray:
+    """Roots of n increasing functions at once: value(s) and slope(s) give
+    the value and the derivative of function i at s[i], for s of shape (n,).
+
+    Each bracket starts at [-2, 2], and each end doubles outwards until the
+    function changes sign across the bracket or the end passes +-1e12;
+    _bracketed_newton then pins the root from the upper end, and its last
+    step is returned.  Raises InversionError where no sign change was found
+    or a root did not converge.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        lo, hi = np.full(n, -2.0), np.full(n, 2.0)
+        flo, fhi = value(lo), value(hi)
+        while True:
+            down = (flo > 0.0) & (lo > -_BRACKET_LIMIT)
+            if not down.any():
+                break
+            lo = np.where(down, 2.0 * lo, lo)
+            flo = np.where(down, value(lo), flo)
+        while True:
+            up = (fhi < 0.0) & (hi < _BRACKET_LIMIT)
+            if not up.any():
+                break
+            hi = np.where(up, 2.0 * hi, hi)
+            fhi = np.where(up, value(hi), fhi)
+        bracketed = (flo <= 0.0) & (fhi >= 0.0)
+        if not bracketed.all():
+            raise InversionError(
+                f"no sign change within |s| <= {_BRACKET_LIMIT:g} for "
+                f"{int((~bracketed).sum())} of {n} roots")
+        _, _, _, root, done = _bracketed_newton(
+            lambda s: (value(s), None), lambda s, _: slope(s),
+            hi, lo, hi, fhi, None, np.ones(n, dtype=bool))
+    if not done.all():
+        raise InversionError(
+            f"{int((~done).sum())} of {n} bracketed roots did not converge "
+            f"in {_BRACKET_MAX_ITER} steps")
+    return root
 
 
 def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
@@ -400,17 +461,16 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     grad U(z) = t is one equation in s: with
     z_j(s) = (u_j')^{-1}(t_j - beta_j v'(s)),
 
-        phi(s) = sum_j beta_j z_j(s) - s = 0.
+        phi(s) = s - sum_j beta_j z_j(s) = 0.
 
-    phi is +infinity at s = (v')^{-1}(min_j t_j / beta_j), strictly
-    decreasing above it with phi' = -v''(s) sum_j beta_j^2 / u_j''(z_j) - 1
-    < -1, and negative far out, so each column has exactly one root.  All
-    columns are solved at once by Newton's method safeguarded by bisection
-    on a bracket; a column is frozen once its step falls below 1e-12
-    relative.  A last Newton step on the full system, solved by
-    Sherman-Morrison with the diagonal-plus-rank-one Hessian, restores
-    beta^T z = s where a marginal u_j' is swamped by beta_j v'(s) and
-    z_j(s) is known only to a few digits.
+    phi is -infinity at s = (v')^{-1}(min_j t_j / beta_j), strictly
+    increasing above it with phi' = v''(s) sum_j beta_j^2 / u_j''(z_j) + 1
+    > 1, and positive far out, so each column has exactly one root.  All
+    columns are solved at once by _bracketed_newton.  A last Newton step on
+    the full system, solved by Sherman-Morrison with the
+    diagonal-plus-rank-one Hessian, restores beta^T z = s where a marginal
+    u_j' is swamped by beta_j v'(s) and z_j(s) is known only to a few
+    digits.
 
     Raises InversionError when a column ends unconverged or non-finite, or
     when grad U(z) misses the target by more than 1e-9 in log terms.
@@ -445,142 +505,40 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
         r = t - beta[:, None] * v.deriv(s)
         z = _inverse_marginals(a, r)
         inside = np.all(r[act] > 0.0, axis=0)
-        return z, np.where(inside, (bact * z[act]).sum(axis=0) - s, np.inf)
+        return np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf), z
 
     def curvature(z):
         return np.stack([a.utilities[j].deriv2(z[j]) for j in act])
 
+    def slope(s, z):
+        return v.deriv2(s) * (bact ** 2 / curvature(z)).sum(axis=0) + 1.0
+
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
-    # so phi > 0 up to max(s_lo, beta^T z0); step right until phi < 0.
+    # so phi < 0 up to max(s_lo, beta^T z0); step right until phi > 0.
     z0 = _inverse_marginals(a, t)
     lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
                     (bact * z0[act]).sum(axis=0))
     width = np.ones(t.shape[1])
     s = lo + width
-    z, phi = state(s)
+    phi, z = state(s)
     for _ in range(64):
-        up = ~(phi < 0.0)
+        up = ~(phi > 0.0)
         if not up.any():
             break
         lo = np.where(up, s, lo)
         width = np.where(up, 2.0 * width, width)
         s = np.where(up, lo + width, s)
-        z, phi = state(s)
-    hi = s.copy()
-    active = phi < 0.0  # columns without a bracket never converge
-    done = np.zeros_like(active)
-    last = np.full(t.shape[1], np.inf)
-
-    for _ in range(_INVERT_MAX_ITER):
-        slope = -v.deriv2(s) * (bact ** 2 / curvature(z)).sum(axis=0) - 1.0
-        newton = s - phi / slope
-        tol = _INVERT_STEP_TOL * (1.0 + np.abs(s))
-        small = np.abs(newton - s) <= tol
-        # bisect when Newton leaves the bracket or does not halve the step
-        # (a steep power-like phi makes Newton converge only linearly)
-        keep = small | ((newton > lo) & (newton < hi)
-                        & (np.abs(newton - s) <= 0.5 * last))
-        step = np.where(keep, newton, 0.5 * (lo + hi))
-        done |= active & (np.abs(step - s) <= tol)
-        active &= ~done
-        if not active.any():
-            break
-        last = np.where(active, np.abs(step - s), last)
-        s = np.where(active, step, s)
-        z, phi = state(s)
-        lo = np.where(active & (phi > 0.0), s, lo)
-        hi = np.where(active & (phi < 0.0), s, hi)
+        phi, z = state(s)
+    # columns without a bracket never converge
+    s, phi, z, _, done = _bracketed_newton(state, slope, s, lo, s.copy(),
+                                           phi, z, phi > 0.0)
 
     # The last step, taken on the full system at z(s): it moves s by the
     # Newton step on phi and each z_j in proportion to beta_j / u_j''.
     q = bact / curvature(z)
     v2 = v.deriv2(s)
-    z[act] -= q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
+    z[act] += q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
     return z, done
-
-
-_BRENT_RTOL = 4.0 * float(np.finfo(float).eps)
-_BRENT_MAXITER = 100
-
-
-def brent(f, lo: float, hi: float, xtol: float) -> float:
-    """Root of f on the bracket [lo, hi] by Brent's method (Brent 1973,
-    *Algorithms for Minimization Without Derivatives*, ch. 4).
-
-    A step-for-step port of scipy.optimize.brentq with its defaults,
-    rtol = 4 eps and maxiter = 100: it evaluates f at the same points and
-    returns the same root.  Raises ValueError when f(lo) and f(hi) have the
-    same sign or f returns NaN, and RuntimeError when it does not converge.
-    """
-    def value(x):
-        fx = float(f(x))
-        if math.isnan(fx):
-            raise ValueError(f"f({x!r}) is NaN; the root find cannot go on")
-        return fx
-
-    xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if (fpre > 0.0) == (fcur > 0.0):
-        raise ValueError(f"f({xpre!r}) and f({xcur!r}) have the same sign")
-    # xcur is the best point so far, xblk the other end of the bracket and
-    # xpre the previous best; scur is the last step and spre the one before
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre > 0.0) != (fcur > 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # secant
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # inverse quadratic interpolation
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # C gives inf or nan: bisect
-                stry = math.inf
-            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0.0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"no convergence after {_BRENT_MAXITER} iterations, "
-                       f"last point {xcur!r}")
-
-
-def bracketed_root(f, limit: float, xtol: float) -> float:
-    """Root of an increasing f: the bracket starts at [-2, 2], each end
-    doubles outwards until f changes sign across the bracket or the end
-    passes +-limit, and brent with xtol then pins the root.  Raises
-    ValueError, as brent does, when no sign change was found."""
-    lo, hi = -2.0, 2.0
-    while f(lo) > 0.0 and lo > -limit:
-        lo *= 2.0
-    while f(hi) < 0.0 and hi < limit:
-        hi *= 2.0
-    return brent(f, lo, hi, xtol)
 
 
 _ROOT_REACH = 2.0
@@ -756,14 +714,6 @@ def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
     return z, t
 
 
-def agg_value(a: Aggregator, x) -> float:
-    return float(a.value(np.asarray(x, dtype=float)))
-
-
-def agg_grad(a: Aggregator, x) -> np.ndarray:
-    return a.grad(np.asarray(x, dtype=float))
-
-
 def xlogx(r: np.ndarray) -> np.ndarray:
     """r log r elementwise for r >= 0, with 0 log 0 = 0."""
     pos = r > 0.0
@@ -779,41 +729,3 @@ def conjugate_V(alphas, y) -> float:
         raise ValueError("conjugate argument must be nonnegative")
     r = y / alphas
     return float((xlogx(r) - r).sum())
-
-
-def growth_bound(a: Aggregator, candidate=None, grid_half_width: float = 10.0,
-                 grid_points: int = 41) -> tuple:
-    """Linear upper bound U(x) <= a_coef * sum_j x_j + b_coef.
-
-    The slope is the largest marginal utility at zero; each agent's offset is
-    the maximum of u_j(x) - a_coef*x (attained where the derivative equals the
-    slope), and the lambda term contributes its supremum.  The bound is then
-    certified on a grid; certification failure signals a wrong candidate.
-    """
-    slopes = np.array([float(u.deriv(0.0)) for u in a.utilities])
-    a_coef = float(slopes.max())
-    if candidate is None:
-        b_coef = a.lam.sup
-        for u in a.utilities:
-            xstar = float(u.inverse_deriv(a_coef))
-            b_coef += float(u.value(xstar)) - a_coef * xstar
-    else:
-        a_coef, b_coef = float(candidate[0]), float(candidate[1])
-
-    axis = np.linspace(-grid_half_width, grid_half_width, grid_points)
-    if a.nagents <= 3:
-        grids = np.meshgrid(*([axis] * a.nagents), indexing="ij")
-        pts = np.stack([g.ravel() for g in grids])
-    else:
-        rng = np.random.default_rng(12345)
-        pts = rng.uniform(-grid_half_width, grid_half_width,
-                          size=(a.nagents, grid_points ** 3))
-    vals = a.value(pts)
-    bound = a_coef * pts.sum(axis=0) + b_coef
-    slack = bound - vals
-    if np.min(slack) < -1e-9:
-        at = pts[:, int(np.argmin(slack))]
-        raise GrowthBoundError(
-            f"bound {a_coef!r}, {b_coef!r} violated at x={at.tolist()}"
-        )
-    return a_coef, b_coef

@@ -22,7 +22,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .preferences import (Aggregator, InversionError, bracketed_root,
+from .preferences import (Aggregator, InversionError, increasing_roots,
                           utility_level_roots)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
@@ -154,31 +154,29 @@ class PrimalSolution:
         return bool(np.all(np.isfinite(self.kkt_residual)))
 
 
-def _start_level(agg, bval: float) -> float:
-    """The scalar s with U(s 1) >= bval + min(1e-6, (sup - bval)/2): the
-    root of U(s 1) at that slack target, moved onto its feasible side."""
-    target = bval + min(1e-6, (agg.sup - bval) / 2.0)
-    ones = np.ones(agg.nagents)
+def _start_levels(agg, specs) -> dict:
+    """The start level s_b of every distinct block threshold b of the
+    specs, all in one root find: the root of U(s 1) at the slack target
+    b + min(1e-6, (sup - b)/2), moved onto its feasible side."""
+    bvals = sorted({b for spec in specs
+                    for b in spec.block_threshold().tolist()})
+    b = np.array(bvals)
+    target = b + np.minimum(1e-6, (agg.sup - b) / 2.0)
+    ones = np.ones((agg.nagents, 1))
 
-    def f(s):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(agg.value(s * ones)) - target
+    def gap(s):
+        return agg.value(ones * s) - target
 
-    s = bracketed_root(f, 1e12, 1e-9)
+    s = increasing_roots(gap, lambda s: agg.grad(ones * s).sum(axis=0),
+                         b.size)
     # land strictly on the feasible side of the slack target, by steps of
     # at least one ulp (far out 1e-9 is less than one)
     for _ in range(64):
-        if not f(s) < 0.0:
-            return s
-        s = max(s + 1e-9, float(np.nextafter(s, np.inf)))
-    raise ConvergenceError(f"no feasible start near {s!r}")
-
-
-def _start_levels(agg, specs) -> dict:
-    """_start_level of every distinct block threshold of the specs, one
-    root find each."""
-    bvals = {b for spec in specs for b in spec.block_threshold().tolist()}
-    return {bval: _start_level(agg, bval) for bval in bvals}
+        low = gap(s) < 0.0
+        if not low.any():
+            return dict(zip(bvals, s.tolist()))
+        s = np.where(low, np.maximum(s + 1e-9, np.nextafter(s, np.inf)), s)
+    raise ConvergenceError(f"no feasible start near {s[low].tolist()}")
 
 
 def _block_start(spec: RiskSpec, level: dict) -> np.ndarray:
@@ -195,11 +193,12 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
     """Allocation, constant per agent on each block, satisfying the utility
     constraint with positive slack on every block.
 
-    Block m gets the scalar s_m of _start_level for its threshold b_m, one
-    root find per distinct threshold, and agent i the constant s_m - min
-    over the block's atoms of x_i: the tightest constant that keeps every
-    atom of the block at z >= s_m.  Each block so starts near its own
-    solution, whatever the thresholds and positions of the others.
+    Block m gets the start level s_m of _start_levels for its threshold
+    b_m, one root find for all distinct thresholds, and agent i the
+    constant s_m - min over the block's atoms of x_i: the tightest constant
+    that keeps every atom of the block at z >= s_m.  Each block so starts
+    near its own solution, whatever the thresholds and positions of the
+    others.
     """
     return _block_start(spec, _start_levels(spec.aggregator, [spec]))
 
@@ -414,11 +413,12 @@ def _scalar_block(agg, groups, xb, w, bval):
     """Fallback for single-agent blocks: the allocation is constant on the
     block, so the active constraint pins it through one scalar root find."""
     def util(d):
-        with np.errstate(over="ignore", invalid="ignore"):
-            val = float(w @ agg.value(xb + d))
-        return np.clip(val, -1e15, 1e15) - bval
+        return np.array([w @ agg.value(xb + d[0]) - bval])
 
-    d = bracketed_root(util, 1e12, 1e-13)
+    def slope(d):
+        return np.array([w @ agg.grad(xb + d[0])[0]])
+
+    d = increasing_roots(util, slope, 1)[0]
     y = np.full_like(xb, d)
     grad = agg.grad(xb + y)
     mu = 1.0 / float(w @ grad[0])
@@ -547,9 +547,18 @@ def check_axioms(spec: RiskSpec, spec2: RiskSpec,
     """Verify monotonicity, conditional convexity, conditional cash
     additivity and the local property by solving the required instances.
 
-    ``spec2`` must differ from ``spec`` only in the position matrix;
-    ``lambda_g`` is a partition-measurable mixing weight in [0, 1].
+    ``spec2`` must differ from ``spec`` only in the position matrix, and
+    share its aggregator object as a batch does; a ValueError names the
+    first other field that differs.  ``lambda_g`` is a
+    partition-measurable mixing weight in [0, 1].
     """
+    for name in ("space", "sigma", "aggregator", "b", "clusters", "kkt_tol",
+                 "max_iter"):
+        mine, theirs = getattr(spec, name), getattr(spec2, name)
+        if theirs is not mine and (name == "aggregator"
+                                   or not np.all(theirs == mine)):
+            raise ValueError(f"spec2 differs from spec in {name}; it may "
+                             "differ only in x")
     lam = spec.space.check_values(lambda_g, "lambda_g")
     if not is_measurable(lam, spec.sigma):
         raise ValueError("mixing weight must be partition-measurable")

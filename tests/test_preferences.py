@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, CustomUtility,
-                      ExponentialUtility, GrowthBoundError, InversionError,
-                      LambdaAggregator, RationalPowerUtility, agg_grad,
-                      agg_value, conjugate_V, growth_bound)
+                      ExponentialUtility, InversionError, LambdaAggregator,
+                      RationalPowerUtility, conjugate_V)
 from condrisk import preferences
-from condrisk.preferences import (invert_gradient, multiplier_newton,
-                                  utility_level_roots)
+from condrisk.preferences import (increasing_roots, invert_gradient,
+                                  multiplier_newton, utility_level_roots)
 
 ALL_KINDS = [
     ExponentialUtility(1.0),
@@ -60,11 +59,11 @@ class TestUnivariate:
 class TestAggValue:
     def test_two_unit_agents_at_origin(self):
         a = Aggregator.exponential([1.0, 1.0])
-        assert agg_value(a, [0.0, 0.0]) == pytest.approx(-2.0)
+        assert a.value([0.0, 0.0]) == pytest.approx(-2.0)
 
     def test_mixed_exponents(self):
         a = Aggregator.exponential([1.0, 2.0])
-        got = agg_value(a, [1.0, 0.5])
+        got = a.value([1.0, 0.5])
         assert got == pytest.approx(-2.0 * np.exp(-1.0), abs=1e-12)
         assert got == pytest.approx(-0.7357589, abs=1e-7)
 
@@ -73,17 +72,17 @@ class TestAggValue:
                                          [1.0, 1.0])
         a = Aggregator((ExponentialUtility(1.0, shifted=True),
                         ExponentialUtility(1.0, shifted=True)), lam)
-        assert agg_value(a, [0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
+        assert a.value([0.0, 0.0]) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestAggGrad:
     def test_unit_exponentials_at_origin(self):
         a = Aggregator.exponential([1.0, 1.0])
-        np.testing.assert_allclose(agg_grad(a, [0.0, 0.0]), [1.0, 1.0])
+        np.testing.assert_allclose(a.grad([0.0, 0.0]), [1.0, 1.0])
 
     def test_scaled_exponentials_at_origin(self):
         a = Aggregator.exponential([2.0, 3.0])
-        np.testing.assert_allclose(agg_grad(a, [0.0, 0.0]), [2.0, 3.0])
+        np.testing.assert_allclose(a.grad([0.0, 0.0]), [2.0, 3.0])
 
     @pytest.mark.parametrize("lam", [
         LambdaAggregator.zero(),
@@ -95,13 +94,13 @@ class TestAggGrad:
         rng = np.random.default_rng(3)
         for _ in range(20):
             x = rng.uniform(-3, 3, size=3)
-            g = agg_grad(a, x)
+            g = a.grad(x)
             for j in range(3):
                 step = np.zeros(3)
                 step[j] = 1e-6
-                num = (agg_value(a, x + step) - agg_value(a, x - step)) / 2e-6
+                num = (a.value(x + step) - a.value(x - step)) / 2e-6
                 assert g[j] == pytest.approx(num, rel=1e-6, abs=1e-8)
-        assert np.all(agg_grad(a, rng.uniform(-3, 3, size=3)) > 0)
+        assert np.all(a.grad(rng.uniform(-3, 3, size=3)) > 0)
 
     def test_hessian_matches_differences(self):
         lam = LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
@@ -139,11 +138,10 @@ class TestAggregatorProperties:
         for _ in range(50):
             x = rng.uniform(-4, 4, size=3)
             bump = rng.uniform(0.01, 1.0) * np.eye(3)[rng.integers(0, 3)]
-            assert agg_value(a, x + bump) > agg_value(a, x)
+            assert a.value(x + bump) > a.value(x)
             y = rng.uniform(-4, 4, size=3)
             if np.abs(x - y).max() > 1e-6:
-                assert agg_value(a, (x + y) / 2) > (agg_value(a, x)
-                                                    + agg_value(a, y)) / 2
+                assert a.value((x + y) / 2) > (a.value(x) + a.value(y)) / 2
 
     def test_sup_bounds_values(self):
         lam = LambdaAggregator.composite(RationalPowerUtility(2.0), [1.0, 1.0])
@@ -166,8 +164,8 @@ class TestAggregatorProperties:
         for _ in range(50):
             x = rng.uniform(-3, 3, size=2)
             y = rng.uniform(-3, 3, size=2)
-            bound = agg_value(a, x) + agg_grad(a, x) @ (y - x)
-            assert agg_value(a, y) <= bound + 1e-12
+            bound = a.value(x) + a.grad(x) @ (y - x)
+            assert a.value(y) <= bound + 1e-12
 
 
 class TestConjugate:
@@ -184,50 +182,19 @@ class TestConjugate:
         for _ in range(200):
             x = rng.uniform(-5, 5, size=3)
             y = rng.uniform(1e-3, 5, size=3)
-            assert agg_value(a, x) - conjugate_V(alphas, y) <= x @ y + 1e-10
+            assert a.value(x) - conjugate_V(alphas, y) <= x @ y + 1e-10
 
     def test_fenchel_tight_at_gradient(self):
         alphas = np.array([1.0, 2.0])
         a = Aggregator.exponential(alphas)
         x = np.array([0.4, -0.3])
-        y = agg_grad(a, x)
-        gap = x @ y - (agg_value(a, x) - conjugate_V(alphas, y))
+        y = a.grad(x)
+        gap = x @ y - (a.value(x) - conjugate_V(alphas, y))
         assert gap == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             conjugate_V([1.0], [-0.5])
-
-
-class TestGrowthBound:
-    def test_raw_exponential_candidate(self):
-        a = Aggregator.exponential([1.0, 1.0])
-        acoef, bcoef = growth_bound(a, candidate=(1.0, 0.0))
-        assert (acoef, bcoef) == (1.0, 0.0)
-
-    def test_shifted_exponential_standard_inequality(self):
-        a = Aggregator((ExponentialUtility(1.0, shifted=True),))
-        growth_bound(a, candidate=(1.0, 0.0))  # 1 - e^{-x} <= x
-
-    def test_wrong_candidate_fails(self):
-        a = Aggregator((ExponentialUtility(1.0, shifted=True),))
-        with pytest.raises(GrowthBoundError):
-            growth_bound(a, candidate=(0.0, 0.0))
-
-    @pytest.mark.parametrize("agg", [
-        Aggregator.exponential([1.0, 2.0]),
-        Aggregator((RationalPowerUtility(2.0), ArctanPowerUtility(2.0))),
-        Aggregator((ExponentialUtility(0.5), ExponentialUtility(2.0)),
-                   LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
-                                              [1.0, 1.0])),
-    ])
-    def test_derived_bound_certifies(self, agg):
-        acoef, bcoef = growth_bound(agg)
-        assert acoef > 0
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(-30, 30, size=(agg.nagents, 2000))
-        slack = acoef * pts.sum(axis=0) + bcoef - agg.value(pts)
-        assert slack.min() >= -1e-9
 
 
 class TestCustomUtility:
@@ -237,6 +204,19 @@ class TestCustomUtility:
         assert u.value(0.0) == pytest.approx(-1.0)
         assert u.inverse_deriv(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-9)
 
+    def test_zero_curvature_inverts_by_bisection(self):
+        u = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
+                          lambda x: np.zeros_like(x), sup=0.0)
+        m = np.array([[0.5, 2.0], [1e-3, 40.0]])
+        np.testing.assert_allclose(u.inverse_deriv(m), -np.log(m), rtol=0,
+                                   atol=1e-10)
+
+    def test_marginal_out_of_range_raises(self):
+        # u' = 1 + e^{-x} > 1: no point has marginal utility 1/2
+        u = CustomUtility(lambda x: x - np.exp(-x), lambda x: 1.0 + np.exp(-x))
+        with pytest.raises(InversionError, match="no sign change"):
+            u.inverse_deriv(np.array([0.5]))
+
     def test_rejects_convex(self):
         with pytest.raises(ValueError):
             CustomUtility(lambda x: x ** 2, lambda x: 2 * x)
@@ -245,6 +225,26 @@ class TestCustomUtility:
         with pytest.raises(ValueError):
             CustomUtility(lambda x: -x - 0.001 * x ** 2 * np.sign(x) * x,
                           lambda x: -np.ones_like(x))
+
+
+class TestIncreasingRoots:
+    def test_roots_of_a_batch(self):
+        # a root on each side of the first bracket, and one far out
+        c = np.array([8.0, -27.0, 1e27])
+        root = increasing_roots(lambda s: s ** 3 - c, lambda s: 3.0 * s ** 2,
+                                3)
+        np.testing.assert_allclose(root, [2.0, -3.0, 1e9], rtol=1e-13)
+
+    def test_nan_value_raises(self):
+        with pytest.raises(InversionError, match="no sign change"):
+            increasing_roots(lambda s: np.full_like(s, np.nan),
+                             lambda s: np.ones_like(s), 1)
+
+    def test_unconverged_root_raises(self, monkeypatch):
+        monkeypatch.setattr(preferences, "_BRACKET_MAX_ITER", 1)
+        with pytest.raises(InversionError, match="did not converge"):
+            increasing_roots(lambda s: s ** 3 - 5.0, lambda s: 3.0 * s ** 2,
+                             1)
 
 
 def composite_aggregator(rng):
@@ -288,7 +288,7 @@ class TestInvertGradient:
     def test_unconverged_columns_raise(self, monkeypatch):
         a = composite_aggregator(np.random.default_rng(10))
         t = a.grad(np.random.default_rng(11).uniform(-2, 2, size=(4, 5)))
-        monkeypatch.setattr(preferences, "_INVERT_MAX_ITER", 1)
+        monkeypatch.setattr(preferences, "_BRACKET_MAX_ITER", 1)
         with pytest.raises(InversionError, match="unconverged"):
             invert_gradient(a, t)
 

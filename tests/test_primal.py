@@ -562,3 +562,66 @@ class TestAxioms:
         spec2 = canonical_spec.with_x(canonical_spec.x * 0.5)
         with pytest.raises(ValueError):
             check_axioms(canonical_spec, spec2, np.array([0.2, 0.8]))
+
+    @pytest.mark.parametrize("field", ["space", "sigma", "aggregator", "b",
+                                       "clusters", "kkt_tol", "max_iter"])
+    def test_spec2_may_differ_only_in_x(self, canonical_spec, field):
+        # every instance is solved with spec's fields, so a spec2 that
+        # differs in another one would make the report wrong without a sign
+        spec2 = canonical_spec.with_x(0.5 * canonical_spec.x)
+        space = ScenarioSpace(spec2.space.atom_labels, [0.4, 0.6])
+        spec2 = {
+            "space": lambda: replace(spec2, space=space,
+                                     sigma=SigmaPartition.trivial(space)),
+            "sigma": lambda: replace(
+                spec2, sigma=SigmaPartition.discrete(spec2.space)),
+            "aggregator": lambda: replace(
+                spec2, aggregator=Aggregator.exponential([1.0, 2.0])),
+            "b": lambda: spec2.with_b(np.full(2, -1.5)),
+            "clusters": lambda: replace(
+                spec2, clusters=ClusterConstraint.no_sharing(2)),
+            "kkt_tol": lambda: replace(spec2, kkt_tol=1e-8),
+            "max_iter": lambda: replace(spec2, max_iter=50),
+        }[field]()
+        with pytest.raises(ValueError, match=f"differs from spec in {field};"):
+            check_axioms(canonical_spec, spec2, np.full(2, 0.5))
+
+
+class TestScalarRoots:
+    """Start levels and the single-agent fallback at extreme thresholds:
+    each is a scalar root of the bracketed Newton in preferences.  A
+    RuntimeWarning fails these tests, as it fails the suite."""
+
+    @pytest.mark.parametrize("alpha", [1e-6, 1.0, 100.0])
+    @pytest.mark.parametrize("b", [-1e6, -1.0, -1e-8])
+    def test_one_exponential_agent_far_out(self, alpha, b):
+        space = ScenarioSpace.uniform(2)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[3.0, -500.0]]),
+                        aggregator=Aggregator.exponential([alpha]),
+                        b=np.full(2, b),
+                        clusters=ClusterConstraint.full_sharing(1))
+        if (alpha, b) == (100.0, -1e6):
+            # the utility residual is held to kkt_tol in absolute terms,
+            # out of reach at |U| near 1e6 (ROADMAP item 3)
+            with pytest.raises(ConvergenceError):
+                solve_rho(spec)
+            return
+        closed = rho_closed(spec.x, spec.b, spec.sigma, exp_constants([alpha]))
+        np.testing.assert_allclose(solve_rho(spec).rho, closed, rtol=1e-9)
+
+    @pytest.mark.parametrize("u", [RationalPowerUtility(2.0),
+                                   ArctanPowerUtility(1.5)])
+    @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1.5e-9])
+    def test_one_power_agent_near_the_supremum(self, u, gap):
+        # at sup - 1.5e-9 the start level of the rational agent is 2.67e9
+        agg = Aggregator((u,))
+        space = ScenarioSpace.uniform(2)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[0.3, -0.2]]), aggregator=agg,
+                        b=np.full(2, agg.sup - gap),
+                        clusters=ClusterConstraint.full_sharing(1))
+        start = feasible_start(spec)
+        assert np.all(agg.value(spec.x + start) >= spec.b)
+        sol = solve_rho(spec)
+        assert sol.converged and np.all(sol.kkt_residual <= spec.kkt_tol)
