@@ -5,6 +5,12 @@ risk-sharing group, the conditional shortfall risk, its optimal allocation,
 the optimal dual densities, the fair per-agent allocations and the dual
 penalty all have explicit log/exp expressions.  These are the reference
 values the numerical solvers are validated against.
+
+The primal solver has its own closed form for exponential agents, raw or
+shifted, in any cluster structure, and uses it wherever its point passes
+the KKT certificate.  This module neither calls the solver for these
+formulas nor is called by it, so checking one against the other compares
+two independent computations.
 """
 
 from __future__ import annotations

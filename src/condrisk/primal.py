@@ -7,8 +7,12 @@ whom) so that the conditional expected aggregated utility of the padded
 positions clears a threshold B on every block.
 
 Each block of the information partition yields an independent equality-
-constrained concave program; one damped Newton iteration on the KKT systems
-steps all blocks of a solve together, each from a start sized for that
+constrained concave program.  For exponential agents without an
+interdependence term, every block has an explicit solution for any cluster
+structure; a block is solved that way when its point passes the KKT
+certificate at the solver tolerance, and then uses no start.  Every other
+block goes to one damped Newton iteration on the KKT systems, which steps
+all such blocks of a solve together, each from a start sized for that
 block's own threshold and positions.  A block Newton does not solve goes to
 one of two scalar root-find fallbacks, for a single agent or a single atom,
 or is refused.
@@ -141,7 +145,8 @@ class RiskSpec:
 class PrimalSolution:
     """Optimal allocation, risk per atom, and per block the utility
     multiplier, the final optimality residual and the number of Newton
-    steps; ``iterations`` is 0 for a block that a fallback solved."""
+    steps; ``iterations`` is 0 for a block solved in closed form or by a
+    fallback."""
 
     y_hat: np.ndarray
     rho: np.ndarray
@@ -154,13 +159,11 @@ class PrimalSolution:
         return bool(np.all(np.isfinite(self.kkt_residual)))
 
 
-def _start_levels(agg, specs) -> dict:
-    """The start level s_b of every distinct block threshold b of the
-    specs, all in one root find: the root of U(s 1) at the slack target
+def _start_levels(agg, b) -> np.ndarray:
+    """The start level s_b of every block threshold in b, all in one root
+    find over the distinct values: the root of U(s 1) at the slack target
     b + min(1e-6, (sup - b)/2), moved onto its feasible side."""
-    bvals = sorted({b for spec in specs
-                    for b in spec.block_threshold().tolist()})
-    b = np.array(bvals)
+    b, back = np.unique(b, return_inverse=True)
     target = b + np.minimum(1e-6, (agg.sup - b) / 2.0)
     ones = np.ones((agg.nagents, 1))
 
@@ -174,19 +177,9 @@ def _start_levels(agg, specs) -> dict:
     for _ in range(64):
         low = gap(s) < 0.0
         if not low.any():
-            return dict(zip(bvals, s.tolist()))
+            return s[back]
         s = np.where(low, np.maximum(s + 1e-9, np.nextafter(s, np.inf)), s)
     raise ConvergenceError(f"no feasible start near {s[low].tolist()}")
-
-
-def _block_start(spec: RiskSpec, level: dict) -> np.ndarray:
-    """The start of feasible_start, from the start level of each
-    threshold."""
-    start = np.empty_like(spec.x)
-    for blk, bval in zip(spec.sigma.blocks, spec.block_threshold().tolist()):
-        idx = list(blk)
-        start[:, idx] = (level[bval] - spec.x[:, idx].min(axis=1))[:, None]
-    return start
 
 
 def feasible_start(spec: RiskSpec) -> np.ndarray:
@@ -200,7 +193,10 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
     near its own solution, whatever the thresholds and positions of the
     others.
     """
-    return _block_start(spec, _start_levels(spec.aggregator, [spec]))
+    blocks, cols = _Blocks.from_spec(spec)
+    start = np.empty_like(spec.x)
+    start[:, cols] = _block_starts(spec.aggregator, blocks)
+    return start
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,6 +239,13 @@ class _Blocks:
         cols = keep[self.of]
         start = np.concatenate(([0], np.cumsum(np.diff(self.start)[keep])))
         return _Blocks(self.x[:, cols], self.w[cols], self.b[keep], start), cols
+
+
+def _block_starts(agg, blocks) -> np.ndarray:
+    """The start of feasible_start, for blocks side by side."""
+    level = _start_levels(agg, blocks.b)
+    low = np.minimum.reduceat(blocks.x, blocks.start[:-1], axis=1)
+    return (level - low)[:, blocks.of]
 
 
 @lru_cache(maxsize=16)
@@ -363,10 +366,12 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
     d = (e.T @ y)[:, first]
     opt, res = np.empty(mu.size), np.empty(mu.size)
     iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
+    r = None
     for it in range(max_iter + 1):
         sub, cols = blocks.take(active)
         state = y[:, cols], d[:, active], lam[:, cols], mu[active]
-        r = _residual(agg, groups, sub, *state)
+        if r is None:
+            r = _residual(agg, groups, sub, *state)
         opt[active], rmax = _optimality(groups, sub, state[3], r)
         res[active], iters[active] = np.maximum(opt[active], rmax), it
         going = ~(res[active] <= kkt_tol)
@@ -386,8 +391,8 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
             tc = t[sub.of]
             cand = (state[0] + tc * dy, state[1] + t * dd,
                     state[2] + tc * dlam, state[3] + t * dmu)
-            norm = _residual(agg, groups, sub, *cand)[-1]
-            found |= norm <= (1.0 - 1e-4 * t) * r[-1]
+            trial = _residual(agg, groups, sub, *cand)
+            found |= trial[-1] <= (1.0 - 1e-4 * t) * r[-1]
             if found.all():
                 break
             t = np.where(found, t, 0.5 * t)
@@ -397,6 +402,12 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
         lam[:, cols] = np.where(moved[sub.of], cand[2], state[2])
         mu[active] = np.where(moved, cand[3], state[3])
         active[active] = moved
+        # the blocks still active moved to their last trial point: its
+        # residuals open the next iteration
+        r_y, r_d, r_c, r_u, grad, norm = trial
+        keep = moved[sub.of]
+        r = (r_y[:, keep], r_d[:, moved], r_c[:, keep], r_u[moved],
+             grad[:, keep], norm[moved])
     return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], iters[m])
             if res[m] <= kkt_tol else (None, float(res[m]))
             for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
@@ -467,17 +478,47 @@ def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
     )
 
 
-def solve_batch(specs, starts=None) -> list[PrimalSolution]:
-    """solve_rho of several problems at once, one PrimalSolution each.
+def _exponential_blocks(agg, groups, blocks, kkt_tol):
+    """Per block, its solution in closed form for exponential agents, raw
+    or shifted, without an interdependence term, or None where that point
+    fails the certificate of a Newton solve at kkt_tol.
 
-    The blocks of all specs go side by side into one batched Newton, which
-    steps each block on its own, so every block takes the iterates of a
-    solve of its problem alone and the results equal those of solve_rho
-    spec by spec.  The start levels are found once per distinct threshold
-    of the batch.  All specs must share the aggregator object, the cluster
-    groups and the solver tolerances; ``starts``, if given, holds one start
-    per spec.
+    With u_j(z) = s_j - exp(-alpha_j z), s_j = 1 for a shifted agent and 0
+    otherwise, and on cluster c beta_c = sum 1/alpha_j, a_j =
+    (1/alpha_j) log(1/alpha_j), A_c = sum a_j and X_c = sum x_j, the KKT
+    conditions of block m give mu_m = beta/(k - b_m) for beta = sum_c
+    beta_c and the number k of shifted agents, d_c = beta_c (log mu_m +
+    log E_w[exp(-(X_c + A_c)/beta_c)]), lam_c = -mu_m w exp(-(d_c + X_c +
+    A_c)/beta_c) and z_j = (d_c + X_c + A_c)/(alpha_j beta_c) - a_j.
     """
+    alphas, k = agg.exponential_form
+    e, member = _membership(groups)
+    first, of = blocks.start[:-1], blocks.of
+    # a point that is not finite fails the certificate and goes to Newton
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_j = np.log(1.0 / alphas) / alphas
+        beta = (e.T @ (1.0 / alphas))[:, None]
+        s = -(e.T @ (blocks.x + a_j[:, None])) / beta  # -(X_c + A_c)/beta_c
+        top = np.maximum.reduceat(s, first, axis=1)
+        lse = top + np.log(np.add.reduceat(
+            blocks.w * np.exp(s - top[:, of]), first, axis=1))
+        mu = beta.sum() / (k - blocks.b)
+        level = np.log(mu) + lse  # d_c/beta_c
+        lam = -blocks.w * np.exp(s - lse[:, of])
+        y = ((level[:, of] - s)[member] / alphas[:, None] - a_j[:, None]
+             - blocks.x)
+        d = beta * level
+    opt, rmax = _optimality(groups, blocks, mu, _residual(
+        agg, groups, blocks, y, d, lam, mu))
+    certified = np.maximum(opt, rmax) <= kkt_tol
+    return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], 0)
+            if certified[m] else None
+            for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
+
+
+def _batch(specs):
+    """The blocks of all specs side by side and each spec's part of them,
+    once the specs are found to share what one solve needs."""
     agg, groups = specs[0].aggregator, specs[0].clusters.groups
     kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
     for spec in specs[1:]:
@@ -485,19 +526,32 @@ def solve_batch(specs, starts=None) -> list[PrimalSolution]:
                 or spec.kkt_tol != kkt_tol or spec.max_iter != max_iter):
             raise ValueError("a batch of solves must share the aggregator, "
                              "the cluster groups, kkt_tol and max_iter")
-    if starts is None:
-        level = _start_levels(agg, specs)
-        starts = [_block_start(spec, level) for spec in specs]
     parts = [_Blocks.from_spec(spec) for spec in specs]
-    blocks = _Blocks.join([p for p, _ in parts])
-    y0 = np.concatenate([np.asarray(start, float)[:, cols]
-                         for start, (_, cols) in zip(starts, parts)], axis=1)
-    results = _newton(agg, groups, blocks, y0, kkt_tol, max_iter)
-    for m, out in enumerate(results):
-        if out[0] is None:
-            own = slice(blocks.start[m], blocks.start[m + 1])
-            results[m] = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
-                                   blocks.b[m], kkt_tol, out[1])
+    return _Blocks.join([p for p, _ in parts]), parts
+
+
+def _finish(specs, starts, blocks, parts, results):
+    """One PrimalSolution per spec, once every block that results leaves
+    None has been solved by the start level of its threshold, the batched
+    Newton and the fallbacks."""
+    agg, groups = specs[0].aggregator, specs[0].clusters.groups
+    kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
+    todo = np.array([out is None for out in results])
+    if todo.any():
+        sub, keep = blocks.take(todo)
+        if starts is None:
+            y0 = _block_starts(agg, sub)
+        else:
+            y0 = np.concatenate([np.asarray(start, float)[:, cols]
+                                 for start, (_, cols) in zip(starts, parts)],
+                                axis=1)[:, keep]
+        newton = _newton(agg, groups, sub, y0, kkt_tol, max_iter)
+        for m, out in zip(np.flatnonzero(todo), newton):
+            if out[0] is None:
+                own = slice(blocks.start[m], blocks.start[m + 1])
+                out = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
+                                blocks.b[m], kkt_tol, out[1])
+            results[m] = out
     sols, first = [], 0
     for spec, (part, cols) in zip(specs, parts):
         own, first = results[first:first + part.b.size], first + part.b.size
@@ -512,14 +566,48 @@ def solve_batch(specs, starts=None) -> list[PrimalSolution]:
     return sols
 
 
+def solve_batch(specs, starts=None) -> list[PrimalSolution]:
+    """solve_rho of several problems at once, one PrimalSolution each.
+
+    For exponential agents without an interdependence term every block is
+    first solved in closed form, and kept where that point passes the
+    certificate of a Newton solve at kkt_tol.  The other blocks of all
+    specs go side by side into one batched Newton, which steps each block
+    on its own, so every block takes the iterates of a solve of its problem
+    alone and the results equal those of solve_rho spec by spec.  The start
+    levels are found once per distinct threshold of the blocks that go to
+    Newton.  All specs must share the aggregator object, the cluster groups
+    and the solver tolerances; ``starts``, if given, holds one start per
+    spec, which a block certified in closed form does not use.
+    """
+    blocks, parts = _batch(specs)
+    agg, results = specs[0].aggregator, [None] * blocks.b.size
+    if agg.exponential_form is not None:
+        results = _exponential_blocks(agg, specs[0].clusters.groups, blocks,
+                                      specs[0].kkt_tol)
+    return _finish(specs, starts, blocks, parts, results)
+
+
+def _solve_newton(specs, starts=None) -> list[PrimalSolution]:
+    """solve_batch without the closed form: every block goes through the
+    start levels, the batched Newton and the fallbacks, whatever the
+    aggregator.  Tests drive Newton on exponential agents through it and
+    hold it to the closed forms."""
+    blocks, parts = _batch(specs)
+    return _finish(specs, starts, blocks, parts, [None] * blocks.b.size)
+
+
 def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution:
     """Minimal total allocation meeting the conditional utility constraint.
 
     Returns the blockwise unique optimal allocation, the risk value per atom
     (constant on each block), the utility-constraint multiplier and the final
-    KKT residual per block.  The blocks are independent programs; one
-    batched Newton steps them together, and a block it does not solve goes
-    through the fallbacks alone.  This is solve_batch of one spec.
+    KKT residual per block.  The blocks are independent programs.  For
+    exponential agents without an interdependence term a block whose closed
+    form passes the KKT certificate is solved by it and does not use
+    ``start``; one batched Newton steps the other blocks together, and a
+    block it does not solve goes through the fallbacks alone.  This is
+    solve_batch of one spec.
     """
     return solve_batch([spec], None if start is None else [start])[0]
 

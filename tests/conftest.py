@@ -1,9 +1,12 @@
 """Shared builders for randomized instances and the canonical example."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from condrisk import (Aggregator, ClusterConstraint, RiskSpec, ScenarioSpace,
+from condrisk import (Aggregator, ClusterConstraint, ExponentialUtility,
+                      RiskSpec, ScenarioSpace,
                       SigmaPartition, exp_constants)
 
 # Canonical two-atom instance, values frozen from 40-digit arithmetic:
@@ -49,8 +52,11 @@ def random_partition(rng, space, max_blocks=None):
     return SigmaPartition(space, tuple(tuple(v) for v in blocks.values()))
 
 
-def random_exponential_instance(rng, kmax=32, nmax=5, clusters="full"):
-    """Random space, partition, exponential agents, measurable threshold."""
+def random_exponential_instance(rng, kmax=32, nmax=5, clusters="full",
+                                shifted=False):
+    """Random space, partition, exponential agents, measurable threshold.
+    With shifted, about 60% of the agents are shifted and the threshold is
+    raised by their number; the constants are those of the exponents."""
     k = int(rng.integers(2, kmax + 1))
     n = int(rng.integers(1, nmax + 1))
     space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
@@ -71,6 +77,11 @@ def random_exponential_instance(rng, kmax=32, nmax=5, clusters="full"):
     spec = RiskSpec(space=space, sigma=g, x=x,
                     aggregator=Aggregator.exponential(alphas), b=b,
                     clusters=cl)
+    if shifted:
+        flags = rng.random(n) < 0.6
+        agg = Aggregator(tuple(ExponentialUtility(a, bool(f))
+                               for a, f in zip(alphas, flags)))
+        spec = replace(spec, aggregator=agg, b=spec.b + flags.sum())
     return spec, exp_constants(alphas)
 
 

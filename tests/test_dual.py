@@ -420,12 +420,8 @@ def exponential_instance_with_zeros(rng, shifted):
     random admissible q with about 30% zero densities (at least one
     positive entry per block)."""
     spec, _ = random_exponential_instance(rng, kmax=16, nmax=4,
-                                          clusters=int(rng.integers(1, 3)))
-    if shifted:
-        flags = rng.random(spec.nagents) < 0.6
-        agg = Aggregator(tuple(ExponentialUtility(u.alpha, bool(f)) for u, f
-                               in zip(spec.aggregator.utilities, flags)))
-        spec = replace(spec, aggregator=agg, b=spec.b + flags.sum())
+                                          clusters=int(rng.integers(1, 3)),
+                                          shifted=shifted)
     q = np.empty((spec.nagents, spec.space.natoms))
     for group in spec.clusters.groups:
         row = rng.uniform(0.05, 2.0, size=spec.space.natoms)

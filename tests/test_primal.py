@@ -9,9 +9,15 @@ from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
                       RationalPowerUtility, RiskSpec, ScenarioSpace,
                       SigmaPartition, check_axioms, cond_exp, exp_constants,
                       feasible_start, grid_min_rho, is_measurable, rho_closed,
-                      solve_rho)
+                      solve_rho, y_hat_closed)
 from condrisk import primal
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
+
+
+def newton_rho(spec, start=None):
+    """solve_rho through the start levels, the batched Newton and the
+    fallbacks, even where the closed form of exponential agents applies."""
+    return primal._solve_newton([spec], None if start is None else [start])[0]
 
 
 class TestRiskSpecInvariants:
@@ -154,9 +160,9 @@ class TestSolveRho:
     def test_uniqueness_across_starts(self):
         rng = np.random.default_rng(13)
         spec, _ = random_exponential_instance(rng, kmax=10, nmax=3)
-        sol_a = solve_rho(spec)
+        sol_a = newton_rho(spec)
         jitter = rng.uniform(0.2, 1.0, size=(spec.nagents, 1))
-        sol_b = solve_rho(spec, start=feasible_start(spec) + jitter)
+        sol_b = newton_rho(spec, start=feasible_start(spec) + jitter)
         assert np.max(np.abs(sol_a.y_hat - sol_b.y_hat)) <= 1e-7
 
     def test_block_decomposition_under_atom_permutation(self):
@@ -361,14 +367,14 @@ class TestBatchedNewton:
         level = feasible_start(replace(spec, x=np.zeros_like(spec.x),
                                        b=np.full(space.natoms, spec.b.max())))
         start = level + np.max(np.abs(spec.x), axis=1)[:, None]
-        sol = solve_rho(spec, start=start)
+        sol = newton_rho(spec, start=start)
         assert sol.iterations[0] < 50 < 100 < sol.iterations[1]
         assert np.all(sol.iterations[2:] == 0)
         for m, blk in enumerate(g.blocks):
             idx = list(blk)
             sub = ScenarioSpace(tuple(space.atom_labels[i] for i in idx),
                                 space.prob[idx] / space.prob[idx].sum())
-            alone = solve_rho(RiskSpec(
+            alone = newton_rho(RiskSpec(
                 space=sub, sigma=SigmaPartition.trivial(sub),
                 x=spec.x[:, idx], aggregator=spec.aggregator, b=spec.b[idx],
                 clusters=spec.clusters), start=start[:, idx])
@@ -385,7 +391,7 @@ class TestBatchedNewton:
         # Newton path and solution exactly as they were
         spec = self.four_block_spec([-4.9, -0.05, -0.19, -0.31])
         spec_r = self.four_block_spec([-4.9, -1e-3, -0.19, -0.31])
-        sol, sol_r = solve_rho(spec), solve_rho(spec_r)
+        sol, sol_r = newton_rho(spec), newton_rho(spec_r)
         for m, blk in enumerate(spec.sigma.blocks):
             if m == 1:
                 continue
@@ -422,15 +428,15 @@ class TestBatchedNewton:
         np.testing.assert_allclose(sol.rho, closed, rtol=1e-10, atol=1e-10)
 
     def test_iterations_count_newton_steps(self, canonical_spec):
-        steps = int(solve_rho(canonical_spec).iterations[0])
+        steps = int(newton_rho(canonical_spec).iterations[0])
         assert steps > 0
         # converged on the check after the last step the limit allows
-        capped = solve_rho(replace(canonical_spec, max_iter=steps))
+        capped = newton_rho(replace(canonical_spec, max_iter=steps))
         assert capped.iterations[0] == steps
         # a block that Newton may not step is refused unless a fallback
         # applies: none does to two agents on two atoms
         with pytest.raises(ConvergenceError):
-            solve_rho(replace(canonical_spec, max_iter=0))
+            newton_rho(replace(canonical_spec, max_iter=0))
         # on one atom the single-atom fallback solves it: 0 steps
         space = ScenarioSpace.uniform(1)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
@@ -439,7 +445,7 @@ class TestBatchedNewton:
                         b=np.full(1, -1.5),
                         clusters=ClusterConstraint.full_sharing(2),
                         max_iter=0)
-        fallback = solve_rho(spec)
+        fallback = newton_rho(spec)
         assert fallback.iterations[0] == 0
         closed = rho_closed(spec.x, spec.b, spec.sigma,
                             exp_constants([1.0, 2.0]))
@@ -499,7 +505,7 @@ class TestSolveBatch:
         other = replace(spec, x=spec.x - 1.0,
                         sigma=SigmaPartition.trivial(spec.space),
                         b=np.full(spec.space.natoms, -2.0))
-        apart = solve_rho(spec, start=start), solve_rho(other)
+        apart = newton_rho(spec, start=start), newton_rho(other)
         fallbacks, real = [], primal._scalar_block
 
         def counting(*args):
@@ -507,8 +513,8 @@ class TestSolveBatch:
             return real(*args)
 
         monkeypatch.setattr(primal, "_scalar_block", counting)
-        batch = primal.solve_batch([spec, other],
-                                   [start, feasible_start(other)])
+        batch = primal._solve_newton([spec, other],
+                                     [start, feasible_start(other)])
         assert fallbacks == [-0.19, -0.31]
         assert np.all(batch[0].iterations[2:] == 0)
         assert batch[1].iterations[0] > 0
@@ -527,6 +533,137 @@ class TestSolveBatch:
                 replace(canonical_spec, max_iter=100)):
             with pytest.raises(ValueError, match="batch"):
                 primal.solve_batch([canonical_spec, other])
+
+
+def assert_same_point(got, want):
+    """rho to 1e-8 and y_hat to 1e-6, relative to max(1, |value|): the
+    Newton stopping test at kkt_tol pins the split of a cluster's total
+    less tightly than rho."""
+    np.testing.assert_allclose(got.rho, want.rho, rtol=1e-8, atol=1e-8)
+    np.testing.assert_allclose(got.y_hat, want.y_hat, rtol=1e-6, atol=1e-6)
+
+
+class TestPrimalNewtonAgainstClosedForms:
+    """The batched Newton, which serves every aggregator without a closed
+    form, driven on exponential agents through the private entry and held
+    to the closed forms: those of the exponential module for full sharing,
+    the primal one for raw and shifted agents in clusters."""
+
+    def test_full_sharing(self):
+        rng = np.random.default_rng(61)
+        for _ in range(30):
+            spec, c = random_exponential_instance(rng, kmax=16, nmax=4)
+            sol = newton_rho(spec)
+            assert sol.iterations.sum() > 0
+            np.testing.assert_allclose(
+                sol.rho, rho_closed(spec.x, spec.b, spec.sigma, c),
+                rtol=1e-8, atol=1e-8)
+            np.testing.assert_allclose(
+                sol.y_hat, y_hat_closed(spec.x, spec.b, spec.sigma, c),
+                rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
+    def test_two_clusters(self, shifted):
+        rng = np.random.default_rng(62 + shifted)
+        two = 0
+        for _ in range(30):
+            spec, _ = random_exponential_instance(rng, kmax=16, nmax=4,
+                                                  clusters=2, shifted=shifted)
+            two += spec.clusters.ngroups == 2
+            closed, newton = solve_rho(spec), newton_rho(spec)
+            assert np.all(closed.iterations == 0)
+            assert newton.iterations.sum() > 0
+            assert_same_point(newton, closed)
+            np.testing.assert_allclose(newton.mu, closed.mu, rtol=1e-8)
+        assert two > 0
+
+
+class TestClosedFormRouting:
+    """solve_batch takes every exponential block its closed form certifies
+    at kkt_tol, and sends only the others to the start levels and Newton."""
+
+    def test_no_start_level_or_newton_step(self, monkeypatch):
+        rng = np.random.default_rng(64)
+        specs = [random_exponential_instance(rng, kmax=16, nmax=4,
+                                             clusters=clusters,
+                                             shifted=shifted)[0]
+                 for shifted in (False, True) for clusters in ("full", 2)]
+        want = [newton_rho(spec) for spec in specs]
+
+        def refuse(*args):
+            raise AssertionError("no start level is needed")
+
+        monkeypatch.setattr(primal, "_start_levels", refuse)
+        for spec, newton in zip(specs, want):
+            sol = solve_rho(spec)
+            assert np.all(sol.iterations == 0)
+            assert np.all(sol.kkt_residual <= spec.kkt_tol)
+            assert_same_point(sol, newton)
+            # a start is not used by a block certified in closed form
+            far = solve_rho(spec, start=np.full_like(spec.x, 1e3))
+            np.testing.assert_array_equal(far.y_hat, sol.y_hat)
+
+    def test_uncertified_blocks_take_the_newton_path(self, monkeypatch):
+        # with the closed-form points of every third block of a batch
+        # dropped, those blocks end as on the Newton path and the others
+        # as in closed form, column for column
+        rng = np.random.default_rng(65)
+        specs = TestSolveBatch.random_specs(
+            rng, TestBatchedNewton.AGGREGATORS["exponential"],
+            TestBatchedNewton.GROUPS["partial"], 4)
+        closed = primal.solve_batch(specs)
+        newton = primal._solve_newton(specs)
+        real = primal._exponential_blocks
+
+        def drop(*args):
+            return [None if m % 3 == 1 else point
+                    for m, point in enumerate(real(*args))]
+
+        monkeypatch.setattr(primal, "_exponential_blocks", drop)
+        batch = primal.solve_batch(specs)
+        m = 0
+        for spec, got, by_closed, by_newton in zip(specs, batch, closed,
+                                                   newton):
+            for j, blk in enumerate(spec.sigma.blocks):
+                want = by_newton if (m + j) % 3 == 1 else by_closed
+                assert got.iterations[j] == want.iterations[j]
+                assert got.mu[j] == want.mu[j]
+                assert got.kkt_residual[j] == want.kkt_residual[j]
+                np.testing.assert_array_equal(got.y_hat[:, list(blk)],
+                                              want.y_hat[:, list(blk)])
+            m += spec.sigma.nblocks
+        assert m > 4  # so at least blocks 1 and 4 went to Newton
+
+    def test_block_the_certificate_refuses(self):
+        # at a utility level near -1e6 the closed-form point misses kkt_tol
+        # by round-off alone (ROADMAP item 3); Newton refuses it as before
+        space = ScenarioSpace.uniform(2)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[3.0, -500.0]]),
+                        aggregator=Aggregator.exponential([100.0]),
+                        b=np.full(2, -1e6),
+                        clusters=ClusterConstraint.full_sharing(1))
+        blocks, _ = primal._Blocks.from_spec(spec)
+        assert primal._exponential_blocks(spec.aggregator, spec.clusters.groups,
+                                          blocks, spec.kkt_tol) == [None]
+        with pytest.raises(ConvergenceError) as routed:
+            solve_rho(spec)
+        with pytest.raises(ConvergenceError) as newton:
+            newton_rho(spec)
+        assert routed.value.residual == newton.value.residual
+
+    @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
+    def test_threshold_near_the_supremum(self, shifted, canonical_spec):
+        # a RuntimeWarning fails this test, as it fails the suite
+        agg = Aggregator.exponential([1.0, 2.0], shifted)
+        spec = replace(canonical_spec, aggregator=agg)
+        for gap in (1e-9, 5e-10):
+            with pytest.raises(ValueError, match="supremum"):
+                spec.with_b(np.full(2, agg.sup - gap))
+        for gap in (1.5e-9, 1e-6):
+            sol = solve_rho(spec.with_b(np.full(2, agg.sup - gap)))
+            assert np.all(sol.iterations == 0)
+            assert np.all(sol.kkt_residual <= spec.kkt_tol)
 
 
 class TestAxioms:
@@ -601,14 +738,16 @@ class TestScalarRoots:
                         aggregator=Aggregator.exponential([alpha]),
                         b=np.full(2, b),
                         clusters=ClusterConstraint.full_sharing(1))
-        if (alpha, b) == (100.0, -1e6):
-            # the utility residual is held to kkt_tol in absolute terms,
-            # out of reach at |U| near 1e6 (ROADMAP item 3)
-            with pytest.raises(ConvergenceError):
-                solve_rho(spec)
-            return
-        closed = rho_closed(spec.x, spec.b, spec.sigma, exp_constants([alpha]))
-        np.testing.assert_allclose(solve_rho(spec).rho, closed, rtol=1e-9)
+        for solve in (solve_rho, newton_rho):
+            if (alpha, b) == (100.0, -1e6):
+                # the utility residual is held to kkt_tol in absolute
+                # terms, out of reach at |U| near 1e6 (ROADMAP item 3)
+                with pytest.raises(ConvergenceError):
+                    solve(spec)
+                continue
+            closed = rho_closed(spec.x, spec.b, spec.sigma,
+                                exp_constants([alpha]))
+            np.testing.assert_allclose(solve(spec).rho, closed, rtol=1e-9)
 
     @pytest.mark.parametrize("u", [RationalPowerUtility(2.0),
                                    ArctanPowerUtility(1.5)])
