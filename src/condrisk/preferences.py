@@ -24,6 +24,13 @@ class InversionError(RuntimeError):
     on a jump rather than a root."""
 
 
+def stable_sum(x):
+    """Sum over the first axis, entry by entry: unlike BLAS or x.sum(axis=0),
+    pairwise on a single column, it rounds a column the same whatever the
+    other columns, so a batch of solves gives the solves one by one."""
+    return np.add.reduceat(x, [0], axis=0)[0]
+
+
 class UnivariateUtility:
     """Interface for a single agent's utility.
 
@@ -240,35 +247,23 @@ class LambdaAggregator:
     def sup(self) -> float:
         return 0.0 if self.is_zero else float(self.u.sup)
 
+    def level(self, x):
+        """beta^T x for x of shape (N,) or (N, K); returns scalar or (K,)."""
+        return stable_sum((self.weights * np.asarray(x, dtype=float).T).T)
+
     def value(self, x):
         """x has shape (N,) or (N, K); returns scalar or (K,)."""
         if self.is_zero:
             x = np.asarray(x, dtype=float)
             return 0.0 if x.ndim == 1 else np.zeros(x.shape[1])
-        s = np.tensordot(self.weights, np.asarray(x, dtype=float), axes=(0, 0))
-        return self.u.value(s)
+        return self.u.value(self.level(x))
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
         if self.is_zero:
             return np.zeros_like(x)
-        s = np.tensordot(self.weights, x, axes=(0, 0))
-        d = self.u.deriv(s)
+        d = self.u.deriv(self.level(x))
         return np.multiply.outer(self.weights, d) if x.ndim == 2 else d * self.weights
-
-    def hessian(self, x):
-        """Full Hessian contribution: rank-one u''(s) beta beta^T."""
-        x = np.asarray(x, dtype=float)
-        n = x.shape[0]
-        if self.is_zero:
-            shape = (n, n) if x.ndim == 1 else (x.shape[1], n, n)
-            return np.zeros(shape)
-        s = np.tensordot(self.weights, x, axes=(0, 0))
-        d2 = self.u.deriv2(s)
-        bbt = np.outer(self.weights, self.weights)
-        if x.ndim == 1:
-            return d2 * bbt
-        return d2[:, None, None] * bbt[None, :, :]
 
     @classmethod
     def zero(cls) -> "LambdaAggregator":
@@ -335,7 +330,7 @@ class Aggregator:
         x = np.asarray(x, dtype=float)
         if self._exp_alphas is not None:
             a = self._exp_alphas if x.ndim == 1 else self._exp_alphas[:, None]
-            return -np.exp(-a * x).sum(axis=0)
+            return -stable_sum(np.exp(-a * x))
         parts = sum(u.value(x[j]) for j, u in enumerate(self.utilities))
         return parts + self.lam.value(x)
 
@@ -347,21 +342,18 @@ class Aggregator:
         g = np.stack([u.deriv(x[j]) for j, u in enumerate(self.utilities)])
         return g + self.lam.grad(x)
 
-    def hessian(self, x):
-        """Hessian of U; shape (N, N) for a point, (K, N, N) columnwise."""
+    def curvature(self, x):
+        """The Hessian H = diag(u'') + v'' beta beta^T of U at x as the pair
+        (u_j''(x_j) per agent, v''(beta^T x)), v'' = 0 when U is separable:
+        shapes (N,) and scalar for a point, (N, K) and (K,) columnwise."""
         x = np.asarray(x, dtype=float)
         if self._exp_alphas is not None:
             a = self._exp_alphas if x.ndim == 1 else self._exp_alphas[:, None]
             d2 = -a * a * np.exp(-a * x)
         else:
             d2 = np.stack([u.deriv2(x[j]) for j, u in enumerate(self.utilities)])
-        if x.ndim == 1:
-            return np.diag(d2) + self.lam.hessian(x)
-        k = x.shape[1]
-        h = np.zeros((k, self.nagents, self.nagents))
-        idx = np.arange(self.nagents)
-        h[:, idx, idx] = d2.T
-        return h + self.lam.hessian(x)
+        return d2, (0.0 if self.separable
+                    else self.lam.u.deriv2(self.lam.level(x)))
 
     @classmethod
     def exponential(cls, alphas, shifted: bool = False) -> "Aggregator":
@@ -507,11 +499,9 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
         inside = np.all(r[act] > 0.0, axis=0)
         return np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf), z
 
-    def curvature(z):
-        return np.stack([a.utilities[j].deriv2(z[j]) for j in act])
-
     def slope(s, z):
-        return v.deriv2(s) * (bact ** 2 / curvature(z)).sum(axis=0) + 1.0
+        return v.deriv2(s) * (bact ** 2 / a.curvature(z)[0][act]).sum(
+            axis=0) + 1.0
 
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
     # so phi < 0 up to max(s_lo, beta^T z0); step right until phi > 0.
@@ -535,8 +525,8 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
 
     # The last step, taken on the full system at z(s): it moves s by the
     # Newton step on phi and each z_j in proportion to beta_j / u_j''.
-    q = bact / curvature(z)
-    v2 = v.deriv2(s)
+    d2, v2 = a.curvature(z)
+    q = bact / d2[act]
     z[act] += q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
     return z, done
 
@@ -666,13 +656,13 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = q * np.exp(-t)
         z = invert_gradient(a, np.where(zero, 1.0, g) if vanish else g)
-        d = -np.stack([u.deriv2(z[j]) for j, u in enumerate(a.utilities)])
-        slope = (g * g / d).sum(axis=0)
+        d2, v2 = a.curvature(z)
+        slope = -(g * g / d2).sum(axis=0)
         if not a.separable:
             beta = a.lam.weights[:, None]
-            c = -a.lam.u.deriv2((beta * z).sum(axis=0))
-            bg, bb = (beta * g / d).sum(axis=0), (beta * beta / d).sum(axis=0)
-            slope = slope - c * bg * bg / (1.0 + c * bb)
+            bg = (beta * g / d2).sum(axis=0)
+            bb = (beta * beta / d2).sum(axis=0)
+            slope = slope + v2 * bg * bg / (1.0 + v2 * bb)
         if vanish:
             sup = np.array([[u.sup] for u in a.utilities])
             own = np.stack([u.value(z[j]) for j, u in enumerate(a.utilities)])

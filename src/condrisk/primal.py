@@ -13,9 +13,10 @@ structure; a block is solved that way when its point passes the KKT
 certificate at the solver tolerance, and then uses no start.  Every other
 block goes to one damped Newton iteration on the KKT systems, which steps
 all such blocks of a solve together, each from a start sized for that
-block's own threshold and positions.  A block Newton does not solve goes to
-one of two scalar root-find fallbacks, for a single agent or a single atom,
-or is refused.
+block's own threshold and positions, by O(N) steps on the aggregator's
+diagonal-plus-rank-one Hessian.  A block Newton does not solve goes to one
+of two scalar root finds, for a single agent or a single atom, as a start
+Newton must polish to the tolerance, or is refused.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .preferences import (Aggregator, InversionError, increasing_roots,
-                          utility_level_roots)
+                          stable_sum, utility_level_roots)
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -218,10 +219,6 @@ class _Blocks:
                    spec.block_threshold(), start), cols
 
     @classmethod
-    def single(cls, xb, w, bval) -> "_Blocks":
-        return cls(xb, w, np.array([bval], float), np.array([0, xb.shape[1]]))
-
-    @classmethod
     def join(cls, parts) -> "_Blocks":
         """The blocks of several problems side by side, in order."""
         sizes = [n for p in parts for n in np.diff(p.start)]
@@ -250,28 +247,39 @@ def _block_starts(agg, blocks) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _membership(groups):
-    """Agent-to-cluster matrix E (agents x clusters) and each agent's cluster."""
-    member = np.empty(sum(len(g) for g in groups), dtype=np.intp)
-    for m, g in enumerate(groups):
-        member[list(g)] = m
-    return np.eye(len(groups))[member], member
+    """Each agent's cluster, the agents in cluster order (a slice if that is
+    their order), the first of each cluster in it, and the cluster sizes."""
+    order = np.concatenate(groups).astype(np.intp)
+    sizes = np.array([len(g) for g in groups])
+    member = np.empty_like(order)
+    member[order] = np.repeat(np.arange(len(groups)), sizes)
+    if np.array_equal(order, np.arange(order.size)):
+        order = slice(None)
+    return member, order, np.cumsum(sizes) - sizes, sizes
+
+
+def _cluster_sum(groups, x):
+    """E^T x for the agent-to-cluster membership E: the sums of x over the
+    agents of each cluster, by stable_sum's rule."""
+    _, order, cut, _ = _membership(groups)
+    return np.add.reduceat(x[order], cut, axis=0)
 
 
 def _residual(agg, groups, blocks, y, d, lam, mu):
     """KKT residuals of all blocks, (r_y, r_d, r_c, r_u, grad, norm): of
     stationarity in y and d, of the cluster budgets d and of the utility
     constraint, and the Euclidean norm of all four per block."""
-    e, member = _membership(groups)
+    member = _membership(groups)[0]
     first, of = blocks.start[:-1], blocks.of
     with np.errstate(over="ignore", invalid="ignore"):
         z = blocks.x + y
         grad = agg.grad(z)
         r_y = -lam[member] - (mu[of] * blocks.w) * grad
         r_d = 1.0 + np.add.reduceat(lam, first, axis=1)
-        r_c = e.T @ y - d[:, of]
+        r_c = _cluster_sum(groups, y) - d[:, of]
         r_u = np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b
-        sq = np.add.reduceat((r_y ** 2).sum(axis=0) + (r_c ** 2).sum(axis=0),
-                             first) + (r_d ** 2).sum(axis=0) + r_u ** 2
+        sq = np.add.reduceat(stable_sum(r_y ** 2) + stable_sum(r_c ** 2),
+                             first) + stable_sum(r_d ** 2) + r_u ** 2
     return r_y, r_d, r_c, r_u, grad, np.sqrt(sq)
 
 
@@ -282,10 +290,10 @@ def _optimality(groups, blocks, mu, r):
     activity of the utility constraint, scaled by mu: unlike the KKT
     residual it does not vanish on atoms of low probability."""
     r_y, r_d, r_c, r_u, grad, _ = r
-    e, member = _membership(groups)
+    member, _, _, sizes = _membership(groups)
     first = blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = (e.T @ grad) / e.sum(axis=0)[:, None]
+        mean = _cluster_sum(groups, grad) / sizes[:, None]
         own = mean[member]
         spread = np.max(np.abs(grad - own) / np.maximum(1.0, np.abs(own)), 0)
         level = mu * np.add.reduceat(blocks.w * mean, first, axis=1)
@@ -315,34 +323,51 @@ def _solve_stack(a, b):
 def _newton_step(agg, groups, blocks, y, mu, r):
     """Newton step of every block's KKT system, (dy, dd, dlam, dmu, flags
     of the blocks whose systems are not singular), by elimination.  Per
-    atom, the saddle system [[-mu w H, -E], [E^T, 0]] in (dy, dlam), with E
-    the agent-to-cluster membership, is solved for the residual and for a
-    unit change of each cluster budget d and of mu.  The conditions that
-    couple the atoms of a block, sum dlam = -r_d and sum w grad^T dy =
-    -r_u, then leave an (h + 1) x (h + 1) system in (dd, dmu) per block."""
+    atom, A dy - E dlam = w grad dmu - r_y and E^T dy = dd - r_c, for the
+    cluster membership E and A = -mu w H = P + g beta beta^T with P
+    diagonal, are solved by Sherman-Morrison on A and on S = E^T A^-1 E,
+    diagonal plus rank one as the clusters are disjoint.  Summed over a
+    block's atoms, sum dlam = -r_d and sum w grad^T dy = -r_u leave an
+    (h + 1) x (h + 1) system in (dd, dmu) per block.  A zero or non-finite
+    entry of P makes its block singular."""
     r_y, r_d, r_c, r_u, grad, _ = r
-    (n, k), (e, _) = y.shape, _membership(groups)
-    h, first, of = e.shape[1], blocks.start[:-1], blocks.of
-    with np.errstate(over="ignore", invalid="ignore"):
-        wg = (blocks.w * grad).T
-        kkt = np.zeros((k, n + h, n + h))
-        kkt[:, :n, :n] = -(mu[of] * blocks.w)[:, None, None] * agg.hessian(
-            blocks.x + y)
-        kkt[:, :n, n:], kkt[:, n:, :n] = -e, e.T
-        rhs = np.zeros((k, n + h, h + 2))
-        rhs[:, :, 0] = -np.concatenate([r_y, r_c]).T
-        rhs[:, n:, 1:h + 1] = np.eye(h)
-        rhs[:, :n, h + 1] = wg
-        sol, solved = _solve_stack(kkt, rhs)
-        rows = np.concatenate([sol[:, n:], np.einsum("ki,kij->kj", wg,
-                                                     sol[:, :n])[:, None]], 1)
-        rows = np.add.reduceat(rows, first, axis=0)
+    (n, k), h, member = y.shape, len(groups), _membership(groups)[0]
+    first, of = blocks.start[:-1], blocks.of
+    beta = np.zeros((n, 1)) if agg.separable else agg.lam.weights[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        nmw = -mu[of] * blocks.w
+        d2, v2 = agg.curvature(blocks.x + y)
+        p, g = nmw * d2, nmw * v2
+        ip = 1.0 / p
+        flat = ~np.isfinite(ip * p)
+        ip[flat] = 1.0
+        # A^-1 x = x / P - c q q^T x for q = P^-1 beta, and S^-1 x =
+        # x / D + tau t t^T x for D = E^T P^-1 E (dg) and t = E^T q / D
+        q = beta * ip
+        c = g / (1.0 + g * stable_sum(beta * q))
+        cq = c * q
+        dg, s = _cluster_sum(groups, ip), _cluster_sum(groups, q)
+        t = s / dg
+        tt = t * (c / (1.0 - c * stable_sum(s * t)))
+        # right-hand sides: the residual, a unit dd of each cluster, a unit dmu
+        wg = blocks.w * grad
+        ry, rc = np.zeros((n, h + 2, k)), np.zeros((h, h + 2, k))
+        ry[:, 0], ry[:, -1] = -r_y, wg
+        rc[:, 0], rc[:, 1:-1] = -r_c, np.eye(h)[:, :, None]
+        ay = ip[:, None] * ry - cq[:, None] * stable_sum(q[:, None] * ry)
+        x = rc - _cluster_sum(groups, ay)
+        dlam = x / dg[:, None] + tt[:, None] * stable_sum(t[:, None] * x)
+        dy = (ay + ip[:, None] * dlam[member]
+              - cq[:, None] * stable_sum(s[:, None] * dlam))
+        rows = np.concatenate([dlam, stable_sum(wg[:, None] * dy)[None]])
+        rows = np.add.reduceat(rows.transpose(2, 0, 1), first, axis=0)
         v, ok = _solve_stack(rows[:, :, 1:], -rows[:, :, :1] - np.concatenate(
             [r_d, r_u[None]]).T[:, :, None])
-        v = v[:, :, 0]
-        step = sol[:, :, 0] + np.einsum("kij,kj->ki", sol[:, :, 1:], v[of])
-    ok &= np.logical_and.reduceat(solved, first)
-    return step[:, :n].T, v[:, :h].T, step[:, n:].T, v[:, h], ok
+        vk = v[of, :, 0].T[:, None]
+        dy = dy[:, 0] + stable_sum(dy[:, 1:].transpose(1, 0, 2) * vk)
+        dlam = dlam[:, 0] + stable_sum(dlam[:, 1:].transpose(1, 0, 2) * vk)
+    ok &= ~np.logical_or.reduceat(flat.any(axis=0), first)
+    return dy, v[:, :h, 0].T, dlam, v[:, h, 0], ok
 
 
 def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
@@ -352,18 +377,18 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
     batch when it converges or its system is singular or its line search
     fails.  Returns per block (y, d, lam, mu, residual, iterations), or
     (None, residual) where the caller decides on a fallback."""
-    e, _ = _membership(groups)
+    sizes = _membership(groups)[3]
     y, of, first = np.array(y0, dtype=float), blocks.of, blocks.start[:-1]
     # consistent multiplier warm start from the stationarity conditions;
     # where marginal utilities underflowed at the start, a flat multiplier
     # guess and the damped iteration (or a fallback) take over
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = (e.T @ agg.grad(blocks.x + y)) / e.sum(axis=0)[:, None]
+        mean = _cluster_sum(groups, agg.grad(blocks.x + y)) / sizes[:, None]
         denom = np.add.reduceat(blocks.w * mean, first, axis=1)
         flat = ~np.isfinite(denom) | (denom <= 1e-290)
         lam = np.where(flat[:, of], -blocks.w, -blocks.w * mean / denom[:, of])
         mu = np.where(flat, 1.0, 1.0 / denom).mean(axis=0)
-    d = (e.T @ y)[:, first]
+    d = _cluster_sum(groups, y)[:, first]
     opt, res = np.empty(mu.size), np.empty(mu.size)
     iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
     r = None
@@ -413,65 +438,48 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
             for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
 
 
-def _block_residual(agg, groups, one, y, d, lam, mu):
-    """max(opt, largest KKT residual entry) of a solution of one block."""
-    mu = np.array([mu], dtype=float)
-    r = _residual(agg, groups, one, y, np.reshape(d, (-1, 1)), lam, mu)
-    return float(np.maximum(*_optimality(groups, one, mu, r))[0])
-
-
-def _scalar_block(agg, groups, xb, w, bval):
-    """Fallback for single-agent blocks: the allocation is constant on the
-    block, so the active constraint pins it through one scalar root find."""
+def _scalar_block(agg, xb, w, bval):
+    """Fallback start for single-agent blocks: the allocation is constant on
+    the block, so one scalar root find pins the active constraint."""
     def util(d):
         return np.array([w @ agg.value(xb + d[0]) - bval])
 
     def slope(d):
         return np.array([w @ agg.grad(xb + d[0])[0]])
 
-    d = increasing_roots(util, slope, 1)[0]
-    y = np.full_like(xb, d)
-    grad = agg.grad(xb + y)
-    mu = 1.0 / float(w @ grad[0])
-    return y, np.array([d]), (-mu * w * grad[0])[None, :], mu
+    return np.full_like(xb, increasing_roots(util, slope, 1)[0])
 
 
-def _single_atom_block(agg, groups, xb, w, bval):
-    """Fallback for one-atom blocks, valid for any aggregator.
+def _single_atom_block(agg, xb, w, bval):
+    """Fallback start for one-atom blocks, valid for any aggregator.
 
     With a single atom every cluster multiplier equals -1, so all marginal
     utilities coincide at the reciprocal of the utility multiplier; a
     Newton root find on its logarithm pins the active constraint.
     """
-    z, logmu = utility_level_roots(agg, np.ones((agg.nagents, 1)),
-                                   np.ones(1), np.array([0, 1]),
-                                   np.array([bval]))
-    mu = float(np.exp(logmu[0]))
-    y = z - xb
-    d = np.array([y[list(g), 0].sum() for g in groups])
-    return y, d, np.full((len(groups), 1), -1.0), mu
+    z, _ = utility_level_roots(agg, np.ones((agg.nagents, 1)), np.ones(1),
+                               np.array([0, 1]), np.array([bval]))
+    return z - xb
 
 
 def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
     """Solves of a block on which Newton stalled at residual best, for the
-    two structures that reduce to one scalar root, each polished by
-    Newton."""
-    (n, el), one = xb.shape, _Blocks.single(xb, w, bval)
+    two structures that reduce to one scalar root: each root is a start
+    that Newton must polish to kkt_tol."""
+    n, el = xb.shape
+    one = _Blocks(xb, w, np.array([bval], float), np.array([0, el]))
     for applies, solve in ((n == 1, _scalar_block),
                            (el == 1, _single_atom_block)):
         if not applies:
             continue
         try:
-            attempt = solve(agg, groups, xb, w, bval)
+            y = solve(agg, xb, w, bval)
         except InversionError:
             continue
-        res = _block_residual(agg, groups, one, *attempt)
-        polish = _newton(agg, groups, one, attempt[0], kkt_tol, 20)[0]
+        polish = _newton(agg, groups, one, y, kkt_tol, 20)[0]
         if polish[0] is not None:
             return (*polish[:5], 0)
-        if res <= 10.0 * kkt_tol:
-            return (*attempt, res, 0)
-        best = min(best, res, polish[1])
+        best = min(best, polish[1])
     raise ConvergenceError(
         f"block solve stalled at residual {best:.3e} "
         f"(tolerance {kkt_tol:.1e})", residual=best
@@ -492,13 +500,14 @@ def _exponential_blocks(agg, groups, blocks, kkt_tol):
     A_c)/beta_c) and z_j = (d_c + X_c + A_c)/(alpha_j beta_c) - a_j.
     """
     alphas, k = agg.exponential_form
-    e, member = _membership(groups)
+    member = _membership(groups)[0]
     first, of = blocks.start[:-1], blocks.of
     # a point that is not finite fails the certificate and goes to Newton
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_j = np.log(1.0 / alphas) / alphas
-        beta = (e.T @ (1.0 / alphas))[:, None]
-        s = -(e.T @ (blocks.x + a_j[:, None])) / beta  # -(X_c + A_c)/beta_c
+        beta = _cluster_sum(groups, 1.0 / alphas)[:, None]
+        # -(X_c + A_c)/beta_c
+        s = -_cluster_sum(groups, blocks.x + a_j[:, None]) / beta
         top = np.maximum.reduceat(s, first, axis=1)
         lse = top + np.log(np.add.reduceat(
             blocks.w * np.exp(s - top[:, of]), first, axis=1))

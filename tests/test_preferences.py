@@ -103,11 +103,13 @@ class TestAggGrad:
         assert np.all(a.grad(rng.uniform(-3, 3, size=3)) > 0)
 
     def test_hessian_matches_differences(self):
+        # the pair (u'', v'') is the Hessian diag(u'') + v'' beta beta^T
         lam = LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
                                          [1.0, 0.5])
         a = Aggregator((ExponentialUtility(1.2), ExponentialUtility(0.8)), lam)
         x = np.array([0.3, -0.7])
-        h = a.hessian(x)
+        d2, v2 = a.curvature(x)
+        h = np.diag(d2) + v2 * np.outer(lam.weights, lam.weights)
         for j in range(2):
             step = np.zeros(2)
             step[j] = 1e-6
