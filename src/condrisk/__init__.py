@@ -12,7 +12,7 @@ from .consistency import (ConsistencyReport, run_consistency,
                           verify_rho_recursion, verify_y_consistency)
 from .dual import (DualGapError, DualReport, PenaltyDivergenceError,
                    dual_report, dual_value, extract_dual_optimizer, in_q1,
-                   penalty_alpha1, rho_with_measure)
+                   penalty_alpha1)
 from .equilibrium import (EquilibriumTriple, MsorteReport, build_equilibrium,
                           pi_problem, verify_msorte)
 from .exponential import (ExpConstants, a_hat_closed, alpha1_entropic,
@@ -44,7 +44,7 @@ __all__ = [
     "extract_dual_optimizer", "feasible_start", "grid_max_alpha1",
     "grid_min_rho", "in_q1", "is_measurable", "parse_scenario",
     "penalty_alpha1", "pi_problem", "q_hat_closed", "rho_closed",
-    "rho_with_measure", "run_consistency", "solve_rho", "verify_a_consistency",
+    "run_consistency", "solve_rho", "verify_a_consistency",
     "verify_msorte", "verify_q_consistency", "verify_rho_recursion",
     "verify_y_consistency", "y_hat_closed",
 ]

@@ -80,8 +80,8 @@ def cmd_dual(sc: Scenario, args) -> dict:
         "alpha1": _per_block(rep.alpha1, spec.sigma),
         "dual_value": _per_block(rep.dual_value, spec.sigma),
         "gap": _per_block(rep.gap, spec.sigma),
-        # rho_with_measure is dual_value; the report's value is the one
-        # solved from the primal start
+        # the risk under the fixed measure q is its dual value, here the
+        # one solved from the primal start
         "rho_with_measure": _per_block(rep.dual_value, spec.sigma),
         "q": _matrix(q.q),
     }
@@ -159,7 +159,8 @@ def cmd_consistency(sc: Scenario, args) -> dict:
 def cmd_msorte(sc: Scenario, args) -> dict:
     spec = sc.spec
     triple = build_equilibrium(spec)
-    rep = verify_msorte(triple, spec, tol=args.tol or 1e-6)
+    # --tol sets the KKT tolerance of the solves, not this bound
+    rep = verify_msorte(triple, spec, tol=1e-6)
     pi = pi_problem(triple.q, triple.budget_a, spec)
     return {
         "command": "msorte",

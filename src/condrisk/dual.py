@@ -216,19 +216,6 @@ def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
     return dens
 
 
-def rho_with_measure(q: DensityVector, spec: RiskSpec) -> np.ndarray:
-    """Risk under a fixed admissible measure vector:
-    density-weighted cost of the positions minus the penalty.
-
-    This is dual_value.  The direct minimization of the density-weighted
-    allocation cost under the utility constraint has the penalty's
-    optimizer z as its solution, and its value, the sum of w q (z - x), is
-    the same sum as the dual value's, so comparing the two could only
-    compare rounding.
-    """
-    return dual_value(q, spec)
-
-
 @dataclass(frozen=True, eq=False)
 class DualReport:
     """Penalty, dual objective and duality gap for one candidate vector."""

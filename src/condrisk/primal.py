@@ -10,13 +10,13 @@ Each block of the information partition yields an independent equality-
 constrained concave program.  For exponential agents without an
 interdependence term, every block has an explicit solution for any cluster
 structure; a block is solved that way when its point passes the KKT
-certificate at the solver tolerance, and then uses no start.  Every other
-block goes to one damped Newton iteration on the KKT systems, which steps
-all such blocks of a solve together, each from a start sized for that
-block's own threshold and positions, by O(N) steps on the aggregator's
-diagonal-plus-rank-one Hessian.  A block Newton does not solve goes to one
-of two scalar root finds, for a single agent or a single atom, as a start
-Newton must polish to the tolerance, or is refused.
+certificate at the solver tolerance.  Every other block goes to one
+damped Newton iteration on the KKT systems, which steps all such blocks of
+a solve together by O(N) steps on the aggregator's diagonal-plus-rank-one
+Hessian, each from a start sized for that block alone: for a single agent
+its exact root, which Newton only certifies.  A one-atom block Newton does
+not solve goes to a multiplier root find, as a start Newton must polish
+to the tolerance; any other such block is refused.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ DEFAULT_MAX_ITER = 200
 
 
 class ConvergenceError(RuntimeError):
-    """Newton and fallback both failed to reach the KKT tolerance."""
+    """A block solve failed to reach the KKT tolerance."""
 
     def __init__(self, message, residual=None):
         super().__init__(message)
@@ -146,8 +146,9 @@ class RiskSpec:
 class PrimalSolution:
     """Optimal allocation, risk per atom, and per block the utility
     multiplier, the final optimality residual and the number of Newton
-    steps; ``iterations`` is 0 for a block solved in closed form or by a
-    fallback."""
+    steps; ``iterations`` is 0 for a block solved in closed form,
+    certified at its start (as every single-agent block is) or solved by
+    the one-atom fallback."""
 
     y_hat: np.ndarray
     rho: np.ndarray
@@ -438,19 +439,26 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
             for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
 
 
-def _scalar_block(agg, xb, w, bval):
-    """Fallback start for single-agent blocks: the allocation is constant on
-    the block, so one scalar root find pins the active constraint."""
-    def util(d):
-        return np.array([w @ agg.value(xb + d[0]) - bval])
+def _one_agent_roots(agg, blocks) -> np.ndarray:
+    """The solution of a single agent on every block: as it is measurable,
+    a constant d_m with E_w[u(x + d_m)] = b_m, all roots in one call, found
+    in s_m = d_m + min of x over the block so that x does not move the
+    bracket."""
+    first, of = blocks.start[:-1], blocks.of
+    low = np.minimum.reduceat(blocks.x, first, axis=1)
+    up = blocks.x - low[:, of]
 
-    def slope(d):
-        return np.array([w @ agg.grad(xb + d[0])[0]])
+    def util(s):
+        return (np.add.reduceat(blocks.w * agg.value(up + s[of]), first)
+                - blocks.b)
 
-    return np.full_like(xb, increasing_roots(util, slope, 1)[0])
+    def slope(s):
+        return np.add.reduceat(blocks.w * agg.grad(up + s[of])[0], first)
+
+    return (increasing_roots(util, slope, blocks.b.size) - low)[:, of]
 
 
-def _single_atom_block(agg, xb, w, bval):
+def _single_atom_block(agg, xb, bval):
     """Fallback start for one-atom blocks, valid for any aggregator.
 
     With a single atom every cluster multiplier equals -1, so all marginal
@@ -463,23 +471,20 @@ def _single_atom_block(agg, xb, w, bval):
 
 
 def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
-    """Solves of a block on which Newton stalled at residual best, for the
-    two structures that reduce to one scalar root: each root is a start
-    that Newton must polish to kkt_tol."""
-    n, el = xb.shape
-    one = _Blocks(xb, w, np.array([bval], float), np.array([0, el]))
-    for applies, solve in ((n == 1, _scalar_block),
-                           (el == 1, _single_atom_block)):
-        if not applies:
-            continue
+    """Solve of a block on which Newton stalled at residual best: on one
+    atom the root of _single_atom_block is a start that Newton must polish
+    to kkt_tol; any other block is refused."""
+    if xb.shape[1] == 1:
         try:
-            y = solve(agg, xb, w, bval)
+            y = _single_atom_block(agg, xb, bval)
         except InversionError:
-            continue
-        polish = _newton(agg, groups, one, y, kkt_tol, 20)[0]
-        if polish[0] is not None:
-            return (*polish[:5], 0)
-        best = min(best, polish[1])
+            pass
+        else:
+            one = _Blocks(xb, w, np.array([bval], float), np.array([0, 1]))
+            polish = _newton(agg, groups, one, y, kkt_tol, 20)[0]
+            if polish[0] is not None:
+                return (*polish[:5], 0)
+            best = min(best, polish[1])
     raise ConvergenceError(
         f"block solve stalled at residual {best:.3e} "
         f"(tolerance {kkt_tol:.1e})", residual=best
@@ -541,19 +546,21 @@ def _batch(specs):
 
 def _finish(specs, starts, blocks, parts, results):
     """One PrimalSolution per spec, once every block that results leaves
-    None has been solved by the start level of its threshold, the batched
-    Newton and the fallbacks."""
+    None has been solved by the batched Newton, from starts if given, and
+    the one-atom fallback."""
     agg, groups = specs[0].aggregator, specs[0].clusters.groups
     kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
     todo = np.array([out is None for out in results])
     if todo.any():
         sub, keep = blocks.take(todo)
-        if starts is None:
-            y0 = _block_starts(agg, sub)
-        else:
+        if starts is not None:
             y0 = np.concatenate([np.asarray(start, float)[:, cols]
                                  for start, (_, cols) in zip(starts, parts)],
                                 axis=1)[:, keep]
+        elif agg.nagents == 1:
+            y0 = _one_agent_roots(agg, sub)
+        else:
+            y0 = _block_starts(agg, sub)
         newton = _newton(agg, groups, sub, y0, kkt_tol, max_iter)
         for m, out in zip(np.flatnonzero(todo), newton):
             if out[0] is None:
@@ -575,7 +582,7 @@ def _finish(specs, starts, blocks, parts, results):
     return sols
 
 
-def solve_batch(specs, starts=None) -> list[PrimalSolution]:
+def solve_batch(specs) -> list[PrimalSolution]:
     """solve_rho of several problems at once, one PrimalSolution each.
 
     For exponential agents without an interdependence term every block is
@@ -583,42 +590,43 @@ def solve_batch(specs, starts=None) -> list[PrimalSolution]:
     certificate of a Newton solve at kkt_tol.  The other blocks of all
     specs go side by side into one batched Newton, which steps each block
     on its own, so every block takes the iterates of a solve of its problem
-    alone and the results equal those of solve_rho spec by spec.  The start
-    levels are found once per distinct threshold of the blocks that go to
-    Newton.  All specs must share the aggregator object, the cluster groups
-    and the solver tolerances; ``starts``, if given, holds one start per
-    spec, which a block certified in closed form does not use.
+    alone and the results equal those of solve_rho spec by spec.  For a
+    single agent each such block starts at its root, all roots in one root
+    find, and Newton only certifies it; for several agents the start
+    levels are found once per distinct threshold.  All specs must share the
+    aggregator object, the cluster groups and the solver tolerances.
     """
     blocks, parts = _batch(specs)
     agg, results = specs[0].aggregator, [None] * blocks.b.size
     if agg.exponential_form is not None:
         results = _exponential_blocks(agg, specs[0].clusters.groups, blocks,
                                       specs[0].kkt_tol)
-    return _finish(specs, starts, blocks, parts, results)
+    return _finish(specs, None, blocks, parts, results)
 
 
 def _solve_newton(specs, starts=None) -> list[PrimalSolution]:
     """solve_batch without the closed form: every block goes through the
-    start levels, the batched Newton and the fallbacks, whatever the
-    aggregator.  Tests drive Newton on exponential agents through it and
-    hold it to the closed forms."""
+    batched Newton and the one-atom fallback, whatever the aggregator,
+    from ``starts`` as given (one per spec) or else from solve_batch's
+    starts.  Tests drive Newton on exponential agents through it, hold it
+    to the closed forms and force its paths by their starts."""
     blocks, parts = _batch(specs)
     return _finish(specs, starts, blocks, parts, [None] * blocks.b.size)
 
 
-def solve_rho(spec: RiskSpec, start: np.ndarray | None = None) -> PrimalSolution:
+def solve_rho(spec: RiskSpec) -> PrimalSolution:
     """Minimal total allocation meeting the conditional utility constraint.
 
     Returns the blockwise unique optimal allocation, the risk value per atom
     (constant on each block), the utility-constraint multiplier and the final
     KKT residual per block.  The blocks are independent programs.  For
     exponential agents without an interdependence term a block whose closed
-    form passes the KKT certificate is solved by it and does not use
-    ``start``; one batched Newton steps the other blocks together, and a
-    block it does not solve goes through the fallbacks alone.  This is
-    solve_batch of one spec.
+    form passes the KKT certificate is solved by it; one batched Newton
+    steps the other blocks together, from each block's root for a single
+    agent, and a one-atom block it does not solve goes through the
+    fallback alone.  This is solve_batch of one spec.
     """
-    return solve_batch([spec], None if start is None else [start])[0]
+    return solve_batch([spec])[0]
 
 
 @dataclass(frozen=True)

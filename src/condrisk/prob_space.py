@@ -110,8 +110,14 @@ class SigmaPartition:
         index = np.empty(k, dtype=np.intp)
         for m, b in enumerate(blocks):
             index[list(b)] = m
-        index.setflags(write=False)
-        object.__setattr__(self, "_block_index", index)
+        # the block of each atom, the atoms in block order, and where each
+        # block starts in that order
+        for name, arr in (
+                ("_block_index", index),
+                ("_order", np.concatenate(blocks).astype(np.intp)),
+                ("_cuts", np.cumsum([0] + [len(b) for b in blocks[:-1]]))):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def nblocks(self) -> int:
@@ -179,10 +185,12 @@ def cond_exp_under_density(q_row: np.ndarray, x: np.ndarray,
 
 def is_measurable(x: np.ndarray, g: SigmaPartition,
                   tol: float = MEASURABLE_TOL) -> bool:
-    """True iff x is constant on every block of g, within tol."""
-    x = g.space.check_values(x)
-    spread = x - g.expand(g.blockwise_mean(x))
-    return bool(np.max(np.abs(spread)) <= tol)
+    """True iff x is constant on every block of g, within tol: its spread
+    max - min on each block (0 on a constant block) is at most tol."""
+    x = g.space.check_values(x)[..., g._order]
+    spread = (np.maximum.reduceat(x, g._cuts, axis=-1)
+              - np.minimum.reduceat(x, g._cuts, axis=-1))
+    return bool(np.max(spread) <= tol)
 
 
 def coarsens(h: SigmaPartition, g: SigmaPartition) -> bool:
@@ -236,8 +244,3 @@ class DensityVector:
 
     def row(self, j: int) -> np.ndarray:
         return self.q[j]
-
-    @classmethod
-    def reference(cls, n: int, sigma: SigmaPartition) -> "DensityVector":
-        """The vector (P, ..., P): all-ones densities."""
-        return cls(np.ones((n, sigma.space.natoms)), sigma)

@@ -11,7 +11,7 @@ from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
                       SigmaPartition, cond_exp, conjugate_V, dual_report,
                       dual_value, extract_dual_optimizer, in_q1,
                       parse_scenario, penalty_alpha1, q_hat_closed,
-                      rho_with_measure, solve_rho)
+                      solve_rho)
 from condrisk import dual, equilibrium, pi_problem, preferences
 from conftest import (CANONICAL, make_canonical_spec,
                       random_exponential_instance, random_partition)
@@ -221,7 +221,7 @@ class TestRhoWithMeasure:
     def test_optimal_measure_recovers_rho(self, canonical_spec):
         sol = solve_rho(canonical_spec)
         q = extract_dual_optimizer(sol, canonical_spec)
-        np.testing.assert_allclose(rho_with_measure(q, canonical_spec),
+        np.testing.assert_allclose(dual_value(q, canonical_spec),
                                    CANONICAL["rho"], atol=1e-9)
 
     def test_zero_instance_reference_measure(self):
@@ -232,7 +232,7 @@ class TestRhoWithMeasure:
                         b=np.full(2, -2.0),
                         clusters=ClusterConstraint.full_sharing(2))
         q = DensityVector(np.ones((2, 2)), g)
-        np.testing.assert_allclose(rho_with_measure(q, spec), 0.0, atol=1e-10)
+        np.testing.assert_allclose(dual_value(q, spec), 0.0, atol=1e-10)
 
     def test_dominated_by_rho_with_equality_at_optimum(self):
         # the risk equals the maximum of the fixed-measure risks over the
@@ -242,9 +242,9 @@ class TestRhoWithMeasure:
             spec, _ = random_exponential_instance(rng, kmax=8, nmax=3)
             sol = solve_rho(spec)
             q = random_admissible_q(rng, spec)
-            assert np.all(rho_with_measure(q, spec) <= sol.rho + 5e-9)
+            assert np.all(dual_value(q, spec) <= sol.rho + 5e-9)
             q_opt = extract_dual_optimizer(sol, spec)
-            np.testing.assert_allclose(rho_with_measure(q_opt, spec), sol.rho,
+            np.testing.assert_allclose(dual_value(q_opt, spec), sol.rho,
                                        atol=5e-9)
 
 
@@ -300,7 +300,7 @@ class TestPenaltyMemo:
         rng = np.random.default_rng(36)
         spec, _ = random_exponential_instance(rng, kmax=12, nmax=3)
         q = random_admissible_q(rng, spec)
-        value = rho_with_measure(q, spec)
+        value = dual_value(q, spec)
         assert spec.sigma.nblocks > 1
         assert len(solves) == 1
         np.testing.assert_array_equal(value, dual_value(q, spec))

@@ -15,8 +15,9 @@ from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
 
 def newton_rho(spec, start=None):
-    """solve_rho through the start levels, the batched Newton and the
-    fallbacks, even where the closed form of exponential agents applies."""
+    """solve_rho through the batched Newton and the one-atom fallback, from
+    start if given, even where the closed form of exponential agents
+    applies."""
     return primal._solve_newton([spec], None if start is None else [start])[0]
 
 
@@ -361,18 +362,15 @@ class TestBatchedNewton:
                         clusters=ClusterConstraint.full_sharing(1))
 
     def test_blocks_solve_as_if_alone(self):
-        # one agent; a fast block, a slow block near the supremum and two
-        # blocks on which Newton stalls and a fallback takes over, all from
-        # one constant start sized for the largest threshold and shifted by
-        # the largest |x| (the per-block start solves all four quickly)
+        # one agent, four blocks, each started 2 above its own start: a
+        # fast block, a slow one near the supremum and two in between, all
+        # stepped by Newton (from its root a single agent takes no step)
         spec = self.four_block_spec([-4.9, -0.05, -0.19, -0.31])
         g, space = spec.sigma, spec.space
-        level = feasible_start(replace(spec, x=np.zeros_like(spec.x),
-                                       b=np.full(space.natoms, spec.b.max())))
-        start = level + np.max(np.abs(spec.x), axis=1)[:, None]
+        start = feasible_start(spec) + 2.0
         sol = newton_rho(spec, start=start)
-        assert sol.iterations[0] < 50 < 100 < sol.iterations[1]
-        assert np.all(sol.iterations[2:] == 0)
+        assert 0 < sol.iterations[0] < 50 < sol.iterations[1]
+        assert np.all(sol.iterations[2:] > 0)
         for m, blk in enumerate(g.blocks):
             idx = list(blk)
             sub = ScenarioSpace(tuple(space.atom_labels[i] for i in idx),
@@ -394,7 +392,8 @@ class TestBatchedNewton:
         # Newton path and solution exactly as they were
         spec = self.four_block_spec([-4.9, -0.05, -0.19, -0.31])
         spec_r = self.four_block_spec([-4.9, -1e-3, -0.19, -0.31])
-        sol, sol_r = newton_rho(spec), newton_rho(spec_r)
+        sol = newton_rho(spec, start=feasible_start(spec))
+        sol_r = newton_rho(spec_r, start=feasible_start(spec_r))
         for m, blk in enumerate(spec.sigma.blocks):
             if m == 1:
                 continue
@@ -565,29 +564,29 @@ class TestSolveBatch:
                                                       want[..., j])
 
     def test_fallback_blocks_in_a_batch(self, monkeypatch):
-        # from the constant start of test_blocks_solve_as_if_alone, Newton
-        # stalls on two single-agent blocks and the scalar fallback takes
-        # them, while the blocks of the other spec converge in Newton
+        # each block started 3 above its own start: Newton stalls on the
+        # one-atom block near the supremum and the one-atom fallback takes
+        # it, while the other blocks, and those of the other spec, converge
+        # in Newton
         spec = TestBatchedNewton.four_block_spec([-4.9, -0.05, -0.19, -0.31])
-        level = feasible_start(replace(spec, x=np.zeros_like(spec.x),
-                                       b=np.full(spec.space.natoms,
-                                                 spec.b.max())))
-        start = level + np.max(np.abs(spec.x), axis=1)[:, None]
+        start = feasible_start(spec) + 3.0
         other = replace(spec, x=spec.x - 1.0,
                         sigma=SigmaPartition.trivial(spec.space),
                         b=np.full(spec.space.natoms, -2.0))
-        apart = newton_rho(spec, start=start), newton_rho(other)
-        fallbacks, real = [], primal._scalar_block
+        apart = (newton_rho(spec, start=start),
+                 newton_rho(other, start=feasible_start(other)))
+        fallbacks, real = [], primal._single_atom_block
 
         def counting(*args):
             fallbacks.append(args[-1])
             return real(*args)
 
-        monkeypatch.setattr(primal, "_scalar_block", counting)
+        monkeypatch.setattr(primal, "_single_atom_block", counting)
         batch = primal._solve_newton([spec, other],
                                      [start, feasible_start(other)])
-        assert fallbacks == [-0.19, -0.31]
-        assert np.all(batch[0].iterations[2:] == 0)
+        assert fallbacks == [-0.05]
+        assert batch[0].iterations[1] == 0
+        assert batch[0].iterations[[0, 2, 3]].min() > 0
         assert batch[1].iterations[0] > 0
         for got, want in zip(batch, apart):
             assert_same_solution(got, want)
@@ -614,6 +613,15 @@ def assert_same_point(got, want):
     np.testing.assert_allclose(got.y_hat, want.y_hat, rtol=1e-6, atol=1e-6)
 
 
+def assert_newton_steps(sol, spec):
+    """Several agents take Newton steps; a single agent starts each block
+    at its root, where Newton only certifies it."""
+    if spec.nagents == 1:
+        assert np.all(sol.iterations == 0)
+    else:
+        assert sol.iterations.sum() > 0
+
+
 class TestPrimalNewtonAgainstClosedForms:
     """The batched Newton, which serves every aggregator without a closed
     form, driven on exponential agents through the private entry and held
@@ -625,7 +633,7 @@ class TestPrimalNewtonAgainstClosedForms:
         for _ in range(30):
             spec, c = random_exponential_instance(rng, kmax=16, nmax=4)
             sol = newton_rho(spec)
-            assert sol.iterations.sum() > 0
+            assert_newton_steps(sol, spec)
             np.testing.assert_allclose(
                 sol.rho, rho_closed(spec.x, spec.b, spec.sigma, c),
                 rtol=1e-8, atol=1e-8)
@@ -643,7 +651,7 @@ class TestPrimalNewtonAgainstClosedForms:
             two += spec.clusters.ngroups == 2
             closed, newton = solve_rho(spec), newton_rho(spec)
             assert np.all(closed.iterations == 0)
-            assert newton.iterations.sum() > 0
+            assert_newton_steps(newton, spec)
             assert_same_point(newton, closed)
             np.testing.assert_allclose(newton.mu, closed.mu, rtol=1e-8)
         assert two > 0
@@ -670,9 +678,6 @@ class TestClosedFormRouting:
             assert np.all(sol.iterations == 0)
             assert np.all(sol.kkt_residual <= spec.kkt_tol)
             assert_same_point(sol, newton)
-            # a start is not used by a block certified in closed form
-            far = solve_rho(spec, start=np.full_like(spec.x, 1e3))
-            np.testing.assert_array_equal(far.y_hat, sol.y_hat)
 
     def test_uncertified_blocks_take_the_newton_path(self, monkeypatch):
         # with the closed-form points of every third block of a batch
@@ -796,9 +801,10 @@ class TestAxioms:
 
 
 class TestScalarRoots:
-    """Start levels and the single-agent fallback at extreme thresholds:
-    each is a scalar root of the bracketed Newton in preferences.  A
-    RuntimeWarning fails these tests, as it fails the suite."""
+    """Start levels and the roots of single-agent blocks at extreme
+    thresholds: each is a scalar root of the bracketed Newton in
+    preferences.  A RuntimeWarning fails these tests, as it fails the
+    suite."""
 
     @pytest.mark.parametrize("alpha", [1e-6, 1.0, 100.0])
     @pytest.mark.parametrize("b", [-1e6, -1.0, -1e-8])
@@ -836,3 +842,36 @@ class TestScalarRoots:
         assert np.all(agg.value(spec.x + start) >= spec.b)
         sol = solve_rho(spec)
         assert sol.converged and np.all(sol.kkt_residual <= spec.kkt_tol)
+
+    @pytest.mark.parametrize("u", [RationalPowerUtility(2.0),
+                                   ArctanPowerUtility(1.5)])
+    def test_one_agent_blocks_start_at_their_root(self, u, monkeypatch):
+        # every block of a single agent starts at its root, so Newton only
+        # certifies it, with no start level; a batch equals its specs
+        # solved one by one, to the last bit
+        agg = Aggregator((u,))
+        rng = np.random.default_rng(66)
+        gaps = np.array([1.5e-9, 1e-8, 1e-6, 1e-3, 0.5, 2.0, 5.0])
+        specs = []
+        for k, nb in ((40, 25), (24, 9), (12, 12)):
+            space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                                  rng.dirichlet(np.ones(k)))
+            cuts = np.sort(rng.choice(np.arange(1, k), nb - 1, replace=False))
+            g = SigmaPartition(space, tuple(
+                tuple(int(i) for i in blk)
+                for blk in np.split(rng.permutation(k), cuts)))
+            specs.append(RiskSpec(
+                space=space, sigma=g, x=rng.uniform(-2.0, 2.0, (1, k)),
+                aggregator=agg, b=g.expand(agg.sup - rng.choice(gaps, nb)),
+                clusters=ClusterConstraint.full_sharing(1)))
+
+        def refuse(*args):
+            raise AssertionError("no start level is needed")
+
+        monkeypatch.setattr(primal, "_start_levels", refuse)
+        batch = primal.solve_batch(specs)
+        for got, spec in zip(batch, specs):
+            assert np.all(got.iterations == 0)
+            assert np.all(got.kkt_residual <= spec.kkt_tol)
+            assert_same_solution(got, solve_rho(spec))
+        assert max(spec.b.max() for spec in specs) == agg.sup - 1.5e-9

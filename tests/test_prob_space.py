@@ -126,6 +126,26 @@ class TestMeasurable:
         assert is_measurable(np.array([1.0, 2.0]),
                              SigmaPartition.discrete(sp2))
 
+    def test_constant_blocks_of_large_magnitude(self):
+        # a blockwise mean rounds, so x minus its mean can exceed tol on an
+        # exactly constant x of large magnitude; the spread max - min
+        # cannot
+        rng = np.random.default_rng(7)
+        sp = space(rng.dirichlet(np.ones(128)))
+        cuts = np.sort(rng.choice(np.arange(1, 128), 24, replace=False))
+        g = SigmaPartition(sp, tuple(tuple(int(i) for i in blk) for blk
+                                     in np.split(rng.permutation(128), cuts)))
+        for _ in range(200):
+            level = rng.choice([-1.0, 1.0], 25) * 10.0 ** rng.uniform(0, 8, 25)
+            x = g.expand(level)
+            assert is_measurable(x, g)
+            assert is_measurable(np.stack([x, -x]), g)
+        # and it is no looser: one atom off by twice the tolerance
+        x = g.expand(np.ones(25))
+        x[g.blocks[3][1]] += 2e-10
+        assert not is_measurable(x, g)
+        assert not is_measurable(np.stack([g.expand(np.ones(25)), x]), g)
+
 
 class TestCondRelativeEntropy:
     def test_reference_measure_has_zero_entropy(self):

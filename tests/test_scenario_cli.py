@@ -219,6 +219,22 @@ class TestCompositeScenario:
         assert report["pass"] is True
         assert abs(float(report["gap"]["block0"])) <= 5e-9
 
+    def test_msorte_tol_sets_only_the_kkt_tolerance(self, capsys):
+        # the equilibrium is verified at 1e-6 whatever --tol: a loose solve
+        # fails that bound, and the default tolerance passes it whether it
+        # is given or not
+        path = str(Path(__file__).resolve().parents[1] / "scenarios"
+                   / "composite.json")
+        assert main(["msorte", path, "--tol", "1e-2"]) == 0
+        loose = json.loads(capsys.readouterr().out)
+        assert loose["pass"] is False
+        assert float(loose["residuals"]["constraint_activity"]) > 1e-6
+        assert main(["msorte", path]) == 0
+        default = capsys.readouterr().out
+        assert json.loads(default)["pass"] is True
+        assert main(["msorte", path, "--tol", "1e-9"]) == 0
+        assert capsys.readouterr().out == default
+
 
 class TestCliErrors:
     def test_schema_error_exit_code(self, tmp_path, capsys):
