@@ -21,8 +21,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .preferences import InversionError, utility_level_roots, xlogx
-from .primal import PrimalSolution, RiskSpec, _Blocks
+from .preferences import (InversionError, stable_sum, utility_level_roots,
+                          xlogx)
+from .primal import (PrimalSolution, RiskSpec, _Blocks, _cluster_sum,
+                     _membership)
 from .prob_space import DensityVector, cond_exp
 
 FAIRNESS_TOL = 1e-8
@@ -64,16 +66,13 @@ def fairness_blocks(q: DensityVector, spec: RiskSpec,
     covered already by the normalization invariant.
     """
     _check_density(q, spec)
-    ok = np.ones(spec.sigma.nblocks, dtype=bool)
-    for group in spec.clusters.groups:
-        if len(group) < 2:
-            continue
-        rows = q.q[list(group), :]
-        spread = np.max(np.abs(rows - rows[0][None, :]), axis=0)
-        for m, blk in enumerate(spec.sigma.blocks):
-            if spread[list(blk)].max() > tol:
-                ok[m] = False
-    return ok
+    groups = spec.clusters.groups
+    lead = np.array([group[0] for group in groups])[_membership(groups)[0]]
+    # the largest gap of any agent's density to its cluster's first on
+    # each atom, then on each block
+    spread = np.abs(q.q - q.q[lead]).max(axis=0)
+    return ~(np.maximum.reduceat(spread[spec.sigma.order], spec.sigma.cuts)
+             > tol)
 
 
 def in_q1(q: DensityVector, spec: RiskSpec) -> bool:
@@ -178,9 +177,7 @@ def _dual_terms(q: DensityVector, spec: RiskSpec,
     """(penalty, dual objective) per atom: the objective is the
     density-weighted cost of the positions minus the penalty."""
     alpha1 = _penalty(q, spec, sol)
-    cost = np.zeros(spec.space.natoms)
-    for j in range(spec.nagents):
-        cost += cond_exp(q.row(j) * (-spec.x[j]), spec.sigma)
+    cost = stable_sum(cond_exp(q.q * -spec.x, spec.sigma))
     return alpha1, cost - alpha1
 
 
@@ -199,12 +196,10 @@ def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
     (they agree at the exact optimum; averaging removes solver noise), so
     the result always satisfies the fairness condition.
     """
+    groups = spec.clusters.groups
+    member, _, _, sizes = _membership(groups)
     grads = spec.aggregator.grad(spec.x + sol.y_hat)
-    q = np.empty_like(grads)
-    for group in spec.clusters.groups:
-        rows = list(group)
-        avg = grads[rows, :].mean(axis=0)
-        q[rows, :] = avg[None, :]
+    q = (_cluster_sum(groups, grads) / sizes[:, None])[member]
     q = q / cond_exp(q, spec.sigma)
     dens = DensityVector(q, spec.sigma)
     if check_gap:

@@ -16,7 +16,8 @@ import numpy as np
 
 from .dual import extract_dual_optimizer, in_q1
 from .preferences import gradient_path, multiplier_newton, xlogx
-from .primal import PrimalSolution, RiskSpec, _Blocks, solve_rho
+from .primal import (PrimalSolution, RiskSpec, _Blocks, _cluster_sum,
+                     solve_rho)
 from .prob_space import (DensityVector, cond_exp, cond_exp_under_density,
                          is_measurable)
 
@@ -38,10 +39,17 @@ class EquilibriumTriple:
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "budget_a", budget)
-        g = self.q.sigma
-        for j in range(alpha.shape[0]):
-            if not is_measurable(alpha[j], g, 1e-7):
-                raise ValueError(f"budget row {j} is not partition-measurable")
+        g, shape = self.q.sigma, self.q.q.shape
+        if (y.shape, alpha.shape, budget.shape) != (shape, shape, shape[1:]):
+            raise ValueError(f"allocation {y.shape}, budget rows "
+                             f"{alpha.shape} and total {budget.shape} must "
+                             f"have the shapes {shape}, {shape} and "
+                             f"{shape[1:]} of the densities")
+        spread = g._spread(g.space.check_values(alpha, "budget rows"))
+        bad = np.flatnonzero(~(spread.max(axis=1) <= 1e-7))
+        if bad.size:
+            raise ValueError(f"budget row {bad[0]} is not "
+                             "partition-measurable")
         if np.max(np.abs(alpha.sum(axis=0) - budget)) > 1e-7:
             raise ValueError("per-agent budgets do not sum to the total")
 
@@ -108,9 +116,11 @@ def pi_problem(q: DensityVector, budget_a: np.ndarray,
     if not in_q1(q, spec):
         raise ValueError("measure vector is not admissible")
     budget_a = spec.space.check_values(budget_a, "budget")
+    if budget_a.ndim != 1:
+        raise ValueError(f"budget of shape {budget_a.shape} is not one row")
     if not is_measurable(budget_a, spec.sigma):
         raise ValueError("budget must be partition-measurable")
-    budget = np.array([budget_a[blk[0]] for blk in spec.sigma.blocks])
+    budget = budget_a[spec.sigma.first]
     solve = (_pi_newton if spec.aggregator.exponential_form is None
              else _pi_exponential)
     return spec.sigma.expand(solve(q, budget, spec))
@@ -148,38 +158,36 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
     aggregators a per-agent optimality diagnostic (marginal utility
     proportional to the agent's density on each block) is also reported.
     """
-    g = spec.sigma
-    y = t.y
-    cluster_res = 0.0
-    for group in spec.clusters.groups:
-        s = y[list(group), :].sum(axis=0)
-        cluster_res = max(cluster_res,
-                          float(np.max(np.abs(s - cond_exp(s, g)))))
+    g, y = spec.sigma, t.y
+    if t.q.sigma is not g and t.q.sigma != g:
+        raise ValueError("the triple's densities are normalized against a "
+                         "different partition than the spec's")
+    if t.q.nagents != spec.nagents:
+        raise ValueError(f"the triple has {t.q.nagents} agents, the spec "
+                         f"{spec.nagents}")
+    s = _cluster_sum(spec.clusters.groups, y)
+    cluster_res = float(np.max(np.abs(s - cond_exp(s, g))))
     budget_res = float(np.max(np.abs(y.sum(axis=0) - t.budget_a)))
 
     util = cond_exp(spec.aggregator.value(spec.x + y), g)
     activity_res = float(np.max(np.abs(util - spec.b)))
 
-    qval = np.zeros(spec.space.natoms)
-    for j in range(spec.nagents):
-        qval += cond_exp_under_density(t.q.row(j), y[j], g)
-    value_budget_res = float(np.max(np.abs(qval - t.budget_a)))
+    # the fair allocations of the allocation under the densities
+    fair = cond_exp_under_density(t.q.q, y, g)
+    value_budget_res = float(np.max(np.abs(fair.sum(axis=0) - t.budget_a)))
 
     pi = pi_problem(t.q, t.budget_a, spec)
     value_res = float(np.max(np.abs(pi - util)))
 
-    alpha_res = 0.0
-    for j in range(spec.nagents):
-        aj = cond_exp_under_density(t.q.row(j), y[j], g)
-        alpha_res = max(alpha_res, float(np.max(np.abs(aj - t.alpha[j]))))
+    alpha_res = float(np.max(np.abs(fair - t.alpha)))
 
     per_agent = np.nan
     if spec.aggregator.separable:
-        per_agent = 0.0
-        for j, u in enumerate(spec.aggregator.utilities):
-            ratio = u.deriv(spec.x[j] + y[j]) / np.maximum(t.q.row(j), 1e-300)
-            spread = np.abs(ratio - cond_exp(ratio, g)) / np.abs(ratio)
-            per_agent = max(per_agent, float(spread.max()))
+        z = spec.x + y
+        ratio = np.stack([u.deriv(z[j]) for j, u in enumerate(
+            spec.aggregator.utilities)]) / np.maximum(t.q.q, 1e-300)
+        per_agent = float(np.max(np.abs(ratio - cond_exp(ratio, g))
+                                 / np.abs(ratio)))
 
     return MsorteReport(cluster_feasibility=cluster_res,
                         budget_match=max(budget_res, value_budget_res),
@@ -196,6 +204,5 @@ def build_equilibrium(spec: RiskSpec,
     the fair per-agent allocations split the total risk as budgets."""
     sol = solve_rho(spec) if sol is None else sol
     q = extract_dual_optimizer(sol, spec)
-    alpha = np.vstack([cond_exp_under_density(q.row(j), sol.y_hat[j], spec.sigma)
-                       for j in range(spec.nagents)])
+    alpha = cond_exp_under_density(q.q, sol.y_hat, spec.sigma)
     return EquilibriumTriple(y=sol.y_hat, q=q, alpha=alpha, budget_a=sol.rho)

@@ -49,13 +49,10 @@ def exp_constants(alphas) -> ExpConstants:
         raise ValueError("alphas must be a nonempty vector")
     if np.any(alphas <= 0.0):
         raise ValueError("alphas must be positive")
-    beta = 0.0
-    for a in alphas:
-        beta += 1.0 / a
-    a_j = np.array([np.log(1.0 / a) / a for a in alphas])
-    a_total = 0.0
-    for v in a_j:
-        a_total += v
+    # running sums add left to right, one agent at a time
+    beta = float(np.add.accumulate(1.0 / alphas)[-1])
+    a_j = np.log(1.0 / alphas) / alphas
+    a_total = float(np.add.accumulate(a_j)[-1])
     return ExpConstants(alphas=alphas, beta=beta, a_j=a_j, a_total=a_total)
 
 
@@ -69,15 +66,10 @@ def _check_threshold(b: np.ndarray, g: SigmaPartition) -> np.ndarray:
 
 
 def _log_cond_exp_exp(s: np.ndarray, g: SigmaPartition) -> np.ndarray:
-    """log E[exp(s) | g] per atom, stabilized by a blockwise shift."""
-    w = g.conditional_weights()
-    out = np.empty_like(s)
-    for blk in g.blocks:
-        idx = list(blk)
-        sb = s[idx]
-        m = sb.max()
-        out[idx] = m + np.log(w[idx] @ np.exp(sb - m))
-    return out
+    """log E[exp(s) | g] per atom, stabilized by a blockwise shift, of s
+    and of every row of an (N, K) array."""
+    top = g.expand(np.maximum.reduceat(s[..., g.order], g.cuts, axis=-1))
+    return top + g.expand(np.log(g._means(np.exp(s - top))))
 
 
 def rho_closed(x: np.ndarray, b: np.ndarray, g: SigmaPartition,
@@ -118,8 +110,7 @@ def a_hat_closed(x: np.ndarray, b: np.ndarray, g: SigmaPartition,
     g-measurable and sum to the risk value blockwise."""
     y = y_hat_closed(x, b, g, c)
     q = q_hat_closed(x, g, c)
-    return np.vstack([cond_exp_under_density(q.row(j), y[j], g)
-                      for j in range(c.nagents)])
+    return cond_exp_under_density(q.q, y, g)
 
 
 def alpha1_entropic(q_hat: DensityVector, b: np.ndarray, g: SigmaPartition,

@@ -139,7 +139,7 @@ class RiskSpec:
 
     def block_threshold(self) -> np.ndarray:
         """Per-block threshold, read off the first atom of each block."""
-        return np.array([self.b[blk[0]] for blk in self.sigma.blocks])
+        return self.b[self.sigma.first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,10 +214,10 @@ class _Blocks:
     @classmethod
     def from_spec(cls, spec: RiskSpec):
         """The blocks of a problem, and the atom of each of their columns."""
-        cols = np.concatenate(spec.sigma.blocks).astype(np.intp)
-        start = np.cumsum([0] + [len(blk) for blk in spec.sigma.blocks])
-        return cls(spec.x[:, cols], spec.sigma.conditional_weights()[cols],
-                   spec.block_threshold(), start), cols
+        g = spec.sigma
+        return cls(spec.x[:, g.order], g.conditional_weights()[g.order],
+                   spec.block_threshold(), np.append(g.cuts, g.order.size)
+                   ), g.order
 
     @classmethod
     def join(cls, parts) -> "_Blocks":
@@ -676,10 +676,7 @@ def check_axioms(spec: RiskSpec, spec2: RiskSpec,
     n = spec.nagents
     xmix = lam[None, :] * x + (1.0 - lam[None, :]) * z
     y_g = np.stack([(1.0 + j / max(n, 1)) * lam for j in range(n)])
-    mask = np.zeros(spec.space.natoms)
-    for m, blk in enumerate(spec.sigma.blocks):
-        if m % 2 == 0:
-            mask[list(blk)] = 1.0
+    mask = (spec.sigma.block_index % 2 == 0).astype(float)
     x_loc = mask[None, :] * x + (1.0 - mask[None, :]) * z
     rho_x, rho_z, rho_lo, rho_hi, rho_mix, rho_shift, rho_loc = (
         sol.rho for sol in solve_batch([spec] + [spec.with_x(v) for v in (

@@ -32,8 +32,8 @@ class ScenarioSpace:
     def __eq__(self, other):
         if not isinstance(other, ScenarioSpace):
             return NotImplemented
-        return (self.atom_labels == other.atom_labels
-                and np.array_equal(self.prob, other.prob))
+        return self is other or (self.atom_labels == other.atom_labels
+                                 and np.array_equal(self.prob, other.prob))
 
     def __hash__(self):
         return hash((self.atom_labels, self.prob.tobytes()))
@@ -69,11 +69,10 @@ class ScenarioSpace:
 
     def check_values(self, x: np.ndarray, name: str = "values") -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.natoms:
+        if x.shape[-1:] != (self.natoms,):
             raise DimensionMismatchError(
-                f"{name} has {x.shape[-1]} atoms, space has {self.natoms}"
-            )
-        if not np.all(np.isfinite(x)):
+                f"{name} has shape {x.shape}, space has {self.natoms} atoms")
+        if not np.isfinite(x).all():
             raise ValueError(f"{name} contains non-finite entries")
         return x
 
@@ -84,6 +83,13 @@ class SigmaPartition:
 
     Blocks are canonicalized (each sorted ascending, blocks ordered by their
     smallest element) so that structural equality is partition equality.
+
+    The block layout is computed once, read-only: ``order`` lists the atoms
+    block by block, block m taking ``order[cuts[m]:cuts[m + 1]]`` (the last
+    block runs to the end), ``first`` is the first atom of each block and
+    ``block_index`` the block of each atom.  Every conditional expectation
+    is one segment sum over ``order`` on the last axis of a (..., K) array,
+    so a matrix is reduced exactly as its rows one by one.
     """
 
     space: ScenarioSpace
@@ -92,7 +98,8 @@ class SigmaPartition:
     def __eq__(self, other):
         if not isinstance(other, SigmaPartition):
             return NotImplemented
-        return self.space == other.space and self.blocks == other.blocks
+        return self is other or (self.space == other.space
+                                 and self.blocks == other.blocks)
 
     def __hash__(self):
         return hash((self.space, self.blocks))
@@ -107,26 +114,23 @@ class SigmaPartition:
             raise ValueError("partition blocks must be nonempty")
         if sorted(seen) != list(range(k)):
             raise ValueError("blocks must partition the atom indices exactly")
+        sizes = np.array([len(b) for b in blocks])
+        order = np.array(seen, dtype=np.intp)
         index = np.empty(k, dtype=np.intp)
-        for m, b in enumerate(blocks):
-            index[list(b)] = m
-        # the block of each atom, the atoms in block order, and where each
-        # block starts in that order
-        for name, arr in (
-                ("_block_index", index),
-                ("_order", np.concatenate(blocks).astype(np.intp)),
-                ("_cuts", np.cumsum([0] + [len(b) for b in blocks[:-1]]))):
+        index[order] = np.repeat(np.arange(len(blocks)), sizes)
+        cuts = np.cumsum(sizes) - sizes
+        prob = self.space.prob
+        bprob = np.bincount(index, weights=prob, minlength=len(blocks))
+        for name, arr in (("order", order), ("cuts", cuts),
+                          ("block_index", index), ("first", order[cuts]),
+                          ("_bprob", bprob), ("_prob", prob[order]),
+                          ("_weights", prob / bprob[index])):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @property
     def nblocks(self) -> int:
         return len(self.blocks)
-
-    @property
-    def block_index(self) -> np.ndarray:
-        """Atom index -> block index map, shape (K,)."""
-        return self._block_index
 
     @classmethod
     def trivial(cls, space: ScenarioSpace) -> "SigmaPartition":
@@ -137,68 +141,75 @@ class SigmaPartition:
         return cls(space, tuple((i,) for i in range(space.natoms)))
 
     def block_prob(self) -> np.ndarray:
-        """Total probability per block, shape (nblocks,)."""
-        return np.bincount(self._block_index, weights=self.space.prob,
-                           minlength=self.nblocks)
+        """Total probability per block, shape (nblocks,), read-only."""
+        return self._bprob
 
     def conditional_weights(self) -> np.ndarray:
-        """Per-atom conditional probability within its block, shape (K,)."""
-        return self.space.prob / self.block_prob()[self._block_index]
+        """Per-atom conditional probability within its block, shape (K,),
+        read-only."""
+        return self._weights
+
+    def _means(self, x: np.ndarray) -> np.ndarray:
+        """blockwise_mean of a checked array."""
+        return (np.add.reduceat(x[..., self.order] * self._prob, self.cuts,
+                                axis=-1) / self._bprob)
+
+    def _spread(self, x: np.ndarray) -> np.ndarray:
+        """max - min of a checked array on each block, shape (..., nblocks)."""
+        x = x[..., self.order]
+        return (np.maximum.reduceat(x, self.cuts, axis=-1)
+                - np.minimum.reduceat(x, self.cuts, axis=-1))
 
     def blockwise_mean(self, x: np.ndarray) -> np.ndarray:
         """Conditional expectation values per block, shape (..., nblocks)."""
-        x = self.space.check_values(x)
-        pw = self.space.prob
-        psum = self.block_prob()
-        if x.ndim == 1:
-            s = np.bincount(self._block_index, weights=pw * x,
-                            minlength=self.nblocks)
-            return s / psum
-        rows = [np.bincount(self._block_index, weights=pw * row,
-                            minlength=self.nblocks) for row in x]
-        return np.vstack(rows) / psum
+        return self._means(self.space.check_values(x))
 
     def expand(self, per_block: np.ndarray) -> np.ndarray:
         """Replicate per-block values back onto atoms, shape (..., K)."""
         per_block = np.asarray(per_block, dtype=float)
-        return per_block[..., self._block_index]
+        return per_block[..., self.block_index]
 
 
 def cond_exp(x: np.ndarray, g: SigmaPartition) -> np.ndarray:
-    """E[x | g]: blockwise probability-weighted mean, replicated per block."""
+    """E[x | g]: blockwise probability-weighted mean, replicated per block,
+    of x and of every row of an (N, K) array."""
     return g.expand(g.blockwise_mean(x))
 
 
-def cond_exp_under_density(q_row: np.ndarray, x: np.ndarray,
+def cond_exp_under_density(q: np.ndarray, x: np.ndarray,
                            g: SigmaPartition) -> np.ndarray:
-    """Conditional expectation of x under the measure with density q_row.
+    """Conditional expectation of x under the measure with density q, for
+    a density row and x of shape (K,), or row by row for (N, K) arrays.
 
-    Identical to ``cond_exp(q_row * x, g)``; q_row must have blockwise
-    conditional mean 1 so the result is a genuine conditional expectation.
+    Identical to ``cond_exp(q * x, g)``; every row of q must have
+    blockwise conditional mean 1 so the result is a genuine conditional
+    expectation, and x must have the shape of q.
     """
-    q_row = g.space.check_values(q_row, "density")
-    means = g.blockwise_mean(q_row)
-    if np.max(np.abs(means - 1.0)) > 1e-8:
-        raise ValueError("density row is not normalized blockwise to mean 1")
-    return cond_exp(q_row * np.asarray(x, dtype=float), g)
+    q = g.space.check_values(q, "density")
+    x = g.space.check_values(x)
+    if x.shape != q.shape:
+        raise DimensionMismatchError(
+            f"values of shape {x.shape} do not match densities of shape "
+            f"{q.shape}")
+    dev = np.abs(g._means(q) - 1.0).reshape(-1, g.nblocks).max(axis=1)
+    if not dev.max() <= 1e-8:
+        raise ValueError(f"density row {int(np.argmax(dev))} is not "
+                         "normalized blockwise to mean 1")
+    return g.expand(g._means(q * x))
 
 
 def is_measurable(x: np.ndarray, g: SigmaPartition,
                   tol: float = MEASURABLE_TOL) -> bool:
     """True iff x is constant on every block of g, within tol: its spread
     max - min on each block (0 on a constant block) is at most tol."""
-    x = g.space.check_values(x)[..., g._order]
-    spread = (np.maximum.reduceat(x, g._cuts, axis=-1)
-              - np.minimum.reduceat(x, g._cuts, axis=-1))
-    return bool(np.max(spread) <= tol)
+    return bool(g._spread(g.space.check_values(x)).max() <= tol)
 
 
 def coarsens(h: SigmaPartition, g: SigmaPartition) -> bool:
     """True iff h is coarser than g (every block of g lies in a block of h)."""
     if h.space is not g.space and h.space != g.space:
         raise ValueError("partitions live on different spaces")
-    hi = h.block_index
-    return all(len(set(hi[list(b)])) == 1 for b in g.blocks)
+    return not g._spread(h.block_index).any()
 
 
 def cond_relative_entropy(q_row: np.ndarray, g: SigmaPartition) -> np.ndarray:
@@ -228,10 +239,9 @@ class DensityVector:
         q = np.atleast_2d(np.array(self.q, dtype=float))
         object.__setattr__(self, "q", q)
         self.sigma.space.check_values(q, "densities")
-        if np.any(q < -1e-12):
+        if (q < -1e-12).any():
             raise ValueError("densities must be nonnegative")
-        means = self.sigma.blockwise_mean(q)
-        worst = np.max(np.abs(means - 1.0))
+        worst = np.abs(self.sigma._means(q) - 1.0).max()
         if worst > DENSITY_NORM_TOL:
             raise ValueError(
                 f"density rows deviate from blockwise mean 1 by {worst:.3e}"

@@ -147,6 +147,64 @@ class TestMembership:
                 assert np.all(lhs <= y.sum(axis=0) + 1e-8)
 
 
+def fairness_loop(q, spec, tol=dual.FAIRNESS_TOL):
+    """fairness_blocks as a loop over clusters and blocks, for reference."""
+    ok = np.ones(spec.sigma.nblocks, dtype=bool)
+    for group in spec.clusters.groups:
+        if len(group) < 2:
+            continue
+        rows = q.q[list(group), :]
+        spread = np.max(np.abs(rows - rows[0][None, :]), axis=0)
+        for m, blk in enumerate(spec.sigma.blocks):
+            if spread[list(blk)].max() > tol:
+                ok[m] = False
+    return ok
+
+
+class TestFairnessBlocks:
+    @pytest.mark.parametrize("clusters", [((0, 2), (1,), (3,)),
+                                          ((0, 1, 3), (2,)), ((0, 1, 2, 3),),
+                                          ((0,), (1,), (2,), (3,))])
+    def test_vectorised_equals_the_loop_at_the_tolerance(self, clusters):
+        # shared densities per cluster; then in some blocks one agent moves
+        # by delta on one atom and back on the block's heaviest atom, so
+        # that the block stays normalized and its largest gap is delta,
+        # just below or just above FAIRNESS_TOL
+        rng = np.random.default_rng(61)
+        tol = dual.FAIRNESS_TOL
+        verdicts = set()
+        for _ in range(30):
+            k = int(rng.integers(2, 25))
+            space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                                  rng.dirichlet(np.ones(k)))
+            g = random_partition(rng, space)
+            spec = RiskSpec(space=space, sigma=g, x=np.zeros((4, k)),
+                            aggregator=Aggregator.exponential([1.0] * 4),
+                            b=np.full(k, -1.0),
+                            clusters=ClusterConstraint(clusters))
+            q = random_admissible_q(rng, spec).q.copy()
+            w = g.conditional_weights()
+            want = np.ones(g.nblocks, dtype=bool)
+            for m, blk in enumerate(g.blocks):
+                if len(blk) < 2 or rng.random() < 0.3:
+                    continue
+                heavy = blk[int(np.argmax(w[list(blk)]))]
+                atom = int(rng.choice([i for i in blk if i != heavy]))
+                agent = int(rng.integers(4))
+                delta = tol * (1.0 + rng.choice([-1e-3, 1e-3]))
+                q[agent, atom] += delta
+                q[agent, heavy] -= delta * w[atom] / w[heavy]
+                shared = any(agent in grp and len(grp) > 1
+                             for grp in clusters)
+                want[m] = not (shared and delta > tol)
+            dens = DensityVector(q, g)
+            got = dual.fairness_blocks(dens, spec)
+            np.testing.assert_array_equal(got, fairness_loop(dens, spec))
+            np.testing.assert_array_equal(got, want)
+            verdicts.update(got.tolist())
+        assert verdicts == ({True} if len(clusters) == 4 else {True, False})
+
+
 class TestDualValue:
     def test_canonical_chain(self, canonical_spec):
         q = canonical_q(canonical_spec)

@@ -37,6 +37,11 @@ class TestPiProblem:
         with pytest.raises(ValueError):
             pi_problem(q, np.zeros(2), canonical_spec)
 
+    def test_rejects_a_budget_matrix(self, canonical_spec):
+        triple = build_equilibrium(canonical_spec)
+        with pytest.raises(ValueError, match="shape"):
+            pi_problem(triple.q, triple.budget_a[None, :], canonical_spec)
+
     def test_rejects_unmeasurable_budget(self, canonical_spec):
         triple = build_equilibrium(canonical_spec)
         with pytest.raises(ValueError):
@@ -94,6 +99,46 @@ class TestVerify:
                               q=DensityVector(np.ones((2, 2)), g),
                               alpha=np.zeros((2, 2)),
                               budget_a=np.array([0.5, 0.5]))
+
+    def test_rows_must_match_the_densities(self, canonical_spec):
+        # a (1, K) budget row summing the agents' rows, a y with one row
+        # too few or a (1, K) total would broadcast against the (N, K)
+        # densities and the (K,) totals
+        t = build_equilibrium(canonical_spec)
+        for y, alpha, total in (
+                (t.y, t.alpha.sum(axis=0, keepdims=True), t.budget_a),
+                (t.y[:1], t.alpha, t.budget_a),
+                (t.y.T[:, :1], t.alpha, t.budget_a),
+                (t.y, t.alpha, t.budget_a[None, :])):
+            with pytest.raises(ValueError, match="shape"):
+                EquilibriumTriple(y=y, q=t.q, alpha=alpha, budget_a=total)
+
+    def test_unmeasurable_budget_row_is_named(self):
+        space = ScenarioSpace.uniform(4)
+        g = SigmaPartition(space, ((0, 1), (2, 3)))
+        alpha = np.zeros((3, 4))
+        alpha[2] = [0.0, 0.0, 1.0, 2.0]
+        alpha[1] = -alpha[2]
+        with pytest.raises(ValueError, match="budget row 1 "):
+            EquilibriumTriple(y=np.zeros((3, 4)),
+                              q=DensityVector(np.ones((3, 4)), g),
+                              alpha=alpha, budget_a=np.zeros(4))
+
+    def test_verify_refuses_a_triple_of_another_problem(self,
+                                                         canonical_spec):
+        triple = build_equilibrium(canonical_spec)
+        g = SigmaPartition.discrete(canonical_spec.space)
+        other_partition = EquilibriumTriple(
+            y=triple.y, q=DensityVector(np.ones((2, 2)), g),
+            alpha=triple.y, budget_a=triple.budget_a)
+        with pytest.raises(ValueError, match="partition"):
+            verify_msorte(other_partition, canonical_spec)
+        one_agent = EquilibriumTriple(
+            y=triple.y.sum(axis=0), q=DensityVector(np.ones(2),
+                                                    canonical_spec.sigma),
+            alpha=triple.budget_a, budget_a=triple.budget_a)
+        with pytest.raises(ValueError, match="agents"):
+            verify_msorte(one_agent, canonical_spec)
 
     def test_random_instances_close(self):
         rng = np.random.default_rng(50)

@@ -1,11 +1,14 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 
 from condrisk import (a_hat_closed, alpha1_entropic, cond_exp,
                       cond_exp_under_density, exp_constants, q_hat_closed,
                       rho_closed, y_hat_closed)
+from condrisk.exponential import _log_cond_exp_exp
 from condrisk.prob_space import DensityVector, ScenarioSpace, SigmaPartition
-from conftest import CANONICAL, random_exponential_instance
+from conftest import CANONICAL, random_exponential_instance, random_partition
 
 
 def trivial(k=2):
@@ -188,3 +191,46 @@ class TestEntropicPenalty:
         q = DensityVector(np.array([[1.5, 0.5], [0.5, 1.5]]), g)
         with pytest.raises(ValueError):
             alpha1_entropic(q, np.full(2, -2.0), g, c)
+
+
+class TestLogCondExpExp:
+    """The blockwise log-sum-exp behind the closed forms, against
+    log E[exp(s) | g] in 60-digit decimal arithmetic."""
+
+    @staticmethod
+    def reference(s, g):
+        with localcontext() as ctx:
+            ctx.prec = 60
+            p = [Decimal(float(v)) for v in g.space.prob]
+            out = np.empty(s.size)
+            for blk in g.blocks:
+                mass = sum(p[i] for i in blk)
+                mean = sum(p[i] * Decimal(float(s[i])).exp()
+                           for i in blk) / mass
+                out[list(blk)] = float(mean.ln())
+        return out
+
+    def test_finite_and_exact_for_spreads_up_to_700(self):
+        rng = np.random.default_rng(71)
+        worst = 0.0
+        for _ in range(60):
+            k = int(rng.integers(1, 33))
+            space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                                  rng.dirichlet(np.ones(k)))
+            g = random_partition(rng, space)
+            # within a block s spreads over up to +-700 around a centre
+            # that can take exp(s) past the float range on either side
+            half = 10.0 ** rng.uniform(0.0, np.log10(700.0))
+            centre = g.expand(rng.uniform(-500.0, 500.0, g.nblocks))
+            s = centre + rng.uniform(-half, half, k)
+            got = _log_cond_exp_exp(s, g)
+            assert np.all(np.isfinite(got))
+            ref = self.reference(s, g)
+            worst = max(worst, float(np.max(np.abs(got - ref)
+                                            / np.maximum(1.0, np.abs(ref)))))
+            # a matrix of such rows gives its rows bit for bit
+            rows = np.stack([s, -s, s[::-1].copy()])
+            np.testing.assert_array_equal(
+                _log_cond_exp_exp(rows, g),
+                np.stack([_log_cond_exp_exp(r, g) for r in rows]))
+        assert worst <= 4 * np.finfo(float).eps

@@ -85,6 +85,12 @@ class TestCondExp:
         with pytest.raises(ValueError):
             cond_exp(np.array([1.0, 2.0, 3.0]), SigmaPartition.trivial(sp))
 
+    def test_scalar_is_a_dimension_mismatch(self):
+        g = SigmaPartition.trivial(space([0.5, 0.5]))
+        for scalar in (3.0, np.float64(3.0), np.array(3.0)):
+            with pytest.raises(ValueError, match=r"shape \(\)"):
+                cond_exp(scalar, g)
+
 
 class TestCondExpUnderDensity:
     def test_reference_density_reduces_to_cond_exp(self):
@@ -113,6 +119,80 @@ class TestCondExpUnderDensity:
         g = SigmaPartition.trivial(sp)
         with pytest.raises(ValueError):
             cond_exp_under_density(np.array([1.0, 1.1]), np.ones(2), g)
+
+
+class TestWholeMatrices:
+    """cond_exp, blockwise_mean and cond_exp_under_density reduce an (N, K)
+    matrix exactly as its rows one by one, on partitions whose blocks are
+    given in shuffled order."""
+
+    @staticmethod
+    def draws(seed, count=60):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
+            k, n = int(rng.integers(1, 65)), int(rng.integers(1, 6))
+            sp = space(rng.dirichlet(np.ones(k)))
+            cuts = np.sort(rng.choice(np.arange(1, k), int(rng.integers(
+                0, k)), replace=False))
+            blocks = [tuple(int(i) for i in b)
+                      for b in np.split(rng.permutation(k), cuts)]
+            rng.shuffle(blocks)
+            g = SigmaPartition(sp, tuple(blocks))
+            x = rng.normal(size=(n, k)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+            raw = rng.uniform(0.05, 3.0, size=(n, k))
+            yield g, x, raw / cond_exp(raw, g)
+
+    @staticmethod
+    def loop_means(x, g):
+        """Blockwise means of each row by a float loop over each block."""
+        p = g.space.prob
+        out = np.empty((x.shape[0], g.nblocks))
+        for r, row in enumerate(x):
+            for m, blk in enumerate(g.blocks):
+                num = mass = 0.0
+                for i in blk:
+                    num += p[i] * row[i]
+                    mass += p[i]
+                out[r, m] = num / mass
+        return out
+
+    def test_rows_one_by_one_bit_for_bit(self):
+        for g, x, q in self.draws(81):
+            np.testing.assert_array_equal(
+                g.blockwise_mean(x), np.stack([g.blockwise_mean(r)
+                                               for r in x]))
+            np.testing.assert_array_equal(
+                cond_exp(x, g), np.stack([cond_exp(r, g) for r in x]))
+            np.testing.assert_array_equal(
+                cond_exp_under_density(q, x, g),
+                np.stack([cond_exp_under_density(qr, r, g)
+                          for qr, r in zip(q, x)]))
+
+    def test_equal_a_per_block_loop(self):
+        for g, x, q in self.draws(82):
+            for got, v in ((g.blockwise_mean(x), x),
+                           (cond_exp(x, g)[:, g.first], x),
+                           (cond_exp_under_density(q, x, g)[:, g.first],
+                            q * x)):
+                scale = self.loop_means(np.abs(v), g)
+                assert np.all(np.abs(got - self.loop_means(v, g))
+                              <= 1e-15 * scale)
+
+    def test_one_unnormalized_row_is_refused(self):
+        for g, x, q in self.draws(83, count=20):
+            j = x.shape[0] - 1
+            q = q.copy()
+            q[j] *= 1.0 + 2e-8
+            with pytest.raises(ValueError, match=f"density row {j} "):
+                cond_exp_under_density(q, x, g)
+
+    def test_shape_mismatch_raises(self):
+        for g, x, q in self.draws(84, count=20):
+            for qq, xx in ((q, x[:1]), (q[:1], x), (q[0], x), (q, x[0]),
+                           (q, np.concatenate([x, x]))):
+                if qq.shape != xx.shape:
+                    with pytest.raises(ValueError, match="shape"):
+                        cond_exp_under_density(qq, xx, g)
 
 
 class TestMeasurable:
