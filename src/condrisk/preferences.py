@@ -207,11 +207,11 @@ class CustomUtility(UnivariateUtility):
 
     def inverse_deriv(self, m):
         """Every entry at once by increasing_roots on m - u'(x); where
-        deriv2 is 0 or wrong, bisection takes over from Newton."""
+        deriv2 is 0, infinite or wrong, bisection takes over from Newton."""
         m = np.asarray(m, dtype=float)
         flat = m.ravel()
-        x = increasing_roots(lambda x: flat - self.deriv(x),
-                             lambda x: -self.deriv2(x), flat.size)
+        x = increasing_roots(lambda x: (flat - self.deriv(x), None),
+                             lambda x, _: -self.deriv2(x), flat.size)
         return x.reshape(m.shape)
 
 
@@ -342,6 +342,12 @@ class Aggregator:
         g = np.stack([u.deriv(x[j]) for j, u in enumerate(self.utilities)])
         return g + self.lam.grad(x)
 
+    def inverse_marginals(self, m):
+        """(u_j')^{-1}(m_j) per agent: the point where the marginal utility
+        of agent j's own utility is m_j, without the interdependence term."""
+        return np.stack([u.inverse_deriv(m[j])
+                         for j, u in enumerate(self.utilities)])
+
     def curvature(self, x):
         """The Hessian H = diag(u'') + v'' beta beta^T of U at x as the pair
         (u_j''(x_j) per agent, v''(beta^T x)), v'' = 0 when U is separable:
@@ -377,19 +383,23 @@ def _bracketed_newton(state, slope, s, lo, hi, f, payload, active):
 
     state(s) returns (f(s), payload) for every column at once and
     slope(s, payload) the derivative of f there.  A column bisects its
-    bracket when the Newton step leaves it or does not halve the previous
-    step (a steep power-like f makes Newton converge only linearly), and is
-    done once its step is at most 1e-12 (1 + |s|).  Only the columns
-    flagged in active step.  Returns (s, f, payload) at the last point
-    evaluated, the step from there and the done flags.
+    bracket when the Newton step leaves it, does not halve the previous
+    step (a steep power-like f makes Newton converge only linearly) or comes
+    from a slope that is not finite, and is done once its step is at most
+    1e-12 (1 + |s|).  Only the columns flagged in active step.  Returns
+    (s, f, payload) at the last point evaluated, the step from there and the
+    done flags.
     """
     active = active.copy()
     done = np.zeros_like(active)
     last = np.full(s.shape, np.inf)
     for _ in range(_BRACKET_MAX_ITER):
-        newton = s - f / slope(s, payload)
+        deriv = slope(s, payload)
+        newton = s - f / deriv
         tol = _BRACKET_STEP_TOL * (1.0 + np.abs(s))
-        small = np.abs(newton - s) <= tol
+        # an infinite slope makes the step zero at any point, which is no
+        # sign of a root: s is then an end of its bracket, so it bisects
+        small = np.isfinite(deriv) & (np.abs(newton - s) <= tol)
         keep = small | ((newton > lo) & (newton < hi)
                         & (np.abs(newton - s) <= 0.5 * last))
         step = np.where(keep, newton, 0.5 * (lo + hi))
@@ -405,39 +415,43 @@ def _bracketed_newton(state, slope, s, lo, hi, f, payload, active):
     return s, f, payload, step, done
 
 
-def increasing_roots(value, slope, n: int) -> np.ndarray:
-    """Roots of n increasing functions at once: value(s) and slope(s) give
-    the value and the derivative of function i at s[i], for s of shape (n,).
+def increasing_roots(state, slope, n: int) -> np.ndarray:
+    """Roots of n increasing functions at once, with the interface of
+    _bracketed_newton: state(s) returns (f(s), payload) for s of shape (n,),
+    function i evaluated at s[i], and slope(s, payload) the derivatives
+    there.
 
     Each bracket starts at [-2, 2], and each end doubles outwards until the
     function changes sign across the bracket or the end passes +-1e12;
     _bracketed_newton then pins the root from the upper end, and its last
-    step is returned.  Raises InversionError where no sign change was found
+    step is the root.  Raises InversionError where no sign change was found
     or a root did not converge.
     """
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         lo, hi = np.full(n, -2.0), np.full(n, 2.0)
-        flo, fhi = value(lo), value(hi)
+        flo = state(lo)[0]
+        fhi, payload = state(hi)
         while True:
             down = (flo > 0.0) & (lo > -_BRACKET_LIMIT)
             if not down.any():
                 break
             lo = np.where(down, 2.0 * lo, lo)
-            flo = np.where(down, value(lo), flo)
+            flo = np.where(down, state(lo)[0], flo)
         while True:
             up = (fhi < 0.0) & (hi < _BRACKET_LIMIT)
             if not up.any():
                 break
+            # every column is evaluated, so the payload is the one at hi
             hi = np.where(up, 2.0 * hi, hi)
-            fhi = np.where(up, value(hi), fhi)
+            f, payload = state(hi)
+            fhi = np.where(up, f, fhi)
         bracketed = (flo <= 0.0) & (fhi >= 0.0)
         if not bracketed.all():
             raise InversionError(
                 f"no sign change within |s| <= {_BRACKET_LIMIT:g} for "
                 f"{int((~bracketed).sum())} of {n} roots")
         _, _, _, root, done = _bracketed_newton(
-            lambda s: (value(s), None), lambda s, _: slope(s),
-            hi, lo, hi, fhi, None, np.ones(n, dtype=bool))
+            state, slope, hi, lo, hi, fhi, payload, np.ones(n, dtype=bool))
     if not done.all():
         raise InversionError(
             f"{int((~done).sum())} of {n} bracketed roots did not converge "
@@ -470,7 +484,7 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     target = np.asarray(target, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if a.separable or not np.any(a.lam.weights > 0.0):
-            return _inverse_marginals(a, target)
+            return a.inverse_marginals(target)
         t = target.reshape(target.shape[0], -1)
         z, converged = _invert_composite(a, t)
         resid = np.max(np.abs(np.log(a.grad(z) / t)), axis=0)
@@ -483,10 +497,6 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     return z.reshape(target.shape)
 
 
-def _inverse_marginals(a: Aggregator, m: np.ndarray) -> np.ndarray:
-    return np.stack([u.inverse_deriv(m[j]) for j, u in enumerate(a.utilities)])
-
-
 def _invert_composite(a: Aggregator, t: np.ndarray):
     """(z, converged flag per column) for grad U(z) = t by the s-reduction."""
     v, beta = a.lam.u, a.lam.weights
@@ -495,7 +505,7 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
 
     def state(s):
         r = t - beta[:, None] * v.deriv(s)
-        z = _inverse_marginals(a, r)
+        z = a.inverse_marginals(r)
         inside = np.all(r[act] > 0.0, axis=0)
         return np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf), z
 
@@ -505,7 +515,7 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
 
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
     # so phi < 0 up to max(s_lo, beta^T z0); step right until phi > 0.
-    z0 = _inverse_marginals(a, t)
+    z0 = a.inverse_marginals(t)
     lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
                     (bact * z0[act]).sum(axis=0))
     width = np.ones(t.shape[1])

@@ -13,10 +13,11 @@ structure; a block is solved that way when its point passes the KKT
 certificate at the solver tolerance.  Every other block goes to one
 damped Newton iteration on the KKT systems, which steps all such blocks of
 a solve together by O(N) steps on the aggregator's diagonal-plus-rank-one
-Hessian, each from a start sized for that block alone: for a single agent
-its exact root, which Newton only certifies.  A one-atom block Newton does
-not solve goes to a multiplier root find, as a start Newton must polish
-to the tolerance; any other such block is refused.
+Hessian.  Each block starts from its own point, found for all blocks in
+one root find: every agent at one marginal utility of its own utility, with
+the utility constraint active.  For a single agent, and on one atom of a
+separable aggregator, that point is the solution, which Newton only
+certifies.  A block Newton does not certify is refused.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .preferences import (Aggregator, InversionError, increasing_roots,
-                          stable_sum, utility_level_roots)
+from .preferences import Aggregator, increasing_roots, stable_sum
 from .prob_space import ScenarioSpace, SigmaPartition, is_measurable
 
 DEFAULT_KKT_TOL = 1e-9
@@ -146,9 +146,8 @@ class RiskSpec:
 class PrimalSolution:
     """Optimal allocation, risk per atom, and per block the utility
     multiplier, the final optimality residual and the number of Newton
-    steps; ``iterations`` is 0 for a block solved in closed form,
-    certified at its start (as every single-agent block is) or solved by
-    the one-atom fallback."""
+    steps; ``iterations`` is 0 for a block solved in closed form or
+    certified at its start, as every single-agent block is."""
 
     y_hat: np.ndarray
     rho: np.ndarray
@@ -161,39 +160,19 @@ class PrimalSolution:
         return bool(np.all(np.isfinite(self.kkt_residual)))
 
 
-def _start_levels(agg, b) -> np.ndarray:
-    """The start level s_b of every block threshold in b, all in one root
-    find over the distinct values: the root of U(s 1) at the slack target
-    b + min(1e-6, (sup - b)/2), moved onto its feasible side."""
-    b, back = np.unique(b, return_inverse=True)
-    target = b + np.minimum(1e-6, (agg.sup - b) / 2.0)
-    ones = np.ones((agg.nagents, 1))
-
-    def gap(s):
-        return agg.value(ones * s) - target
-
-    s = increasing_roots(gap, lambda s: agg.grad(ones * s).sum(axis=0),
-                         b.size)
-    # land strictly on the feasible side of the slack target, by steps of
-    # at least one ulp (far out 1e-9 is less than one)
-    for _ in range(64):
-        low = gap(s) < 0.0
-        if not low.any():
-            return s[back]
-        s = np.where(low, np.maximum(s + 1e-9, np.nextafter(s, np.inf)), s)
-    raise ConvergenceError(f"no feasible start near {s[low].tolist()}")
-
-
 def feasible_start(spec: RiskSpec) -> np.ndarray:
-    """Allocation, constant per agent on each block, satisfying the utility
-    constraint with positive slack on every block.
+    """Allocation, constant per agent on each block, with the utility
+    constraint active up to the root tolerance on every block: the start of
+    the primal Newton.
 
-    Block m gets the start level s_m of _start_levels for its threshold
-    b_m, one root find for all distinct thresholds, and agent i the
-    constant s_m - min over the block's atoms of x_i: the tightest constant
-    that keeps every atom of the block at z >= s_m.  Each block so starts
-    near its own solution, whatever the thresholds and positions of the
-    others.
+    On block m agent i gets zhat_i(t_m) - min over the block's atoms of
+    x_i, for zhat_i(t) = (u_i')^{-1}(e^-t), the inverse marginal of its own
+    utility: where x_i is least its marginal utility is e^-t_m, as at the
+    block's KKT point, which puts every agent of a cluster at one marginal
+    utility.  t_m is the root of E_w[U(zhat(t) + x - min x)] = b_m, one root
+    find for all blocks, so each block starts from its own root whatever the
+    thresholds and positions of the others.  For a single agent, and on one
+    atom of a separable aggregator, the start is the block's solution.
     """
     blocks, cols = _Blocks.from_spec(spec)
     start = np.empty_like(spec.x)
@@ -240,10 +219,29 @@ class _Blocks:
 
 
 def _block_starts(agg, blocks) -> np.ndarray:
-    """The start of feasible_start, for blocks side by side."""
-    level = _start_levels(agg, blocks.b)
-    low = np.minimum.reduceat(blocks.x, blocks.start[:-1], axis=1)
-    return (level - low)[:, blocks.of]
+    """The start of feasible_start, for blocks side by side.  Along the
+    curve zhat(t) the slope of E_w[U] is E_w[grad U(z)^T dzhat/dt], with
+    dzhat_i/dt = -e^-t / u_i''(zhat_i)."""
+    first, of = blocks.start[:-1], blocks.of
+    low = np.minimum.reduceat(blocks.x, first, axis=1)
+    up, ones = blocks.x - low[:, of], np.ones_like(low)
+
+    def curve(t):
+        return agg.inverse_marginals(np.exp(-t) * ones)
+
+    def state(t):
+        zhat = curve(t)
+        z = up + zhat[:, of]
+        return (np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b,
+                (zhat, z))
+
+    def slope(t, payload):
+        zhat, z = payload
+        dz = -np.exp(-t) / agg.curvature(zhat)[0]
+        return np.add.reduceat(
+            blocks.w * stable_sum(agg.grad(z) * dz[:, of]), first)
+
+    return (curve(increasing_roots(state, slope, blocks.b.size)) - low)[:, of]
 
 
 @lru_cache(maxsize=16)
@@ -377,12 +375,12 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
     limit, so its iterates are those of a solve on its own; it leaves the
     batch when it converges or its system is singular or its line search
     fails.  Returns per block (y, d, lam, mu, residual, iterations), or
-    (None, residual) where the caller decides on a fallback."""
+    (None, residual) where it did not converge."""
     sizes = _membership(groups)[3]
     y, of, first = np.array(y0, dtype=float), blocks.of, blocks.start[:-1]
     # consistent multiplier warm start from the stationarity conditions;
     # where marginal utilities underflowed at the start, a flat multiplier
-    # guess and the damped iteration (or a fallback) take over
+    # guess and the damped iteration take over
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = _cluster_sum(groups, agg.grad(blocks.x + y)) / sizes[:, None]
         denom = np.add.reduceat(blocks.w * mean, first, axis=1)
@@ -437,58 +435,6 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
     return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], iters[m])
             if res[m] <= kkt_tol else (None, float(res[m]))
             for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
-
-
-def _one_agent_roots(agg, blocks) -> np.ndarray:
-    """The solution of a single agent on every block: as it is measurable,
-    a constant d_m with E_w[u(x + d_m)] = b_m, all roots in one call, found
-    in s_m = d_m + min of x over the block so that x does not move the
-    bracket."""
-    first, of = blocks.start[:-1], blocks.of
-    low = np.minimum.reduceat(blocks.x, first, axis=1)
-    up = blocks.x - low[:, of]
-
-    def util(s):
-        return (np.add.reduceat(blocks.w * agg.value(up + s[of]), first)
-                - blocks.b)
-
-    def slope(s):
-        return np.add.reduceat(blocks.w * agg.grad(up + s[of])[0], first)
-
-    return (increasing_roots(util, slope, blocks.b.size) - low)[:, of]
-
-
-def _single_atom_block(agg, xb, bval):
-    """Fallback start for one-atom blocks, valid for any aggregator.
-
-    With a single atom every cluster multiplier equals -1, so all marginal
-    utilities coincide at the reciprocal of the utility multiplier; a
-    Newton root find on its logarithm pins the active constraint.
-    """
-    z, _ = utility_level_roots(agg, np.ones((agg.nagents, 1)), np.ones(1),
-                               np.array([0, 1]), np.array([bval]))
-    return z - xb
-
-
-def _fallback(agg, groups, xb, w, bval, kkt_tol, best):
-    """Solve of a block on which Newton stalled at residual best: on one
-    atom the root of _single_atom_block is a start that Newton must polish
-    to kkt_tol; any other block is refused."""
-    if xb.shape[1] == 1:
-        try:
-            y = _single_atom_block(agg, xb, bval)
-        except InversionError:
-            pass
-        else:
-            one = _Blocks(xb, w, np.array([bval], float), np.array([0, 1]))
-            polish = _newton(agg, groups, one, y, kkt_tol, 20)[0]
-            if polish[0] is not None:
-                return (*polish[:5], 0)
-            best = min(best, polish[1])
-    raise ConvergenceError(
-        f"block solve stalled at residual {best:.3e} "
-        f"(tolerance {kkt_tol:.1e})", residual=best
-    )
 
 
 def _exponential_blocks(agg, groups, blocks, kkt_tol):
@@ -546,8 +492,8 @@ def _batch(specs):
 
 def _finish(specs, starts, blocks, parts, results):
     """One PrimalSolution per spec, once every block that results leaves
-    None has been solved by the batched Newton, from starts if given, and
-    the one-atom fallback."""
+    None has been solved by the batched Newton, from starts if given; a
+    block Newton does not certify raises ConvergenceError."""
     agg, groups = specs[0].aggregator, specs[0].clusters.groups
     kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
     todo = np.array([out is None for out in results])
@@ -557,16 +503,14 @@ def _finish(specs, starts, blocks, parts, results):
             y0 = np.concatenate([np.asarray(start, float)[:, cols]
                                  for start, (_, cols) in zip(starts, parts)],
                                 axis=1)[:, keep]
-        elif agg.nagents == 1:
-            y0 = _one_agent_roots(agg, sub)
         else:
             y0 = _block_starts(agg, sub)
         newton = _newton(agg, groups, sub, y0, kkt_tol, max_iter)
         for m, out in zip(np.flatnonzero(todo), newton):
             if out[0] is None:
-                own = slice(blocks.start[m], blocks.start[m + 1])
-                out = _fallback(agg, groups, blocks.x[:, own], blocks.w[own],
-                                blocks.b[m], kkt_tol, out[1])
+                raise ConvergenceError(
+                    f"block solve stalled at residual {out[1]:.3e} "
+                    f"(tolerance {kkt_tol:.1e})", residual=out[1])
             results[m] = out
     sols, first = [], 0
     for spec, (part, cols) in zip(specs, parts):
@@ -590,11 +534,12 @@ def solve_batch(specs) -> list[PrimalSolution]:
     certificate of a Newton solve at kkt_tol.  The other blocks of all
     specs go side by side into one batched Newton, which steps each block
     on its own, so every block takes the iterates of a solve of its problem
-    alone and the results equal those of solve_rho spec by spec.  For a
-    single agent each such block starts at its root, all roots in one root
-    find, and Newton only certifies it; for several agents the start
-    levels are found once per distinct threshold.  All specs must share the
-    aggregator object, the cluster groups and the solver tolerances.
+    alone and the results equal those of solve_rho spec by spec.  Each such
+    block starts at its point of feasible_start, all blocks in one root
+    find; for a single agent that is its solution, which Newton only
+    certifies.  A block Newton does not certify raises ConvergenceError.
+    All specs must share the aggregator object, the cluster groups and the
+    solver tolerances.
     """
     blocks, parts = _batch(specs)
     agg, results = specs[0].aggregator, [None] * blocks.b.size
@@ -606,10 +551,10 @@ def solve_batch(specs) -> list[PrimalSolution]:
 
 def _solve_newton(specs, starts=None) -> list[PrimalSolution]:
     """solve_batch without the closed form: every block goes through the
-    batched Newton and the one-atom fallback, whatever the aggregator,
-    from ``starts`` as given (one per spec) or else from solve_batch's
-    starts.  Tests drive Newton on exponential agents through it, hold it
-    to the closed forms and force its paths by their starts."""
+    batched Newton, whatever the aggregator, from ``starts`` as given (one
+    per spec) or else from solve_batch's starts.  Tests drive Newton on
+    exponential agents through it, hold it to the closed forms and force its
+    paths by their starts."""
     blocks, parts = _batch(specs)
     return _finish(specs, starts, blocks, parts, [None] * blocks.b.size)
 
@@ -622,9 +567,9 @@ def solve_rho(spec: RiskSpec) -> PrimalSolution:
     KKT residual per block.  The blocks are independent programs.  For
     exponential agents without an interdependence term a block whose closed
     form passes the KKT certificate is solved by it; one batched Newton
-    steps the other blocks together, from each block's root for a single
-    agent, and a one-atom block it does not solve goes through the
-    fallback alone.  This is solve_batch of one spec.
+    steps the other blocks together, each from its point of feasible_start,
+    and a block it does not certify raises ConvergenceError.  This is
+    solve_batch of one spec.
     """
     return solve_batch([spec])[0]
 

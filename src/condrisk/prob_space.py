@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .preferences import xlogx
+
 PROB_SUM_TOL = 1e-12
 MEASURABLE_TOL = 1e-10
 DENSITY_NORM_TOL = 1e-10
@@ -140,10 +142,6 @@ class SigmaPartition:
     def discrete(cls, space: ScenarioSpace) -> "SigmaPartition":
         return cls(space, tuple((i,) for i in range(space.natoms)))
 
-    def block_prob(self) -> np.ndarray:
-        """Total probability per block, shape (nblocks,), read-only."""
-        return self._bprob
-
     def conditional_weights(self) -> np.ndarray:
         """Per-atom conditional probability within its block, shape (K,),
         read-only."""
@@ -221,9 +219,7 @@ def cond_relative_entropy(q_row: np.ndarray, g: SigmaPartition) -> np.ndarray:
     q_row = g.space.check_values(q_row, "density")
     if np.any(q_row < -1e-12):
         raise ValueError("density row has negative entries")
-    q = np.maximum(q_row, 0.0)
-    xlogx = np.where(q > 0.0, q * np.log(np.where(q > 0.0, q, 1.0)), 0.0)
-    return cond_exp(xlogx, g)
+    return cond_exp(xlogx(np.maximum(q_row, 0.0)), g)
 
 
 @dataclass(frozen=True, eq=False)

@@ -213,6 +213,15 @@ class TestCustomUtility:
         np.testing.assert_allclose(u.inverse_deriv(m), -np.log(m), rtol=0,
                                    atol=1e-10)
 
+    def test_infinite_curvature_inverts_by_bisection(self):
+        # an infinite slope makes every Newton step zero: taken as
+        # converged, it would leave each entry at the first point tried
+        u = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
+                          lambda x: np.full_like(x, -np.inf), sup=0.0)
+        m = np.array([0.5, 1.0, 3.0])
+        np.testing.assert_allclose(u.inverse_deriv(m), -np.log(m), rtol=0,
+                                   atol=1e-10)
+
     def test_marginal_out_of_range_raises(self):
         # u' = 1 + e^{-x} > 1: no point has marginal utility 1/2
         u = CustomUtility(lambda x: x - np.exp(-x), lambda x: 1.0 + np.exp(-x))
@@ -231,22 +240,29 @@ class TestCustomUtility:
 
 class TestIncreasingRoots:
     def test_roots_of_a_batch(self):
-        # a root on each side of the first bracket, and one far out
+        # a root on each side of the first bracket, and one far out; the
+        # slope reads the payload that state left at its point
         c = np.array([8.0, -27.0, 1e27])
-        root = increasing_roots(lambda s: s ** 3 - c, lambda s: 3.0 * s ** 2,
-                                3)
+        root = increasing_roots(lambda s: (s ** 3 - c, s * s),
+                                lambda s, sq: 3.0 * sq, 3)
         np.testing.assert_allclose(root, [2.0, -3.0, 1e9], rtol=1e-13)
+
+    @pytest.mark.parametrize("slope", [np.inf, -np.inf, np.nan])
+    def test_slope_that_is_not_finite_bisects(self, slope):
+        root = increasing_roots(lambda s: (s - 0.3, None),
+                                lambda s, _: np.full_like(s, slope), 1)
+        assert root[0] == pytest.approx(0.3, abs=1e-11)
 
     def test_nan_value_raises(self):
         with pytest.raises(InversionError, match="no sign change"):
-            increasing_roots(lambda s: np.full_like(s, np.nan),
-                             lambda s: np.ones_like(s), 1)
+            increasing_roots(lambda s: (np.full_like(s, np.nan), None),
+                             lambda s, _: np.ones_like(s), 1)
 
     def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(preferences, "_BRACKET_MAX_ITER", 1)
         with pytest.raises(InversionError, match="did not converge"):
-            increasing_roots(lambda s: s ** 3 - 5.0, lambda s: 3.0 * s ** 2,
-                             1)
+            increasing_roots(lambda s: (s ** 3 - 5.0, None),
+                             lambda s, _: 3.0 * s ** 2, 1)
 
 
 def composite_aggregator(rng):

@@ -5,19 +5,17 @@ import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
                       ConvergenceError, CustomUtility, ExponentialUtility,
-                      InversionError, LambdaAggregator,
-                      RationalPowerUtility, RiskSpec, ScenarioSpace,
-                      SigmaPartition, check_axioms, cond_exp, exp_constants,
-                      feasible_start, grid_min_rho, is_measurable, rho_closed,
-                      solve_rho, y_hat_closed)
+                      LambdaAggregator, RationalPowerUtility, RiskSpec,
+                      ScenarioSpace, SigmaPartition, check_axioms, cond_exp,
+                      exp_constants, feasible_start, grid_min_rho,
+                      is_measurable, rho_closed, solve_rho, y_hat_closed)
 from condrisk import primal
 from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
 
 
 def newton_rho(spec, start=None):
-    """solve_rho through the batched Newton and the one-atom fallback, from
-    start if given, even where the closed form of exponential agents
-    applies."""
+    """solve_rho through the batched Newton, from start if given, even where
+    the closed form of exponential agents applies."""
     return primal._solve_newton([spec], None if start is None else [start])[0]
 
 
@@ -52,7 +50,8 @@ class TestRiskSpecInvariants:
 
 
 class TestFeasibleStart:
-    def test_zero_position_slack(self):
+    def test_zero_position_activity(self):
+        # both agents at marginal utility 1, where -2 e^-z meets -2
         space = ScenarioSpace.uniform(2)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
                         x=np.zeros((2, 2)),
@@ -61,19 +60,24 @@ class TestFeasibleStart:
                         clusters=ClusterConstraint.full_sharing(2))
         m = feasible_start(spec)
         util = cond_exp(spec.aggregator.value(spec.x + m), spec.sigma)
-        assert np.all(util > spec.b)
+        np.testing.assert_allclose(util, spec.b, rtol=1e-12)
+        np.testing.assert_allclose(m, 0.0, atol=1e-12)
         assert np.all(m[:, 0] == m[:, 1])  # constant per agent
 
     def test_translation_property(self, canonical_spec):
-        base = RiskSpec(space=canonical_spec.space, sigma=canonical_spec.sigma,
-                        x=np.zeros((2, 2)),
-                        aggregator=canonical_spec.aggregator,
-                        b=canonical_spec.b, clusters=canonical_spec.clusters)
-        m0 = feasible_start(base)
-        m = feasible_start(canonical_spec)
-        # one block: each agent moves by minus its least position on it
-        shift = -np.min(canonical_spec.x, axis=1)
-        np.testing.assert_allclose(m, m0 + shift[:, None], atol=1e-12)
+        # a constant shift of each agent's positions on the block leaves
+        # its marginal utility at the start, and moves its start against it
+        shift = np.array([0.7, -1.3])
+        moved = canonical_spec.with_x(canonical_spec.x + shift[:, None])
+        m0 = feasible_start(canonical_spec)
+        m = feasible_start(moved)
+        np.testing.assert_allclose(m, m0 - shift[:, None], atol=1e-12)
+        for spec, start in ((canonical_spec, m0), (moved, m)):
+            grad = spec.aggregator.grad(spec.x + start)
+            low = np.argmin(spec.x, axis=1)
+            # where each agent's position is least, all share one marginal
+            assert grad[0, low[0]] == pytest.approx(grad[1, low[1]],
+                                                    rel=1e-12)
 
     def test_threshold_near_supremum(self):
         space = ScenarioSpace.uniform(2)
@@ -85,7 +89,7 @@ class TestFeasibleStart:
                             clusters=ClusterConstraint.full_sharing(1))
             m = feasible_start(spec)
             util = float(cond_exp(agg.value(m), spec.sigma)[0])
-            assert util >= b_val
+            assert util == pytest.approx(b_val, rel=1e-12)
         # the start grows as the threshold rises toward the supremum
         starts = []
         for b_val in (-1.0, -1e-2, -1e-4):
@@ -96,9 +100,9 @@ class TestFeasibleStart:
             starts.append(feasible_start(spec)[0, 0])
         assert starts[0] < starts[1] < starts[2]
 
-    def test_start_where_an_ulp_exceeds_the_step(self):
-        # the start sits near 2e7, where one ulp of it (3.7e-9) is larger
-        # than the 1e-9 step that moves it onto the feasible side
+    def test_start_far_out(self):
+        # the start sits near 2e7, where one ulp of it is 3.7e-9 and its
+        # root, t = 33.8, moves it by 1e6 per unit
         space = ScenarioSpace.uniform(2)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
                         x=np.zeros((1, 2)),
@@ -106,7 +110,8 @@ class TestFeasibleStart:
                         b=np.full(2, -2e-9),
                         clusters=ClusterConstraint.full_sharing(1))
         m = feasible_start(spec)
-        assert float(cond_exp(spec.aggregator.value(m), spec.sigma)[0]) >= -2e-9
+        assert float(cond_exp(spec.aggregator.value(m), spec.sigma)[0]) \
+            == pytest.approx(-2e-9, rel=1e-12)
         closed = rho_closed(spec.x, spec.b, spec.sigma, exp_constants([1e-6]))
         np.testing.assert_allclose(solve_rho(spec).rho, closed, rtol=1e-6)
 
@@ -236,32 +241,6 @@ class TestSolveRho:
         sol = solve_rho(spec)
         oracle = grid_min_rho(spec, -2.0, 1.0, 1e-3)
         assert sol.rho[0] == pytest.approx(oracle[0], abs=2e-3)
-
-    def test_fallback_inversion_failure_continues_the_chain(self,
-                                                            monkeypatch):
-        # a single-atom fallback whose root find stops on a jump raises
-        # InversionError; the block then refuses as a whole
-        space = ScenarioSpace.uniform(1)
-        lam = LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
-                                         [0.5, 1.0])
-        agg = Aggregator((ExponentialUtility(1.0), ExponentialUtility(2.0)),
-                         lam)
-        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
-                        x=np.array([[0.5], [-0.5]]), aggregator=agg,
-                        b=np.full(1, -1.0),
-                        clusters=ClusterConstraint.full_sharing(2))
-
-        def jump(*args):
-            raise InversionError("multiplier root find stopped on a jump")
-
-        # Newton stalls on every block it is given, in the batched solve
-        # and in the polish of a fallback
-        monkeypatch.setattr(primal, "_newton",
-                            lambda agg, groups, blocks, *args:
-                            [(None, 1.0)] * blocks.b.size)
-        monkeypatch.setattr(primal, "_single_atom_block", jump)
-        with pytest.raises(ConvergenceError):
-            solve_rho(spec)
 
 
 def dense_kkt_step(agg, groups, xb, w, bval, y, d, lam, mu):
@@ -411,9 +390,9 @@ class TestBatchedNewton:
         assert ok.tolist() == [True, False, False]
         np.testing.assert_array_equal(sol[0], 1.0)
         assert np.isnan(sol[1:]).all()
-        # agents of zero curvature make the block's system singular: Newton
-        # gives the block up at once and, on one atom, the single-atom
-        # fallback solves it
+        # agents of zero curvature make a block's system singular, but on
+        # one atom the start is the solution, found by bisection where the
+        # slope of the root find is infinite, and Newton only certifies it
         flat = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
                              lambda x: np.zeros_like(x), sup=0.0)
         space = ScenarioSpace.uniform(1)
@@ -471,11 +450,11 @@ class TestBatchedNewton:
         # converged on the check after the last step the limit allows
         capped = newton_rho(replace(canonical_spec, max_iter=steps))
         assert capped.iterations[0] == steps
-        # a block that Newton may not step is refused unless a fallback
-        # applies: none does to two agents on two atoms
+        # a block that Newton may not step is refused unless its start is
+        # certified, which two agents on two atoms are not
         with pytest.raises(ConvergenceError):
             newton_rho(replace(canonical_spec, max_iter=0))
-        # on one atom the single-atom fallback solves it: 0 steps
+        # on one atom the start is the solution: 0 steps
         space = ScenarioSpace.uniform(1)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
                         x=np.array([[0.5], [-0.3]]),
@@ -483,11 +462,11 @@ class TestBatchedNewton:
                         b=np.full(1, -1.5),
                         clusters=ClusterConstraint.full_sharing(2),
                         max_iter=0)
-        fallback = newton_rho(spec)
-        assert fallback.iterations[0] == 0
+        at_start = newton_rho(spec)
+        assert at_start.iterations[0] == 0
         closed = rho_closed(spec.x, spec.b, spec.sigma,
                             exp_constants([1.0, 2.0]))
-        np.testing.assert_allclose(fallback.rho, closed, rtol=1e-10,
+        np.testing.assert_allclose(at_start.rho, closed, rtol=1e-10,
                                    atol=1e-10)
 
 
@@ -563,33 +542,26 @@ class TestSolveBatch:
                         np.testing.assert_array_equal(got[..., 0],
                                                       want[..., j])
 
-    def test_fallback_blocks_in_a_batch(self, monkeypatch):
+    def test_stalled_block_refuses_its_batch(self):
         # each block started 3 above its own start: Newton stalls on the
-        # one-atom block near the supremum and the one-atom fallback takes
-        # it, while the other blocks, and those of the other spec, converge
-        # in Newton
+        # one-atom block near the supremum, and the batch that holds it is
+        # refused with that block's residual, as the block is alone
         spec = TestBatchedNewton.four_block_spec([-4.9, -0.05, -0.19, -0.31])
         start = feasible_start(spec) + 3.0
         other = replace(spec, x=spec.x - 1.0,
                         sigma=SigmaPartition.trivial(spec.space),
                         b=np.full(spec.space.natoms, -2.0))
-        apart = (newton_rho(spec, start=start),
-                 newton_rho(other, start=feasible_start(other)))
-        fallbacks, real = [], primal._single_atom_block
-
-        def counting(*args):
-            fallbacks.append(args[-1])
-            return real(*args)
-
-        monkeypatch.setattr(primal, "_single_atom_block", counting)
-        batch = primal._solve_newton([spec, other],
-                                     [start, feasible_start(other)])
-        assert fallbacks == [-0.05]
-        assert batch[0].iterations[1] == 0
-        assert batch[0].iterations[[0, 2, 3]].min() > 0
-        assert batch[1].iterations[0] > 0
-        for got, want in zip(batch, apart):
-            assert_same_solution(got, want)
+        sub = ScenarioSpace.uniform(1)
+        stalled = RiskSpec(space=sub, sigma=SigmaPartition.trivial(sub),
+                           x=spec.x[:, [1]], aggregator=spec.aggregator,
+                           b=spec.b[[1]], clusters=spec.clusters)
+        with pytest.raises(ConvergenceError) as alone:
+            newton_rho(stalled, start=start[:, [1]])
+        with pytest.raises(ConvergenceError) as batch:
+            primal._solve_newton([other, spec], [feasible_start(other), start])
+        assert batch.value.residual == alone.value.residual > spec.kkt_tol
+        # from its own start every block converges
+        assert newton_rho(spec).converged and newton_rho(other).converged
 
     def test_rejects_what_a_batch_cannot_share(self, canonical_spec):
         same = canonical_spec.with_x(canonical_spec.x + 1.0)
@@ -614,12 +586,14 @@ def assert_same_point(got, want):
 
 
 def assert_newton_steps(sol, spec):
-    """Several agents take Newton steps; a single agent starts each block
-    at its root, where Newton only certifies it."""
+    """Several agents take Newton steps on blocks of several atoms; a
+    single agent starts each block at its solution, where Newton only
+    certifies it, as it may several agents on one atom."""
     if spec.nagents == 1:
         assert np.all(sol.iterations == 0)
     else:
-        assert sol.iterations.sum() > 0
+        wide = np.diff(np.append(spec.sigma.cuts, spec.space.natoms)) > 1
+        assert sol.iterations[wide].sum() > 0 or not wide.any()
 
 
 class TestPrimalNewtonAgainstClosedForms:
@@ -659,7 +633,7 @@ class TestPrimalNewtonAgainstClosedForms:
 
 class TestClosedFormRouting:
     """solve_batch takes every exponential block its closed form certifies
-    at kkt_tol, and sends only the others to the start levels and Newton."""
+    at kkt_tol, and sends only the others to the start and Newton."""
 
     def test_no_start_level_or_newton_step(self, monkeypatch):
         rng = np.random.default_rng(64)
@@ -670,9 +644,9 @@ class TestClosedFormRouting:
         want = [newton_rho(spec) for spec in specs]
 
         def refuse(*args):
-            raise AssertionError("no start level is needed")
+            raise AssertionError("no start is needed")
 
-        monkeypatch.setattr(primal, "_start_levels", refuse)
+        monkeypatch.setattr(primal, "_block_starts", refuse)
         for spec, newton in zip(specs, want):
             sol = solve_rho(spec)
             assert np.all(sol.iterations == 0)
@@ -801,10 +775,9 @@ class TestAxioms:
 
 
 class TestScalarRoots:
-    """Start levels and the roots of single-agent blocks at extreme
-    thresholds: each is a scalar root of the bracketed Newton in
-    preferences.  A RuntimeWarning fails these tests, as it fails the
-    suite."""
+    """Single-agent blocks at extreme thresholds, whose starts are their
+    solutions: each a scalar root of the bracketed Newton in preferences.
+    A RuntimeWarning fails these tests, as it fails the suite."""
 
     @pytest.mark.parametrize("alpha", [1e-6, 1.0, 100.0])
     @pytest.mark.parametrize("b", [-1e6, -1.0, -1e-8])
@@ -819,7 +792,7 @@ class TestScalarRoots:
             if b == -1e6 and alpha >= 1.0:
                 # the utility residual is held to kkt_tol in absolute
                 # terms, out of reach at |U| near 1e6 (ROADMAP item 3); a
-                # fallback point that misses it is refused, not reported
+                # point that misses it is refused, not reported
                 with pytest.raises(ConvergenceError):
                     solve(spec)
                 continue
@@ -831,7 +804,7 @@ class TestScalarRoots:
                                    ArctanPowerUtility(1.5)])
     @pytest.mark.parametrize("gap", [1e-3, 1e-6, 1.5e-9])
     def test_one_power_agent_near_the_supremum(self, u, gap):
-        # at sup - 1.5e-9 the start level of the rational agent is 2.67e9
+        # at sup - 1.5e-9 the start of the rational agent is near 2.67e9
         agg = Aggregator((u,))
         space = ScenarioSpace.uniform(2)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
@@ -839,16 +812,18 @@ class TestScalarRoots:
                         b=np.full(2, agg.sup - gap),
                         clusters=ClusterConstraint.full_sharing(1))
         start = feasible_start(spec)
-        assert np.all(agg.value(spec.x + start) >= spec.b)
+        util = cond_exp(agg.value(spec.x + start), spec.sigma)
+        np.testing.assert_allclose(util, spec.b, rtol=1e-12)
         sol = solve_rho(spec)
+        assert np.all(sol.iterations == 0)
         assert sol.converged and np.all(sol.kkt_residual <= spec.kkt_tol)
 
     @pytest.mark.parametrize("u", [RationalPowerUtility(2.0),
                                    ArctanPowerUtility(1.5)])
-    def test_one_agent_blocks_start_at_their_root(self, u, monkeypatch):
+    def test_one_agent_blocks_start_at_their_root(self, u):
         # every block of a single agent starts at its root, so Newton only
-        # certifies it, with no start level; a batch equals its specs
-        # solved one by one, to the last bit
+        # certifies it; a batch equals its specs solved one by one, to the
+        # last bit
         agg = Aggregator((u,))
         rng = np.random.default_rng(66)
         gaps = np.array([1.5e-9, 1e-8, 1e-6, 1e-3, 0.5, 2.0, 5.0])
@@ -865,13 +840,48 @@ class TestScalarRoots:
                 aggregator=agg, b=g.expand(agg.sup - rng.choice(gaps, nb)),
                 clusters=ClusterConstraint.full_sharing(1)))
 
-        def refuse(*args):
-            raise AssertionError("no start level is needed")
-
-        monkeypatch.setattr(primal, "_start_levels", refuse)
         batch = primal.solve_batch(specs)
         for got, spec in zip(batch, specs):
             assert np.all(got.iterations == 0)
             assert np.all(got.kkt_residual <= spec.kkt_tol)
             assert_same_solution(got, solve_rho(spec))
         assert max(spec.b.max() for spec in specs) == agg.sup - 1.5e-9
+
+
+class TestSeveralAgentsNearTheSupremum:
+    """Two power agents, alone or with a shifted exponential one, and with
+    or without an interdependence term, from 1e-1 to 1e-5 below the
+    supremum: every block, of one, two or three atoms, starts where its
+    agents share one marginal utility and certifies at kkt_tol."""
+
+    AGENTS = {
+        "two": (RationalPowerUtility(2.0), ArctanPowerUtility(1.5)),
+        "three": (RationalPowerUtility(2.0),
+                  ExponentialUtility(1.0, shifted=True),
+                  ArctanPowerUtility(1.5)),
+    }
+    PROBS = np.array([0.1, 0.2, 0.15, 0.25, 0.2, 0.1])
+
+    @pytest.mark.parametrize("gap", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    @pytest.mark.parametrize("sharing", ["full", "none"])
+    @pytest.mark.parametrize("composite", [False, True],
+                             ids=["separable", "composite"])
+    @pytest.mark.parametrize("agents", sorted(AGENTS))
+    def test_every_block_certifies(self, agents, composite, sharing, gap):
+        us = self.AGENTS[agents]
+        n = len(us)
+        lam = (LambdaAggregator.composite(ExponentialUtility(1.0, shifted=True),
+                                          np.linspace(0.3, 0.8, n))
+               if composite else LambdaAggregator.zero())
+        agg = Aggregator(us, lam)
+        space = ScenarioSpace(tuple(f"w{i}" for i in range(6)), self.PROBS)
+        g = SigmaPartition(space, ((0,), (1, 2), (3, 4, 5)))
+        clusters = (ClusterConstraint.full_sharing(n) if sharing == "full"
+                    else ClusterConstraint.no_sharing(n))
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            x = rng.uniform(-1.0, 1.0, (3, 6))[:n]
+            spec = RiskSpec(space=space, sigma=g, x=x, aggregator=agg,
+                            b=np.full(6, agg.sup - gap), clusters=clusters)
+            sol = solve_rho(spec)
+            assert np.all(sol.kkt_residual <= spec.kkt_tol)
