@@ -9,9 +9,10 @@ reduces to equality of densities within each risk-sharing cluster.
 
 All programs here are equality-constrained concave problems whose optima
 are characterized by a gradient proportionality.  For exponential agents
-the multiplier has a closed form; otherwise one Newton root find on the
-log multipliers of all blocks pins them to the active constraints.  Where
-a primal solution is at hand, that Newton starts at its multipliers.
+the multiplier has a closed form; otherwise one root find on the log
+multipliers of all blocks, preferences.increasing_roots, pins them to the
+active constraints.  Where a primal solution is at hand, that root find
+starts at its multipliers.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ import numpy as np
 
 from .preferences import (InversionError, stable_sum, utility_level_roots,
                           xlogx)
-from .primal import (PrimalSolution, RiskSpec, _Blocks, _cluster_sum,
-                     _membership)
+from .primal import PrimalSolution, RiskSpec, _cluster_sum, _membership
 from .prob_space import DensityVector, cond_exp
 
 FAIRNESS_TOL = 1e-8
@@ -93,7 +93,7 @@ def _alpha1_exponential(q: DensityVector, spec: RiskSpec) -> np.ndarray:
     density leaves its agent at the supremum at no cost.
     """
     alphas, k = spec.aggregator.exponential_form
-    blocks, cols = _Blocks.from_spec(spec)
+    blocks, cols = spec._blocks
     first = blocks.start[:-1]
     r = q.q[:, cols] / alphas[:, None]
     mass = np.add.reduceat(blocks.w * r.sum(axis=0), first)
@@ -108,16 +108,16 @@ def _alpha1_exponential(q: DensityVector, spec: RiskSpec) -> np.ndarray:
 def _alpha1_newton(q: DensityVector, spec: RiskSpec,
                    sol: PrimalSolution | None = None) -> np.ndarray:
     """Penalty per block for any aggregator: the z with grad U(z) = q/mu
-    and E_w[U(z)] = b, mu pinned for all blocks at once by one Newton root
-    find on log mu, gives the penalty E_w[sum_j q_j (-z_j)].
+    and E_w[U(z)] = b, mu pinned for all blocks at once by
+    utility_level_roots on log mu, gives the penalty E_w[sum_j q_j (-z_j)].
 
-    The Newton starts at log mu = 0, or at the log of the multipliers of
+    The root find starts at log mu = 0, or at the log of the multipliers of
     the primal solution sol when one is given.  At the dual optimizer
     extracted from sol, q = mu grad U(X + Y_hat) on every block, so that
     start is the root up to the solver's tolerance; for any other q it is
-    only a start, and the root meets the same tolerance as from 0.
+    only a start, and the root is settled at round-off as from 0.
     """
-    blocks, cols = _Blocks.from_spec(spec)
+    blocks, cols = spec._blocks
     qc = q.q[:, cols]
     t0 = None
     if sol is not None and sol.mu.shape == blocks.b.shape:

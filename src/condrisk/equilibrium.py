@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import extract_dual_optimizer, in_q1
-from .preferences import gradient_path, multiplier_newton, xlogx
-from .primal import (PrimalSolution, RiskSpec, _Blocks, _cluster_sum,
-                     solve_rho)
+from .preferences import gradient_path, increasing_roots, xlogx
+from .primal import PrimalSolution, RiskSpec, _cluster_sum, solve_rho
 from .prob_space import (DensityVector, cond_exp, cond_exp_under_density,
                          is_measurable)
 
@@ -70,7 +69,7 @@ def _pi_exponential(q: DensityVector, budget: np.ndarray,
     shifted agents.
     """
     alphas, k = spec.aggregator.exponential_form
-    blocks, cols = _Blocks.from_spec(spec)
+    blocks, cols = spec._blocks
     first = blocks.start[:-1]
     qc = q.q[:, cols]
     r = qc / alphas[:, None]
@@ -84,10 +83,11 @@ def _pi_exponential(q: DensityVector, budget: np.ndarray,
 def _pi_newton(q: DensityVector, budget: np.ndarray,
                spec: RiskSpec) -> np.ndarray:
     """pi per block for any aggregator: grad U(z) = mu q, with the budget
-    E_w[sum_j q_j (z_j - x_j)] = a pinning mu for all blocks at once by one
-    Newton root find on t = log mu.  The cost falls with t at the slope
-    exp(-t) E_w[g^T (-H)^{-1} g] for g = mu q."""
-    blocks, cols = _Blocks.from_spec(spec)
+    E_w[sum_j q_j (z_j - x_j)] = a pinning mu for all blocks at once by
+    increasing_roots on t = log mu from 0.  The cost falls with t at the
+    slope exp(-t) E_w[g^T (-H)^{-1} g] for g = mu q, so the budget minus
+    the cost is the increasing function whose roots are found."""
+    blocks, cols = spec._blocks
     first = blocks.start[:-1]
     qc = q.q[:, cols]
 
@@ -95,11 +95,11 @@ def _pi_newton(q: DensityVector, budget: np.ndarray,
         z, value, slope = gradient_path(spec.aggregator, qc, -t[blocks.of])
         cost = np.add.reduceat(blocks.w * (qc * (z - blocks.x)).sum(axis=0),
                                first)
-        return (cost, -np.exp(-t) * np.add.reduceat(blocks.w * slope, first),
-                value)
+        return budget - cost, (value, np.exp(-t) * np.add.reduceat(
+            blocks.w * slope, first))
 
-    _, value = multiplier_newton(state, budget, np.zeros(budget.size),
-                                 increasing=False)
+    _, (value, _) = increasing_roots(state, lambda t, payload: payload[1],
+                                     np.zeros(budget.size))
     return np.add.reduceat(blocks.w * value, first)
 
 

@@ -1,8 +1,9 @@
 """Agent preferences: univariate utilities, the multivariate aggregator
 (sum of agent utilities plus an optional concave interdependence term),
-analytic derivatives, the exponential convex conjugate, and the root
-finders the solvers use: one bracketed Newton for scalar roots and
-gradient inversion, and a safeguarded Newton on log multipliers.
+analytic derivatives, the exponential convex conjugate, gradient inversion,
+and the one safeguarded Newton the solvers use for every scalar root: the
+start of each primal block, inverse marginals of custom utilities, the
+s-equation of gradient inversion and the log multipliers of the dual side.
 
 All utilities are strictly increasing and strictly concave on the real
 line, with derivative decreasing from +infinity to 0 (so marginal-utility
@@ -18,10 +19,9 @@ import numpy as np
 
 
 class InversionError(RuntimeError):
-    """Gradient inversion did not converge or left a non-finite point, a
-    bracketed root find found no sign change or did not converge, or a root
-    find along its multiplier found no root, failed to converge or stopped
-    on a jump rather than a root."""
+    """Gradient inversion left a non-finite point or missed its target,
+    or a root find found no sign change, failed at its start, stopped on a
+    jump rather than a root or did not converge."""
 
 
 def stable_sum(x):
@@ -168,6 +168,14 @@ class ArctanPowerUtility(UnivariateUtility):
         return np.where(m <= self.p, pos, neg)
 
 
+# CustomUtility's midpoint test draws this many pairs from this seed, and
+# its deriv2 takes central differences at this step when no second
+# derivative is given
+_SELFTEST_POINTS = 64
+_SELFTEST_SEED = 0
+_DERIV2_STEP = 1e-6
+
+
 class CustomUtility(UnivariateUtility):
     """Extension point: wrap user-supplied value/derivative callables.
 
@@ -176,15 +184,14 @@ class CustomUtility(UnivariateUtility):
     differences when no second derivative is given.
     """
 
-    def __init__(self, value_fn, deriv_fn, deriv2_fn=None, sup=np.inf,
-                 selftest_points: int = 64, seed: int = 0):
+    def __init__(self, value_fn, deriv_fn, deriv2_fn=None, sup=np.inf):
         self._value = value_fn
         self._deriv = deriv_fn
         self._deriv2 = deriv2_fn
         self.sup = float(sup)
-        rng = np.random.default_rng(seed)
-        xs = rng.uniform(-5.0, 5.0, size=selftest_points)
-        ys = rng.uniform(-5.0, 5.0, size=selftest_points)
+        rng = np.random.default_rng(_SELFTEST_SEED)
+        xs = rng.uniform(-5.0, 5.0, size=_SELFTEST_POINTS)
+        ys = rng.uniform(-5.0, 5.0, size=_SELFTEST_POINTS)
         keep = np.abs(xs - ys) > 1e-6
         xs, ys = xs[keep], ys[keep]
         mid = self.value((xs + ys) / 2.0)
@@ -199,19 +206,21 @@ class CustomUtility(UnivariateUtility):
     def deriv(self, x):
         return np.asarray(self._deriv(np.asarray(x, dtype=float)), dtype=float)
 
-    def deriv2(self, x, h: float = 1e-6):
+    def deriv2(self, x):
         if self._deriv2 is not None:
             return np.asarray(self._deriv2(np.asarray(x, dtype=float)), dtype=float)
-        x = np.asarray(x, dtype=float)
+        x, h = np.asarray(x, dtype=float), _DERIV2_STEP
         return (self.deriv(x + h) - self.deriv(x - h)) / (2.0 * h)
 
     def inverse_deriv(self, m):
-        """Every entry at once by increasing_roots on m - u'(x); where
-        deriv2 is 0, infinite or wrong, bisection takes over from Newton."""
+        """Every entry at once by increasing_roots on m - u'(x) from 0;
+        where deriv2 is 0, infinite or wrong, bisection takes over from
+        Newton."""
         m = np.asarray(m, dtype=float)
         flat = m.ravel()
-        x = increasing_roots(lambda x: (flat - self.deriv(x), None),
-                             lambda x, _: -self.deriv2(x), flat.size)
+        x, _ = increasing_roots(lambda x: (flat - self.deriv(x), None),
+                                lambda x, _: -self.deriv2(x),
+                                np.zeros(flat.size))
         return x.reshape(m.shape)
 
 
@@ -366,97 +375,128 @@ class Aggregator:
         return cls(tuple(ExponentialUtility(a, shifted) for a in alphas))
 
 
+_BRACKET_REACH = 2.0
 _BRACKET_LIMIT = 1e12
 _BRACKET_MAX_ITER = 100
+# a Newton step below this, relative to 1 + |s|, leaves s at round-off
+# where Newton converges quadratically, and within this of its root where
+# each step only halves the last, as on the s-equation near its pole
 _BRACKET_STEP_TOL = 1e-12
+# |f| at a bracket shrunk to a point, relative to the largest |f| met,
+# above which the sign change is a jump, not a root
+_BRACKET_JUMP = 1e-8
+_EPS = float(np.finfo(float).eps)
 # Where the interdependence term swamps every agent's own marginal by many
 # orders of magnitude, t pins little more than beta^T z and z can miss it.
 _INVERT_GRAD_TOL = 1e-9
-# |f| at an accepted multiplier root, relative to max(1, |level|)
-_ROOT_FTOL = 1e-9
 
 
-def _bracketed_newton(state, slope, s, lo, hi, f, payload, active):
-    """Newton's method on increasing functions, one root per column, each
-    inside its bracket lo < root < hi; it starts at s, where state gave
-    f and payload.
+def increasing_roots(state, slope, s, lo=None):
+    """Roots of increasing functions, one per entry of the start s, all
+    at once; returns (roots, payload of state at the roots).
 
-    state(s) returns (f(s), payload) for every column at once and
-    slope(s, payload) the derivative of f there.  A column bisects its
-    bracket when the Newton step leaves it, does not halve the previous
-    step (a steep power-like f makes Newton converge only linearly) or comes
-    from a slope that is not finite, and is done once its step is at most
-    1e-12 (1 + |s|).  Only the columns flagged in active step.  Returns
-    (s, f, payload) at the last point evaluated, the step from there and the
-    done flags.
+    state(s) returns (f(s), payload): function i evaluated at s[i] for
+    every i at once, and whatever the caller needs at s; slope(s, payload)
+    returns the derivatives of f there.  Each root is found by Newton's
+    method from its start, safeguarded as follows:
+
+    - it keeps the bracket of the points where f was below and above 0,
+      or is known to be below: lo, where given, lies below every root and
+      is never evaluated;
+    - a Newton step that leaves a closed bracket, does not halve the
+      previous step inside it (a steep power-like f makes Newton converge
+      only linearly) or comes from a slope that is not finite and positive
+      (so a zero, infinite or wrong slope only slows it down) is replaced
+      by bisection;
+    - towards an open side the step is capped at a reach that starts at 2
+      and doubles with each capped step, within |s| <= 1e12;
+    - where state raises InversionError, or a value is not finite, each
+      root that stepped there goes half way back to its last good point.
+
+    A root is done once s is at round-off: f is 0, its bracket has shrunk
+    to a point, the next Newton step is below round-off, or the Newton
+    step that led to s was below 1e-12 (1 + |s|), so that quadratic
+    convergence leaves s at round-off.  Where f reaches round-off before s
+    does, the Newton steps stop halving, and bisection shrinks the bracket
+    to a point.  Every root is evaluated at every step, done or not, so the
+    payload returned is the state at the roots.  Raises InversionError when
+    f changes sign nowhere within |s| <= 1e12 where state succeeds, when
+    the bracket shrinks to a point where |f| exceeds 1e-8 of the largest
+    |f| the root met (a jump), when state fails at the start, and after 100
+    steps without convergence.
     """
-    active = active.copy()
-    done = np.zeros_like(active)
-    last = np.full(s.shape, np.inf)
-    for _ in range(_BRACKET_MAX_ITER):
-        deriv = slope(s, payload)
-        newton = s - f / deriv
-        tol = _BRACKET_STEP_TOL * (1.0 + np.abs(s))
-        # an infinite slope makes the step zero at any point, which is no
-        # sign of a root: s is then an end of its bracket, so it bisects
-        small = np.isfinite(deriv) & (np.abs(newton - s) <= tol)
-        keep = small | ((newton > lo) & (newton < hi)
-                        & (np.abs(newton - s) <= 0.5 * last))
-        step = np.where(keep, newton, 0.5 * (lo + hi))
-        done |= active & (np.abs(step - s) <= tol)
-        active &= ~done
-        if not active.any():
-            break
-        last = np.where(active, np.abs(step - s), last)
-        s = np.where(active, step, s)
-        f, payload = state(s)
-        lo = np.where(active & (f < 0.0), s, lo)
-        hi = np.where(active & (f > 0.0), s, hi)
-    return s, f, payload, step, done
-
-
-def increasing_roots(state, slope, n: int) -> np.ndarray:
-    """Roots of n increasing functions at once, with the interface of
-    _bracketed_newton: state(s) returns (f(s), payload) for s of shape (n,),
-    function i evaluated at s[i], and slope(s, payload) the derivatives
-    there.
-
-    Each bracket starts at [-2, 2], and each end doubles outwards until the
-    function changes sign across the bracket or the end passes +-1e12;
-    _bracketed_newton then pins the root from the upper end, and its last
-    step is the root.  Raises InversionError where no sign change was found
-    or a root did not converge.
-    """
+    s = np.array(s, dtype=float)
+    lo = np.full(s.shape, -np.inf) if lo is None else np.array(lo, float)
+    hi = np.full(s.shape, np.inf)
+    good = s  # the last point with a finite value
+    last = np.full(s.shape, np.inf)  # the step that led to s
+    newton_last = last  # that step where it was Newton's, else inf
+    reach = np.full(s.shape, _BRACKET_REACH)
+    fmax = np.zeros(s.shape)  # the largest |f| met
+    done = np.zeros(s.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        lo, hi = np.full(n, -2.0), np.full(n, 2.0)
-        flo = state(lo)[0]
-        fhi, payload = state(hi)
-        while True:
-            down = (flo > 0.0) & (lo > -_BRACKET_LIMIT)
-            if not down.any():
-                break
-            lo = np.where(down, 2.0 * lo, lo)
-            flo = np.where(down, state(lo)[0], flo)
-        while True:
-            up = (fhi < 0.0) & (hi < _BRACKET_LIMIT)
-            if not up.any():
-                break
-            # every column is evaluated, so the payload is the one at hi
-            hi = np.where(up, 2.0 * hi, hi)
-            f, payload = state(hi)
-            fhi = np.where(up, f, fhi)
-        bracketed = (flo <= 0.0) & (fhi >= 0.0)
-        if not bracketed.all():
-            raise InversionError(
-                f"no sign change within |s| <= {_BRACKET_LIMIT:g} for "
-                f"{int((~bracketed).sum())} of {n} roots")
-        _, _, _, root, done = _bracketed_newton(
-            state, slope, hi, lo, hi, fhi, payload, np.ones(n, dtype=bool))
-    if not done.all():
-        raise InversionError(
-            f"{int((~done).sum())} of {n} bracketed roots did not converge "
-            f"in {_BRACKET_MAX_ITER} steps")
-    return root
+        for it in range(_BRACKET_MAX_ITER):
+            try:
+                f, payload = state(s)
+                deriv = slope(s, payload)
+            except InversionError:
+                f = deriv = np.full(s.shape, np.nan)
+            failed = ~(np.isfinite(f) | done)
+            if failed.any():
+                if it == 0:
+                    raise InversionError(f"root find failed at its start "
+                                         f"s = {s[failed].tolist()}")
+                f = np.where(failed, np.nan, f)  # no sign and no size
+            scale = 1.0 + np.abs(s)
+            # a slope that is not finite and positive gives no Newton step
+            newton = np.where((deriv > 0.0) & (deriv < np.inf),
+                              s - f / deriv, np.nan)
+            step = np.abs(newton - s)
+            fmax = np.fmax(fmax, np.abs(f))
+            collapsed = hi - lo <= 2.0 * _EPS * scale
+            if collapsed.any():
+                jump = collapsed & ~done & (np.abs(f) > _BRACKET_JUMP * fmax)
+                if jump.any():
+                    raise InversionError(
+                        f"root find stopped at |f| = "
+                        f"{float(np.max(np.abs(f[jump]))):.3e}: the "
+                        "function jumps there")
+            done |= ~failed & ((f == 0.0) | collapsed
+                               | (step <= 4.0 * _EPS * scale)
+                               | (newton_last <= _BRACKET_STEP_TOL * scale))
+            if done.all():
+                return s, payload
+            lo = np.where(f < 0.0, s, lo)
+            hi = np.where(f > 0.0, s, hi)
+            closed = hi - lo < np.inf
+            # in a closed bracket Newton's step where it stays inside and
+            # halves the previous step, else bisection; towards an open
+            # side Newton's step within reach, else the reach
+            bisect = closed & ~((newton > lo) & (newton < hi)
+                                & (step <= 0.5 * last))
+            capped = ~(closed | (step <= reach))
+            nxt = np.where(bisect, 0.5 * (lo + hi), np.where(
+                capped, s + np.copysign(reach, -f), newton))
+            nxt = np.minimum(np.maximum(nxt, -_BRACKET_LIMIT), _BRACKET_LIMIT)
+            reach = np.where(capped, 2.0 * reach, reach)
+            if failed.any():
+                nxt = np.where(failed, good + 0.5 * (s - good), nxt)
+                reach = np.where(failed, 0.5 * np.abs(s - good), reach)
+                good = np.where(failed, good, s)
+            else:
+                good = s
+            nxt = np.where(done, s, nxt)
+            stuck = (nxt == s) & ~done
+            if stuck.any():
+                raise InversionError(
+                    f"no sign change for {int(stuck.sum())} of {s.size} "
+                    f"roots within |s| <= {_BRACKET_LIMIT:g} where the state "
+                    "is finite")
+            last = np.abs(nxt - s)
+            newton_last = np.where(bisect | capped | failed, np.inf, last)
+            s = nxt
+    raise InversionError(f"{int((~done).sum())} of {s.size} roots "
+                         f"unconverged after {_BRACKET_MAX_ITER} steps")
 
 
 def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
@@ -472,33 +512,36 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     phi is -infinity at s = (v')^{-1}(min_j t_j / beta_j), strictly
     increasing above it with phi' = v''(s) sum_j beta_j^2 / u_j''(z_j) + 1
     > 1, and positive far out, so each column has exactly one root.  All
-    columns are solved at once by _bracketed_newton.  A last Newton step on
-    the full system, solved by Sherman-Morrison with the
+    columns are solved at once by increasing_roots, each from 1 above the
+    lower end of its bracket: the larger of that pole and beta^T z for z
+    without the interdependence term, below which phi < 0.  A last Newton
+    step on the full system, solved by Sherman-Morrison with the
     diagonal-plus-rank-one Hessian, restores beta^T z = s where a marginal
     u_j' is swamped by beta_j v'(s) and z_j(s) is known only to a few
     digits.
 
-    Raises InversionError when a column ends unconverged or non-finite, or
-    when grad U(z) misses the target by more than 1e-9 in log terms.
+    Raises InversionError when a root find fails, when a column ends
+    non-finite, or when grad U(z) misses the target by more than 1e-9 in
+    log terms.
     """
     target = np.asarray(target, dtype=float)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if a.separable or not np.any(a.lam.weights > 0.0):
             return a.inverse_marginals(target)
         t = target.reshape(target.shape[0], -1)
-        z, converged = _invert_composite(a, t)
+        z = _invert_composite(a, t)
         resid = np.max(np.abs(np.log(a.grad(z) / t)), axis=0)
-    bad = ~converged | ~(resid <= _INVERT_GRAD_TOL)
+    bad = ~(resid <= _INVERT_GRAD_TOL)
     if np.any(bad):
         raise InversionError(
             f"gradient inversion failed on {int(bad.sum())} of {bad.size} "
-            "columns (unconverged, non-finite or log-gradient residual "
-            f"above {_INVERT_GRAD_TOL:.0e})")
+            "columns (non-finite or log-gradient residual above "
+            f"{_INVERT_GRAD_TOL:.0e})")
     return z.reshape(target.shape)
 
 
 def _invert_composite(a: Aggregator, t: np.ndarray):
-    """(z, converged flag per column) for grad U(z) = t by the s-reduction."""
+    """z with grad U(z) = t, column by column, by the s-reduction."""
     v, beta = a.lam.u, a.lam.weights
     act = np.flatnonzero(beta > 0.0)
     bact = beta[act][:, None]
@@ -514,137 +557,20 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
             axis=0) + 1.0
 
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
-    # so phi < 0 up to max(s_lo, beta^T z0); step right until phi > 0.
+    # so phi < 0 up to max(s_lo, beta^T z0): the root lies above it, and
+    # near the pole s_lo phi is lost to round-off.
     z0 = a.inverse_marginals(t)
     lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
                     (bact * z0[act]).sum(axis=0))
-    width = np.ones(t.shape[1])
-    s = lo + width
-    phi, z = state(s)
-    for _ in range(64):
-        up = ~(phi > 0.0)
-        if not up.any():
-            break
-        lo = np.where(up, s, lo)
-        width = np.where(up, 2.0 * width, width)
-        s = np.where(up, lo + width, s)
-        phi, z = state(s)
-    # columns without a bracket never converge
-    s, phi, z, _, done = _bracketed_newton(state, slope, s, lo, s.copy(),
-                                           phi, z, phi > 0.0)
+    s, z = increasing_roots(state, slope, lo + 1.0, lo)
 
     # The last step, taken on the full system at z(s): it moves s by the
     # Newton step on phi and each z_j in proportion to beta_j / u_j''.
+    phi = s - (bact * z[act]).sum(axis=0)
     d2, v2 = a.curvature(z)
     q = bact / d2[act]
     z[act] += q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
-    return z, done
-
-
-_ROOT_REACH = 2.0
-_ROOT_LIMIT = 600.0
-_ROOT_MAX_ITER = 100
-_ROOT_STEP_TOL = 1e-9
-_EPS = float(np.finfo(float).eps)
-
-
-def multiplier_newton(state, level, t, increasing: bool = True):
-    """Roots t_m of value_m(t_m) = level_m for monotone functions of log
-    multipliers, all m at once; returns (t, payload of state at t).
-
-    state(t) returns (value, slope, payload): per root the value and its
-    derivative at t_m, and whatever the caller needs at t.  Each root is
-    found by Newton's method from t_m, safeguarded as follows:
-
-    - it keeps the bracket of the points where its value was below and
-      above its level;
-    - a Newton step that leaves a closed bracket, or does not halve the
-      previous step inside it, is replaced by bisection;
-    - towards an open side the step is capped at a reach that starts at 2
-      and doubles with each capped step, within |t| <= 600;
-    - where state raises InversionError, or a value is not finite, each
-      root that stepped there goes half way back to its last good point.
-
-    A root is done when |value - level| <= 1e-9 max(1, |level|) and the
-    Newton step that led to it was below 1e-9 (1 + |t|), so that quadratic
-    convergence leaves t at round-off, or the next step would not halve it,
-    so that the value is at round-off.  Raises InversionError when the
-    level is out of reach within |t| <= 600, when the bracket shrinks to a
-    point with |value - level| above that tolerance (a jump), when state
-    fails at the start, and after 100 steps without convergence.
-    """
-    sign = 1.0 if increasing else -1.0
-    level = sign * np.asarray(level, dtype=float)
-    t = np.array(t, dtype=float)
-    tol = _ROOT_FTOL * np.maximum(1.0, np.abs(level))
-    lo, hi = np.full(t.shape, -np.inf), np.full(t.shape, np.inf)
-    good = np.full(t.shape, np.nan)  # the last point with a finite value
-    last = np.full(t.shape, np.inf)  # the step that led to t
-    newton_last = np.zeros(t.shape, dtype=bool)
-    reach = np.full(t.shape, _ROOT_REACH)
-    done = np.zeros(t.shape, dtype=bool)
-    for _ in range(_ROOT_MAX_ITER):
-        try:
-            value, slope, payload = state(t)
-            with np.errstate(invalid="ignore", divide="ignore"):
-                f = sign * np.asarray(value, dtype=float) - level
-                newton = t - f / (sign * np.asarray(slope, dtype=float))
-        except InversionError:
-            f = newton = np.full(t.shape, np.nan)
-        failed = ~np.isfinite(f) & ~done
-        if np.any(failed & np.isnan(good)):
-            raise InversionError(
-                "multiplier root find failed at its start t = "
-                f"{t[failed & np.isnan(good)].tolist()}")
-        with np.errstate(invalid="ignore"):
-            step, scale = np.abs(newton - t), 1.0 + np.abs(t)
-            collapsed = hi - lo <= 2.0 * _EPS * scale
-            # t is at round-off: its bracket is a point, the next step is
-            # below round-off, the Newton step to t was small enough for
-            # quadratic convergence, or the next one would not halve it
-            settled = (collapsed | (step <= 4.0 * _EPS * scale)
-                       | (newton_last & ((last <= _ROOT_STEP_TOL * scale)
-                                         | ~(step <= 0.5 * last))))
-            done |= ~failed & (np.abs(f) <= tol) & settled
-        if done.all():
-            return t, payload
-        act = ~done & ~failed
-        jump = act & collapsed
-        if jump.any():
-            raise InversionError(
-                "multiplier root find stopped at |f| = "
-                f"{float(np.max(np.abs(f[jump]))):.3e}: the function jumps "
-                "there")
-        lo = np.where(act & (f < 0.0), t, lo)
-        hi = np.where(act & (f > 0.0), t, hi)
-        good = np.where(act, t, good)
-        closed = np.isfinite(lo) & np.isfinite(hi)
-        with np.errstate(invalid="ignore"):
-            inside = (newton > lo) & (newton < hi)
-            # towards the open side: Newton within reach, else the reach
-            towards = np.where(f < 0.0, 1.0, -1.0)
-            want = np.where(inside, newton - t, towards * np.inf)
-            capped = ~(np.abs(want) <= reach)
-            keep = np.where(closed, inside & (step <= 0.5 * last), ~capped)
-            # a root that is done keeps an open bracket, -inf + inf
-            nxt = np.where(closed, np.where(keep, newton, 0.5 * (lo + hi)),
-                           t + np.clip(want, -reach, reach))
-        nxt = np.clip(nxt, -_ROOT_LIMIT, _ROOT_LIMIT)
-        stuck = act & ~closed & (nxt == t)
-        if stuck.any():
-            raise InversionError(
-                f"no multiplier within |log mu| <= {_ROOT_LIMIT:g} reaches "
-                f"the level {(sign * level[stuck]).tolist()}")
-        reach = np.where(act & ~closed & capped, 2.0 * reach, reach)
-        back = good + 0.5 * (t - good)
-        reach = np.where(failed, 0.5 * np.abs(t - good), reach)
-        nxt = np.where(failed, back, np.where(act, nxt, t))
-        last = np.where(failed, np.abs(back - good),
-                        np.where(act, np.abs(nxt - t), last))
-        newton_last = np.where(act, keep, newton_last & ~failed)
-        t = nxt
-    raise InversionError(f"multiplier root find did not converge in "
-                         f"{_ROOT_MAX_ITER} steps")
+    return z
 
 
 def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
@@ -687,7 +613,7 @@ def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
                         start: np.ndarray, level: np.ndarray, t0=None):
     """The point z with grad U(z) = q / mu_m on the columns
     start[m]:start[m + 1] of block m and E_w[U(z)] = level_m there, for
-    every block at once by multiplier_newton on t = log mu from t0, or
+    every block at once by increasing_roots on t = log mu from t0, or
     from 0 when t0 is None; returns (z, t).  Where the root find from t0
     fails, it is made again from 0: a start far from the roots may lie
     where grad U cannot be inverted to round-off.  A level at or above
@@ -701,16 +627,21 @@ def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
 
     def state(t):
         z, value, slope = gradient_path(a, q, t[of])
-        return (np.add.reduceat(w * value, first),
-                np.add.reduceat(w * slope, first), z)
+        f = np.add.reduceat(w * value, first) - level
+        # within an ulp of the level, E_w[U] meets it to round-off
+        return (np.where(np.abs(f) <= _EPS * np.abs(level), 0.0, f),
+                (z, np.add.reduceat(w * slope, first)))
+
+    def slope(t, payload):
+        return payload[1]
 
     if t0 is not None:
         try:
-            t, z = multiplier_newton(state, level, t0)
+            t, (z, _) = increasing_roots(state, slope, t0)
             return z, t
         except InversionError:
             pass
-    t, z = multiplier_newton(state, level, np.zeros(level.size))
+    t, (z, _) = increasing_roots(state, slope, np.zeros(level.size))
     return z, t
 
 

@@ -141,6 +141,18 @@ class RiskSpec:
         """Per-block threshold, read off the first atom of each block."""
         return self.b[self.sigma.first]
 
+    @cached_property
+    def _blocks(self):
+        """The blocks of the problem, and the atom of each of their
+        columns: made once, as x and b are write-protected, and
+        write-protected themselves."""
+        g = self.sigma
+        arrays = (self.x[:, g.order], g.conditional_weights()[g.order],
+                  self.block_threshold(), np.append(g.cuts, g.order.size))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return _Blocks(*arrays), g.order
+
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
@@ -174,7 +186,7 @@ def feasible_start(spec: RiskSpec) -> np.ndarray:
     thresholds and positions of the others.  For a single agent, and on one
     atom of a separable aggregator, the start is the block's solution.
     """
-    blocks, cols = _Blocks.from_spec(spec)
+    blocks, cols = spec._blocks
     start = np.empty_like(spec.x)
     start[:, cols] = _block_starts(spec.aggregator, blocks)
     return start
@@ -189,14 +201,6 @@ class _Blocks:
     w: np.ndarray
     b: np.ndarray
     start: np.ndarray
-
-    @classmethod
-    def from_spec(cls, spec: RiskSpec):
-        """The blocks of a problem, and the atom of each of their columns."""
-        g = spec.sigma
-        return cls(spec.x[:, g.order], g.conditional_weights()[g.order],
-                   spec.block_threshold(), np.append(g.cuts, g.order.size)
-                   ), g.order
 
     @classmethod
     def join(cls, parts) -> "_Blocks":
@@ -219,18 +223,16 @@ class _Blocks:
 
 
 def _block_starts(agg, blocks) -> np.ndarray:
-    """The start of feasible_start, for blocks side by side.  Along the
-    curve zhat(t) the slope of E_w[U] is E_w[grad U(z)^T dzhat/dt], with
-    dzhat_i/dt = -e^-t / u_i''(zhat_i)."""
+    """The start of feasible_start, for blocks side by side, by
+    increasing_roots from t = 0.  Along the curve zhat(t) the slope of
+    E_w[U] is E_w[grad U(z)^T dzhat/dt], with dzhat_i/dt =
+    -e^-t / u_i''(zhat_i)."""
     first, of = blocks.start[:-1], blocks.of
     low = np.minimum.reduceat(blocks.x, first, axis=1)
     up, ones = blocks.x - low[:, of], np.ones_like(low)
 
-    def curve(t):
-        return agg.inverse_marginals(np.exp(-t) * ones)
-
     def state(t):
-        zhat = curve(t)
+        zhat = agg.inverse_marginals(np.exp(-t) * ones)
         z = up + zhat[:, of]
         return (np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b,
                 (zhat, z))
@@ -241,7 +243,8 @@ def _block_starts(agg, blocks) -> np.ndarray:
         return np.add.reduceat(
             blocks.w * stable_sum(agg.grad(z) * dz[:, of]), first)
 
-    return (curve(increasing_roots(state, slope, blocks.b.size)) - low)[:, of]
+    _, (zhat, _) = increasing_roots(state, slope, np.zeros(blocks.b.size))
+    return (zhat - low)[:, of]
 
 
 @lru_cache(maxsize=16)
@@ -486,7 +489,7 @@ def _batch(specs):
                 or spec.kkt_tol != kkt_tol or spec.max_iter != max_iter):
             raise ValueError("a batch of solves must share the aggregator, "
                              "the cluster groups, kkt_tol and max_iter")
-    parts = [_Blocks.from_spec(spec) for spec in specs]
+    parts = [spec._blocks for spec in specs]
     return _Blocks.join([p for p, _ in parts]), parts
 
 

@@ -8,7 +8,7 @@ from condrisk import (Aggregator, ArctanPowerUtility, CustomUtility,
                       RationalPowerUtility, conjugate_V)
 from condrisk import preferences
 from condrisk.preferences import (increasing_roots, invert_gradient,
-                                  multiplier_newton, utility_level_roots)
+                                  utility_level_roots)
 
 ALL_KINDS = [
     ExponentialUtility(1.0),
@@ -238,31 +238,150 @@ class TestCustomUtility:
                           lambda x: -np.ones_like(x))
 
 
-class TestIncreasingRoots:
-    def test_roots_of_a_batch(self):
-        # a root on each side of the first bracket, and one far out; the
-        # slope reads the payload that state left at its point
-        c = np.array([8.0, -27.0, 1e27])
-        root = increasing_roots(lambda s: (s ** 3 - c, s * s),
-                                lambda s, sq: 3.0 * sq, 3)
-        np.testing.assert_allclose(root, [2.0, -3.0, 1e9], rtol=1e-13)
+def batch(f, slope):
+    """A state of scalar functions, one root per entry: f(s) with the
+    point itself as payload, and the slope read off the point."""
+    return (lambda s: (f(s), s.copy()), lambda s, at: slope(at))
 
-    @pytest.mark.parametrize("slope", [np.inf, -np.inf, np.nan])
-    def test_slope_that_is_not_finite_bisects(self, slope):
-        root = increasing_roots(lambda s: (s - 0.3, None),
-                                lambda s, _: np.full_like(s, slope), 1)
-        assert root[0] == pytest.approx(0.3, abs=1e-11)
+
+class TestIncreasingRoots:
+    def test_finds_root_and_returns_state(self):
+        root, at = increasing_roots(*batch(lambda s: np.tanh(s) - 0.5,
+                                           lambda s: 1.0 - np.tanh(s) ** 2),
+                                    [0.0])
+        assert root[0] == pytest.approx(np.arctanh(0.5), abs=1e-13)
+        np.testing.assert_array_equal(at, root)
+
+    def test_roots_of_a_batch(self):
+        # a root on either side of the start, and one far out; the slope
+        # reads the payload that state left at its point, and the payload
+        # returned is the state at the roots
+        c = np.array([8.0, -27.0, 1e27])
+        root, sq = increasing_roots(lambda s: (s ** 3 - c, s * s),
+                                    lambda s, sq: 3.0 * sq, np.zeros(3))
+        np.testing.assert_allclose(root, [2.0, -3.0, 1e9], rtol=1e-13)
+        np.testing.assert_array_equal(sq, root * root)
+
+    def test_roots_on_their_own_paths(self):
+        # one root per entry, each on its own path; a non-finite value of
+        # the second only sends that one back
+        def f(s):
+            with np.errstate(over="ignore"):
+                return np.array([np.tanh(s[0]) - 0.5,
+                                 (np.exp(s[1]) if s[1] <= 4.6 else np.inf)
+                                 - np.exp(4.5),
+                                 2.0 - np.exp(-s[2])])
+
+        def slope(s):
+            return np.array([1.0 - np.tanh(s[0]) ** 2, np.exp(s[1]),
+                             np.exp(-s[2])])
+
+        root, at = increasing_roots(*batch(f, slope), [0.0, 4.0, 3.0])
+        np.testing.assert_allclose(root, [np.arctanh(0.5), 4.5, -np.log(2.0)],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_array_equal(at, root)
+
+    def test_decreasing_function_passed_negated(self):
+        # a cost -3 s that falls to the budget 6 at s = -2: the root of
+        # the budget minus the cost, which increases
+        root, _ = increasing_roots(*batch(lambda s: 6.0 + 3.0 * s,
+                                          lambda s: np.full_like(s, 3.0)),
+                                   [0.0])
+        assert root[0] == pytest.approx(-2.0, abs=1e-13)
+
+    @pytest.mark.parametrize("slope", [np.inf, -np.inf, np.nan, 0.0, -1.0])
+    def test_slope_that_is_not_finite_and_positive_bisects(self, slope):
+        root, _ = increasing_roots(lambda s: (s - 0.3, None),
+                                   lambda s, _: np.full_like(s, slope), [0.0])
+        assert root[0] == pytest.approx(0.3, abs=1e-12)
+
+    def test_root_done_at_its_start_warns_nothing(self):
+        # the first root is done at its first evaluation and keeps an open
+        # bracket while the second goes on stepping
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            root, _ = increasing_roots(
+                *batch(lambda s: np.exp(s) - [1.0, np.exp(3.0)], np.exp),
+                [0.0, 0.0])
+        np.testing.assert_allclose(root, [0.0, 3.0], rtol=0, atol=1e-13)
+
+    def test_inversion_error_at_a_far_point(self):
+        # from s = 4 Newton on exp(s) = exp(4.5) steps to 4.65, where the
+        # state fails; the root finder steps half way back and goes on
+        failures = []
+
+        def state(s):
+            if s[0] > 4.6:
+                failures.append(s[0])
+                raise InversionError("beyond range")
+            return np.exp(s) - np.exp(4.5), s.copy()
+
+        root, at = increasing_roots(state, lambda s, at: np.exp(at), [4.0])
+        assert failures
+        assert root[0] == pytest.approx(4.5, abs=1e-13)
+        np.testing.assert_array_equal(at, root)
+
+    def test_known_lower_end_is_never_evaluated(self):
+        # log(s / 1e-3) has no value at or below 0; from s = 1 Newton
+        # overshoots to -5.9, and the lower end 0 keeps every point above it
+        def state(s):
+            assert np.all(s > 0.0)
+            return np.log(s / 1e-3), s.copy()
+
+        root, _ = increasing_roots(state, lambda s, at: 1.0 / at, [1.0],
+                                   [0.0])
+        assert root[0] == pytest.approx(1e-3, rel=1e-13)
+
+    def test_jump_raises(self):
+        with pytest.raises(InversionError, match="jumps"):
+            increasing_roots(*batch(lambda s: np.where(s > 0.3, 1.0, -1.0),
+                                    np.zeros_like), [0.0])
+
+    def test_root_beyond_the_limit_raises(self):
+        # the root s = 1e13 lies beyond |s| <= 1e12
+        with pytest.raises(InversionError, match="no sign change"):
+            increasing_roots(*batch(lambda s: s / 1e13 - 1.0,
+                                    lambda s: np.full_like(s, 1e-13)), [0.0])
+
+    def test_root_beyond_a_finite_state_raises(self):
+        # the root s = 1000 lies beyond s = 700, past which the value is
+        # not finite, as exp(s) of a log multiplier overflows past 709
+        def f(s):
+            return np.where(s <= 700.0, s / 1000.0 - 1.0, np.nan)
+
+        with pytest.raises(InversionError, match="no sign change"):
+            increasing_roots(*batch(f, lambda s: np.full_like(s, 1e-3)),
+                             [0.0])
 
     def test_nan_value_raises(self):
-        with pytest.raises(InversionError, match="no sign change"):
+        with pytest.raises(InversionError, match="at its start"):
             increasing_roots(lambda s: (np.full_like(s, np.nan), None),
-                             lambda s, _: np.ones_like(s), 1)
+                             lambda s, _: np.ones_like(s), [0.0])
+
+    def test_failure_at_the_start_raises(self):
+        def state(s):
+            raise InversionError("fails everywhere")
+
+        with pytest.raises(InversionError, match="at its start"):
+            increasing_roots(state, lambda s, _: np.ones_like(s), [0.0, 1.0])
+
+    def test_failure_at_every_later_point_raises(self):
+        calls = []
+
+        def state(s):
+            calls.append(s[0])
+            if len(calls) > 1:
+                raise InversionError("fails mid-solve")
+            return np.array([-1.0]), None
+
+        with pytest.raises(InversionError, match="unconverged"):
+            increasing_roots(state, lambda s, _: np.ones_like(s), [0.0])
 
     def test_unconverged_root_raises(self, monkeypatch):
         monkeypatch.setattr(preferences, "_BRACKET_MAX_ITER", 1)
-        with pytest.raises(InversionError, match="did not converge"):
+        with pytest.raises(InversionError, match="unconverged"):
             increasing_roots(lambda s: (s ** 3 - 5.0, None),
-                             lambda s, _: 3.0 * s ** 2, 1)
+                             lambda s, _: 3.0 * s ** 2, [1.0])
 
 
 def composite_aggregator(rng):
@@ -321,94 +440,6 @@ class TestInvertGradient:
         assert issubclass(InversionError, RuntimeError)
 
 
-def scalar(value, slope, payload="z"):
-    """A one-root state from scalar value and slope functions of t."""
-    return lambda t: (np.array([value(t[0])]), np.array([slope(t[0])]),
-                      payload)
-
-
-class TestMultiplierNewton:
-    def test_finds_root_and_returns_state(self):
-        root, payload = multiplier_newton(
-            scalar(np.tanh, lambda t: 1.0 - np.tanh(t) ** 2), [0.5], [0.0])
-        assert root[0] == pytest.approx(np.arctanh(0.5), abs=1e-13)
-        assert payload == "z"
-
-    def test_decreasing(self):
-        root, _ = multiplier_newton(scalar(lambda t: -3.0 * t,
-                                           lambda t: -3.0),
-                                    [6.0], [0.0], increasing=False)
-        assert root[0] == pytest.approx(-2.0, abs=1e-13)
-
-    def test_jump_raises(self):
-        with pytest.raises(InversionError, match="jumps"):
-            multiplier_newton(scalar(lambda t: 1.0 if t > 0.3 else -1.0,
-                                     lambda t: 0.0), [0.0], [0.0])
-
-    def test_inversion_error_at_a_far_point(self):
-        # from t = 4 Newton on exp(t) = exp(4.5) steps to 4.65, where the
-        # state fails; the root finder steps half way back and goes on
-        failures = []
-
-        def state(t):
-            if t[0] > 4.6:
-                failures.append(t[0])
-                raise InversionError("beyond range")
-            return np.exp(t), np.exp(t), "z"
-
-        root, payload = multiplier_newton(state, [np.exp(4.5)], [4.0])
-        assert failures and payload == "z"
-        assert root[0] == pytest.approx(4.5, abs=1e-13)
-
-    def test_roots_of_a_batch(self):
-        # one root per entry, each on its own path; a non-finite value of
-        # the second only sends that one back
-        levels = np.array([0.5, np.exp(4.5), -2.0])
-
-        def state(t):
-            with np.errstate(over="ignore"):
-                value = np.array([np.tanh(t[0]),
-                                  np.exp(t[1]) if t[1] <= 4.6 else np.inf,
-                                  -np.exp(-t[2])])
-            slope = np.array([1.0 - np.tanh(t[0]) ** 2, np.exp(t[1]),
-                              np.exp(-t[2])])
-            return value, slope, t.copy()
-
-        root, at = multiplier_newton(state, levels, [0.0, 4.0, 3.0])
-        np.testing.assert_allclose(root, [np.arctanh(0.5), 4.5, -np.log(2.0)],
-                                   rtol=0, atol=1e-13)
-        np.testing.assert_array_equal(at, root)
-
-    def test_root_done_at_its_start_warns_nothing(self):
-        # the first root is done at its first evaluation and keeps an open
-        # bracket while the second goes on stepping
-        def state(t):
-            return np.exp(t), np.exp(t), t.copy()
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            root, _ = multiplier_newton(state, [1.0, np.exp(3.0)], [0.0, 0.0])
-        np.testing.assert_allclose(root, [0.0, 3.0], rtol=0, atol=1e-13)
-
-    def test_level_out_of_reach_raises(self):
-        # the root t = 1000 lies beyond |log mu| <= 600
-        with pytest.raises(InversionError, match="reaches"):
-            multiplier_newton(scalar(lambda t: t / 1000.0, lambda t: 1e-3),
-                              [1.0], [0.0])
-
-    def test_failure_at_every_point_raises(self):
-        calls = []
-
-        def state(t):
-            calls.append(t[0])
-            if len(calls) > 1:
-                raise InversionError("fails mid-solve")
-            return np.array([-1.0]), np.array([1.0]), "z"
-
-        with pytest.raises(InversionError, match="did not converge"):
-            multiplier_newton(state, [0.0], [0.0])
-
-
 class TestUtilityLevelRoots:
     AGG = Aggregator((RationalPowerUtility(2.0), ArctanPowerUtility(1.5)))
 
@@ -441,6 +472,23 @@ class TestUtilityLevelRoots:
                                    np.array([-30.0, 0.0]))
         np.testing.assert_allclose(t, cold[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(z, cold[0], rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8,
+                                     1e-9])
+    @pytest.mark.parametrize("agents", ["one", "two"])
+    def test_level_met_near_the_supremum(self, agents, gap):
+        # a root accepted at |f| <= 1e-9 max(1, |level|) would miss a level
+        # 1e-9 below the supremum by most of the distance to it
+        us = (RationalPowerUtility(2.0),)
+        if agents == "two":
+            us += (ArctanPowerUtility(1.5),)
+        a = Aggregator(us)
+        w = np.array([0.2, 0.3, 0.5])
+        level = np.array([a.sup - gap])
+        z, _ = utility_level_roots(a, np.ones((len(us), 3)), w,
+                                   np.array([0, 3]), level)
+        miss = abs(float(np.sum(w * a.value(z))) - level[0])
+        assert miss <= 1e-3 * gap
 
     @pytest.mark.parametrize("above", [0.0, 1e-12, 1.0])
     def test_level_at_or_above_supremum_raises(self, above):

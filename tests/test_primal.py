@@ -693,7 +693,7 @@ class TestClosedFormRouting:
                         aggregator=Aggregator.exponential([100.0]),
                         b=np.full(2, -1e6),
                         clusters=ClusterConstraint.full_sharing(1))
-        blocks, _ = primal._Blocks.from_spec(spec)
+        blocks, _ = spec._blocks
         assert primal._exponential_blocks(spec.aggregator, spec.clusters.groups,
                                           blocks, spec.kkt_tol) == [None]
         with pytest.raises(ConvergenceError) as routed:
