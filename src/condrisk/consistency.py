@@ -6,37 +6,42 @@ through g and then re-hedged at h relate to the direct h-computations by
 exact log/exp identities.  Each verifier returns the largest absolute
 violation found, including the intermediate identities used to derive it.
 
-The four identities query five (positions, partition) instances, most of
-them several times.  One ``_Forms`` object per check computes each
-instance once and memoizes its optimal objects (rho, y, q, a), the
-objects of all agents as one (N, K) matrix;
-``run_consistency`` shares one such object among all four identities.  The
-identities are asserted for the exponential closed forms; a solver mode
-computes the same objects through ``solve_batch`` and
+The four identities query the optimal objects (rho, y, q, a) of five
+(positions, partition) instances: x at g and at h, zero at h, and the
+re-hedges of the g-optimal allocation and fair allocation at h.  A check
+computes all five once, in two batches: the three direct instances first,
+then the two re-hedges, whose positions come from the first batch.
+Instances with equal positions and partition are computed once;
+``run_consistency`` shares one computation among all four identities.
+
+The identities are asserted for the exponential closed forms.  A solver
+mode computes the same objects through ``solve_batch`` and
 ``extract_dual_optimizer`` at the given solver tolerances and checks them at
 a relaxed tolerance, separating formula identity from solver accuracy.
-
-Solver mode solves the instances in two batches, one batched Newton each:
-(x, g), (x, h) and (0, h) first, then the re-hedged (-y_g, h) and
-(-a_g, h), whose positions come from the first.  Newton steps every block
-on its own, so batching keeps each block's iterates and the results equal
-those of one ``solve_rho`` per instance.
+Newton steps every block on its own, so batching keeps each block's
+iterates and the results equal those of one ``solve_rho`` per instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .dual import extract_dual_optimizer
-from .exponential import (ExpConstants, q_hat_closed, rho_closed,
-                          y_hat_closed)
+from .exponential import (ExpConstants, _log_cond_exp_exp, _y_from_rho,
+                          q_hat_closed, rho_closed)
 from .preferences import Aggregator
 from .primal import (DEFAULT_KKT_TOL, DEFAULT_MAX_ITER, ClusterConstraint,
-                     PrimalSolution, RiskSpec, solve_batch)
+                     RiskSpec, solve_batch)
 from .prob_space import (SigmaPartition, coarsens, cond_exp,
                          cond_exp_under_density, is_measurable)
+
+# the report tolerances: the closed forms satisfy the identities to
+# round-off, the solver only to its KKT tolerance
+CLOSED_TOL = 1e-9
+SOLVER_TOL = 1e-6
 
 
 def _check_chain(b_h: np.ndarray, g: SigmaPartition, h: SigmaPartition):
@@ -48,155 +53,109 @@ def _check_chain(b_h: np.ndarray, g: SigmaPartition, h: SigmaPartition):
             "consistency identities are only asserted under this hypothesis")
 
 
-@dataclass
-class _Entry:
-    """The optimal objects of one (positions, partition) instance; the
-    density and the fair allocation are filled in on first use."""
-    x: np.ndarray
-    part: SigmaPartition
+class _Optimum(NamedTuple):
+    """The optimal objects of one (positions, partition) instance, those of
+    all agents as one (N, K) matrix."""
     rho: np.ndarray
     y: np.ndarray
-    spec: RiskSpec | None = None
-    sol: PrimalSolution | None = None
-    q: np.ndarray | None = None
-    a: np.ndarray | None = None
+    q: np.ndarray
+    a: np.ndarray
 
 
-class _Forms:
-    """Optimal objects (rho, y, q, a) of the five instances the identities
-    query, each computed once and shared by the identities of one check.
-    The instances are named by their positions and partition: ``xg`` and
-    ``xh`` (x at g and at h), ``0h`` (zero at h), and the re-hedges ``yh``
-    and ``ah`` (-y and -a of ``xg``, at h).
-
-    The closed-form backend takes rho, y and q from the exponential closed
-    forms; the solver backend takes them from one solve and one
-    ``extract_dual_optimizer`` call per instance, at the given KKT
-    tolerance and iteration cap, and solves the instances of one ``solve``
-    call in one batch.  Both compute the fair allocation the same way, as
-    the conditional expectation of y under q.
-    """
-
-    def __init__(self, x, b_h, g, h, c: ExpConstants, use_solver: bool,
-                 kkt_tol: float, max_iter: int):
-        self.x, self.b, self.g, self.h, self.c = x, b_h, g, h, c
-        self.solver = ((Aggregator.exponential(c.alphas), kkt_tol, max_iter)
-                       if use_solver else None)
-        self._memo, self._keys = {}, {}
-
-    def _instance(self, name):
-        """The positions and the partition of an instance."""
-        if name == "xg":
-            return self.x, self.g
-        if name == "0h":
-            return np.zeros_like(self.x), self.h
-        if name in ("yh", "ah"):
-            return -(self.y if name == "yh" else self.a)("xg"), self.h
-        return self.x, self.h
-
-    def solve(self, *names):
-        """Fill the memo entries of the named instances that are missing;
-        the solver backend solves them in one batch.  Instances with equal
-        positions and partition share one entry."""
-        todo = {}
-        for name in names:
-            if name not in self._keys:
-                x, part = self._instance(name)
-                key = self._keys[name] = (x.tobytes(), part.blocks)
-                if key not in self._memo:
-                    todo[key] = (x, part)
-        if self.solver is None:
-            for key, (x, part) in todo.items():
-                self._memo[key] = _Entry(x, part,
-                                         rho_closed(x, self.b, part, self.c),
-                                         y_hat_closed(x, self.b, part, self.c))
-        elif todo:
-            agg, kkt_tol, max_iter = self.solver
-            clusters = ClusterConstraint.full_sharing(self.c.nagents)
-            specs = [RiskSpec(space=part.space, sigma=part, x=x,
-                              aggregator=agg, b=self.b, clusters=clusters,
-                              kkt_tol=kkt_tol, max_iter=max_iter)
-                     for x, part in todo.values()]
-            for (key, (x, part)), spec, sol in zip(todo.items(), specs,
-                                                   solve_batch(specs)):
-                self._memo[key] = _Entry(x, part, sol.rho, sol.y_hat, spec,
-                                         sol)
-
-    def _entry(self, name) -> _Entry:
-        if name not in self._keys:
-            self.solve(name)
-        return self._memo[self._keys[name]]
-
-    def rho(self, name):
-        return self._entry(name).rho
-
-    def y(self, name):
-        return self._entry(name).y
-
-    def q(self, name):
-        e = self._entry(name)
-        if e.q is None:
-            e.q = (q_hat_closed(e.x, e.part, self.c) if self.solver is None
-                   else extract_dual_optimizer(e.sol, e.spec)).q
-        return e.q
-
-    def a(self, name):
-        e = self._entry(name)
-        if e.a is None:
-            e.a = cond_exp_under_density(self.q(name), e.y, e.part)
-        return e.a
+def _optima(pairs, b: np.ndarray, c: ExpConstants,
+            solver) -> list[_Optimum]:
+    """The optimal objects of each (positions, partition) pair.  With
+    ``solver`` None they come from the exponential closed forms, one risk
+    evaluation per pair; otherwise from one batch solve of all pairs and one
+    ``extract_dual_optimizer`` call per pair, at the solver's (aggregator,
+    KKT tolerance, iteration cap).  Either way the fair allocation is the
+    conditional expectation of y under q."""
+    if solver is None:
+        found = []
+        for x, part in pairs:
+            rho = rho_closed(x, b, part, c)
+            found.append((rho, _y_from_rho(x, rho, c),
+                          q_hat_closed(x, part, c).q))
+    else:
+        agg, kkt_tol, max_iter = solver
+        clusters = ClusterConstraint.full_sharing(c.nagents)
+        specs = [RiskSpec(space=part.space, sigma=part, x=x, aggregator=agg,
+                          b=b, clusters=clusters, kkt_tol=kkt_tol,
+                          max_iter=max_iter) for x, part in pairs]
+        found = [(sol.rho, sol.y_hat, extract_dual_optimizer(sol, spec).q)
+                 for spec, sol in zip(specs, solve_batch(specs))]
+    return [_Optimum(rho, y, q, cond_exp_under_density(q, y, part))
+            for (rho, y, q), (_, part) in zip(found, pairs)]
 
 
-def _prepare(x, b_h, g, h, c, use_solver, kkt_tol=DEFAULT_KKT_TOL,
-             max_iter=DEFAULT_MAX_ITER) -> _Forms:
-    """The memo of one check, with the instances at x and at zero that
-    every identity needs filled in one batch."""
+def _instances(x, b_h, g, h, c: ExpConstants, use_solver: bool,
+               kkt_tol: float = DEFAULT_KKT_TOL,
+               max_iter: int = DEFAULT_MAX_ITER) -> dict[str, _Optimum]:
+    """The optimal objects of the five instances the identities query, by
+    name: ``xg`` and ``xh`` (x at g and at h), ``0h`` (zero at h), and the
+    re-hedges ``yh`` and ``ah`` (-y and -a of ``xg``, at h).  They are
+    computed in two batches, the re-hedges second; instances with equal
+    positions and partition are computed once."""
     _check_chain(b_h, g, h)
-    f = _Forms(np.atleast_2d(np.asarray(x, dtype=float)),
-               np.asarray(b_h, dtype=float), g, h, c, use_solver, kkt_tol,
-               max_iter)
-    f.solve("xg", "xh", "0h")
-    return f
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    b = np.asarray(b_h, dtype=float)
+    solver = ((Aggregator.exponential(c.alphas), kkt_tol, max_iter)
+              if use_solver else None)
+    named, memo = {}, {}
+
+    def add(batch):
+        keys = {name: (pos.tobytes(), part.blocks)
+                for name, (pos, part) in batch.items()}
+        new = {key: batch[name] for name, key in keys.items()
+               if key not in memo}
+        if new:
+            memo.update(zip(new, _optima(list(new.values()), b, c, solver)))
+        named.update((name, memo[key]) for name, key in keys.items())
+
+    add({"xg": (x, g), "xh": (x, h), "0h": (np.zeros_like(x), h)})
+    add({"yh": (-named["xg"].y, h), "ah": (-named["xg"].a, h)})
+    return named
 
 
-def _y_error(f: _Forms) -> float:
-    err = np.max(np.abs(f.y("yh") - (f.y("xh") + f.y("0h"))))
+def _y_error(o: dict[str, _Optimum], c: ExpConstants) -> float:
+    err = np.max(np.abs(o["yh"].y - (o["xh"].y + o["0h"].y)))
     # intermediate: the g- and h-optima differ by the scaled risk spread
-    scale = 1.0 / (f.c.beta * f.c.alphas)
-    spread = f.rho("xg") - f.rho("xh")
-    err2 = np.max(np.abs(f.y("xg") - (f.y("xh")
+    scale = 1.0 / (c.beta * c.alphas)
+    spread = o["xg"].rho - o["xh"].rho
+    err2 = np.max(np.abs(o["xg"].y - (o["xh"].y
                                       + scale[:, None] * spread[None, :])))
     return float(max(err, err2))
 
 
-def _q_error(f: _Forms) -> float:
-    q_g, q_h, q_reh_a = f.q("xg"), f.q("xh"), f.q("ah")
-    err = max(np.max(np.abs(q_g * f.q("yh") - q_h)),
+def _q_error(o: dict[str, _Optimum], x, g: SigmaPartition,
+             h: SigmaPartition, c: ExpConstants) -> float:
+    q_g, q_h, q_reh_a = o["xg"].q, o["xh"].q, o["ah"].q
+    err = max(np.max(np.abs(q_g * o["yh"].q - q_h)),
               np.max(np.abs(q_g * q_reh_a - q_h)))
     # intermediate: the fair-allocation re-hedge density is the ratio of
     # conditional exponential moments at the two levels
-    s = np.exp(-f.x.sum(axis=0) / f.c.beta)
-    ratio = cond_exp(s, f.g) / cond_exp(s, f.h)
+    s = -np.atleast_2d(np.asarray(x, dtype=float)).sum(axis=0) / c.beta
+    ratio = np.exp(_log_cond_exp_exp(s, g) - _log_cond_exp_exp(s, h))
     err2 = np.max(np.abs(q_reh_a - ratio[None, :]))
     return float(max(err, err2))
 
 
-def _a_error(f: _Forms) -> float:
-    c, h = f.c, f.h
-    a_g, a_h, a_0, lhs = f.a("xg"), f.a("xh"), f.a("0h"), f.a("ah")
+def _a_error(o: dict[str, _Optimum], h: SigmaPartition,
+             c: ExpConstants) -> float:
+    a_g, a_h, a_0, lhs = o["xg"].a, o["xh"].a, o["0h"].a, o["ah"].a
     err = np.max(np.abs(lhs - (a_h + a_0)))
 
     # decomposition of the re-hedged fair allocation, simplified forms,
     # for all agents at once
-    q_reh = f.q("ah")
-    rho_h, rho_h0 = f.rho("xh"), f.rho("0h")
+    q_reh = o["ah"].q
+    rho_h, rho_h0 = o["xh"].rho, o["0h"].rho
     scale = (1.0 / (c.beta * c.alphas))[:, None]
-    moment = cond_exp(f.rho("xg") * f.q("xh"), h)
+    moment = cond_exp(o["xg"].rho * o["xh"].q, h)
     term_e = cond_exp(a_g * q_reh, h)
     e_simpl = a_h + scale * moment - scale * rho_h
     term_f = cond_exp(scale * (-a_g.sum(axis=0)) * q_reh, h)
     f_simpl = -scale * moment
-    term_g = cond_exp(scale * f.rho("ah") * q_reh, h)
+    term_g = cond_exp(scale * o["ah"].rho * q_reh, h)
     g_simpl = scale * (rho_h0 + rho_h)
     term_h = (scale * c.a_total - c.a_j[:, None]) * cond_exp(q_reh, h)
     h_simpl = a_0 - scale * rho_h0
@@ -208,9 +167,9 @@ def _a_error(f: _Forms) -> float:
                      np.max(np.abs(term_e + term_f + term_g + term_h - lhs))))
 
 
-def _rho_error(f: _Forms) -> float:
-    lhs = f.rho("yh")
-    rhs = f.rho("0h") + f.rho("xh")
+def _rho_error(o: dict[str, _Optimum]) -> float:
+    lhs = o["yh"].rho
+    rhs = o["0h"].rho + o["xh"].rho
     return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -218,7 +177,7 @@ def verify_y_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
                          c: ExpConstants, use_solver: bool = False) -> float:
     """Allocation identity: re-hedging the g-optimal allocation at h adds
     the h-optimum of zero to the direct h-optimum, agent by agent."""
-    return _y_error(_prepare(x, b_h, g, h, c, use_solver))
+    return _y_error(_instances(x, b_h, g, h, c, use_solver), c)
 
 
 def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
@@ -226,21 +185,21 @@ def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
     """Density chain rule: the g-density times the density of the re-hedged
     problem at h equals the direct h-density, for both the allocation and
     the fair-allocation re-hedges."""
-    return _q_error(_prepare(x, b_h, g, h, c, use_solver))
+    return _q_error(_instances(x, b_h, g, h, c, use_solver), x, g, h, c)
 
 
 def verify_a_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
                          c: ExpConstants, use_solver: bool = False) -> float:
     """Fair-allocation identity, with its four-term decomposition checked
     term by term as a diagnostic."""
-    return _a_error(_prepare(x, b_h, g, h, c, use_solver))
+    return _a_error(_instances(x, b_h, g, h, c, use_solver), h, c)
 
 
 def verify_rho_recursion(x, b_h, g: SigmaPartition, h: SigmaPartition,
                          c: ExpConstants, use_solver: bool = False) -> float:
     """Risk recursion: hedging the negated g-optimal allocation at h costs
     the h-risk of zero plus the direct h-risk."""
-    return _rho_error(_prepare(x, b_h, g, h, c, use_solver))
+    return _rho_error(_instances(x, b_h, g, h, c, use_solver))
 
 
 @dataclass(frozen=True)
@@ -260,20 +219,16 @@ class ConsistencyReport:
 
 def run_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
                     c: ExpConstants, use_solver: bool = False,
-                    tol: float | None = None,
                     kkt_tol: float = DEFAULT_KKT_TOL,
                     max_iter: int = DEFAULT_MAX_ITER) -> ConsistencyReport:
-    """All four identity checks on one shared memo; closed forms at 1e-9,
-    solver mode at 1e-6.  ``kkt_tol`` and ``max_iter`` are the solver
-    tolerances of solver mode."""
-    if tol is None:
-        tol = 1e-6 if use_solver else 1e-9
-    f = _prepare(x, b_h, g, h, c, use_solver, kkt_tol, max_iter)
-    # the two re-hedged instances, in a second batch
-    f.solve("yh", "ah")
+    """All four identity checks on one computation of the five instances,
+    reported against CLOSED_TOL for the closed forms and SOLVER_TOL in
+    solver mode.  ``kkt_tol`` and ``max_iter`` are the solver tolerances
+    of solver mode."""
+    o = _instances(x, b_h, g, h, c, use_solver, kkt_tol, max_iter)
     return ConsistencyReport(
-        max_abs_err_y=_y_error(f),
-        max_abs_err_q=_q_error(f),
-        max_abs_err_a=_a_error(f),
-        max_abs_err_rho_recursion=_rho_error(f),
-        tol=tol)
+        max_abs_err_y=_y_error(o, c),
+        max_abs_err_q=_q_error(o, x, g, h, c),
+        max_abs_err_a=_a_error(o, h, c),
+        max_abs_err_rho_recursion=_rho_error(o),
+        tol=SOLVER_TOL if use_solver else CLOSED_TOL)

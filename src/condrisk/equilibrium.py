@@ -183,9 +183,8 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
 
     per_agent = np.nan
     if spec.aggregator.separable:
-        z = spec.x + y
-        ratio = np.stack([u.deriv(z[j]) for j, u in enumerate(
-            spec.aggregator.utilities)]) / np.maximum(t.q.q, 1e-300)
+        ratio = (spec.aggregator.grad(spec.x + y)
+                 / np.maximum(t.q.q, 1e-300))
         per_agent = float(np.max(np.abs(ratio - cond_exp(ratio, g))
                                  / np.abs(ratio)))
 

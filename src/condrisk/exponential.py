@@ -86,10 +86,15 @@ def y_hat_closed(x: np.ndarray, b: np.ndarray, g: SigmaPartition,
                  c: ExpConstants) -> np.ndarray:
     """Optimal allocation; its rows sum to the risk value on every atom."""
     x = np.atleast_2d(g.space.check_values(x, "positions"))
-    rho = rho_closed(x, b, g, c)
-    xbar = x.sum(axis=0)
+    return _y_from_rho(x, rho_closed(x, b, g, c), c)
+
+
+def _y_from_rho(x: np.ndarray, rho: np.ndarray,
+                c: ExpConstants) -> np.ndarray:
+    """The optimal allocation of (N, K) positions x whose risk value is
+    rho, for callers that have rho already."""
     scale = 1.0 / (c.beta * c.alphas)
-    return (-x + scale[:, None] * (xbar + rho + c.a_total)[None, :]
+    return (-x + scale[:, None] * (x.sum(axis=0) + rho + c.a_total)[None, :]
             - c.a_j[:, None])
 
 

@@ -120,15 +120,28 @@ class TestSharedMemo:
     standalone verifiers report."""
 
     @staticmethod
-    def _record(monkeypatch, name, key):
-        import condrisk.consistency as cons
-        real, keys = getattr(cons, name), []
+    def chains():
+        """A generic chain, the degenerate chain h = g and zero positions,
+        each with the most distinct pairs its five instances can have: at
+        h = g, x at g and at h coincide; at zero positions, x and zero at
+        h."""
+        space, g, h = four_atom_chain()
+        c = exp_constants([1.0, 0.5])
+        x = np.random.default_rng(48).uniform(-2, 2, size=(2, 4))
+        b = np.full(4, -2.0)
+        return {"generic": ((x, b, g, h, c), 5),
+                "h = g": ((x, b, g, g, c), 4),
+                "zero positions": ((np.zeros_like(x), b, g, h, c), 4)}
+
+    @staticmethod
+    def _record(monkeypatch, module, name, key):
+        real, keys = getattr(module, name), []
 
         def wrapper(*args):
             keys.append(key(*args))
             return real(*args)
 
-        monkeypatch.setattr(cons, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
         return keys
 
     @staticmethod
@@ -139,33 +152,42 @@ class TestSharedMemo:
         assert rep.max_abs_err_rho_recursion == verify_rho_recursion(
             *args, use_solver)
 
-    def test_solver_mode_one_solve_per_pair(self, monkeypatch):
-        rng = np.random.default_rng(48)
-        _, g, h, x, b, c = random_chain(rng, kmax=16)
-        batches = self._record(monkeypatch, "solve_batch",
+    @pytest.mark.parametrize("case", ["generic", "h = g", "zero positions"])
+    def test_solver_mode_one_solve_per_pair(self, monkeypatch, case):
+        import condrisk.consistency as cons
+        args, most = self.chains()[case]
+        batches = self._record(monkeypatch, cons, "solve_batch",
                                lambda specs: [(spec.x.tobytes(),
                                                spec.sigma.blocks)
                                               for spec in specs])
-        extracts = self._record(monkeypatch, "extract_dual_optimizer",
+        extracts = self._record(monkeypatch, cons, "extract_dual_optimizer",
                                 lambda sol, spec: (spec.x.tobytes(),
                                                    spec.sigma.blocks))
-        rep = run_consistency(x, b, g, h, c, use_solver=True)
+        rep = run_consistency(*args, use_solver=True)
         solves = [pair for batch in batches for pair in batch]
         assert len(batches) <= 2
-        assert len(solves) == len(set(solves)) >= 3
+        assert len(solves) == len(set(solves)) <= most
         assert sorted(extracts) == sorted(solves)
-        self._assert_standalone_equal(rep, (x, b, g, h, c), True)
+        self._assert_standalone_equal(rep, args, True)
 
-    def test_closed_form_one_evaluation_per_pair(self, monkeypatch):
-        rng = np.random.default_rng(49)
-        _, g, h, x, b, c = random_chain(rng, kmax=16)
-        keys = {name: self._record(monkeypatch, name,
-                                   lambda x, *rest: (x.tobytes(),
-                                                     rest[-2].blocks))
-                for name in ("rho_closed", "y_hat_closed", "q_hat_closed")}
-        rep = run_consistency(x, b, g, h, c)
-        pairs = keys["rho_closed"]
-        assert len(pairs) == len(set(pairs)) >= 3
-        assert sorted(keys["y_hat_closed"]) == sorted(pairs)
-        assert sorted(keys["q_hat_closed"]) == sorted(pairs)
-        self._assert_standalone_equal(rep, (x, b, g, h, c), False)
+    @pytest.mark.parametrize("case", ["generic", "h = g", "zero positions"])
+    def test_closed_form_one_evaluation_per_pair(self, monkeypatch, case):
+        import condrisk.consistency as cons
+        import condrisk.exponential as expo
+        args, most = self.chains()[case]
+
+        def pair(x, *rest):
+            return x.tobytes(), rest[-2].blocks
+
+        # rho_closed in both modules: y_hat_closed would evaluate it again
+        rhos = self._record(monkeypatch, cons, "rho_closed", pair)
+        inner = self._record(monkeypatch, expo, "rho_closed", pair)
+        ys = self._record(monkeypatch, cons, "_y_from_rho",
+                          lambda x, rho, c: x.tobytes())
+        qs = self._record(monkeypatch, cons, "q_hat_closed", pair)
+        rep = run_consistency(*args)
+        assert not inner
+        assert len(rhos) == len(set(rhos)) <= most
+        assert sorted(ys) == sorted(x for x, _ in rhos)
+        assert sorted(qs) == sorted(rhos)
+        self._assert_standalone_equal(rep, args, False)

@@ -143,14 +143,16 @@ class TestCliCommands:
         assert report["pass"] is True
         assert report["pi_value"]["block0"] == "-2"
 
-    def test_consistency_report(self, tmp_path, capsys):
+    # shifted by -800, -(x1 + x2) / beta reaches 800, where exp overflows
+    @pytest.mark.parametrize("shift", [0.0, -800.0])
+    def test_consistency_report(self, tmp_path, capsys, shift):
+        x = np.array([[0.5, -0.5, 1.0, 0.0], [0.0, 0.2, -0.4, 0.3]]) + shift
         path = write_doc(tmp_path, "chain.json",
                          atoms={"labels": ["a", "b", "c", "d"],
                                 "probs": [0.25, 0.25, 0.25, 0.25]},
                          sigma_g=[[0, 1], [2, 3]],
                          sigma_h=[[0, 1, 2, 3]],
-                         x=[[0.5, -0.5, 1.0, 0.0], [0.0, 0.2, -0.4, 0.3]],
-                         b=[-2.0, -2.0, -2.0, -2.0])
+                         x=x.tolist(), b=[-2.0, -2.0, -2.0, -2.0])
         assert main(["consistency", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pass"] is True
