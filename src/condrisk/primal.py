@@ -7,17 +7,16 @@ whom) so that the conditional expected aggregated utility of the padded
 positions clears a threshold B on every block.
 
 Each block of the information partition yields an independent equality-
-constrained concave program.  For exponential agents without an
-interdependence term, every block has an explicit solution for any cluster
-structure; a block is solved that way when its point passes the KKT
-certificate at the solver tolerance.  Every other block goes to one
-damped Newton iteration on the KKT systems, which steps all such blocks of
-a solve together by O(N) steps on the aggregator's diagonal-plus-rank-one
-Hessian.  Each block starts from its own point, found for all blocks in
-one root find: every agent at one marginal utility of its own utility, with
-the utility constraint active.  For a single agent, and on one atom of a
-separable aggregator, that point is the solution, which Newton only
-certifies.  A block Newton does not certify is refused.
+constrained concave program.  One damped Newton iteration on the KKT
+systems steps all blocks of a solve together, by O(N) steps on the
+aggregator's diagonal-plus-rank-one Hessian, and certifies them.  Each
+block starts from its own KKT point: for exponential agents without an
+interdependence term its explicit solution, for any cluster structure;
+otherwise, for all blocks in one root find, every agent at one marginal
+utility of its own utility with the utility constraint active.  Where the
+start is the solution, as for a single agent or on one atom of a separable
+aggregator, Newton only certifies it.  A block Newton does not certify is
+refused.
 """
 
 from __future__ import annotations
@@ -157,19 +156,15 @@ class RiskSpec:
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
     """Optimal allocation, risk per atom, and per block the utility
-    multiplier, the final optimality residual and the number of Newton
-    steps; ``iterations`` is 0 for a block solved in closed form or
-    certified at its start, as every single-agent block is."""
+    multiplier, the final optimality residual (at most kkt_tol) and the
+    number of Newton steps, 0 for a block certified at its start, as every
+    closed-form and every single-agent block is."""
 
     y_hat: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
     kkt_residual: np.ndarray
     iterations: np.ndarray
-
-    @property
-    def converged(self) -> bool:
-        return bool(np.all(np.isfinite(self.kkt_residual)))
 
 
 def feasible_start(spec: RiskSpec) -> np.ndarray:
@@ -216,7 +211,10 @@ class _Blocks:
         return np.repeat(np.arange(self.b.size), np.diff(self.start))
 
     def take(self, keep):
-        """The blocks flagged in keep, and the flags of their columns."""
+        """The blocks flagged in keep, and the flags of their columns; self
+        and a slice of all columns, with no copy, if keep flags them all."""
+        if keep.all():
+            return self, slice(None)
         cols = keep[self.of]
         start = np.concatenate(([0], np.cumsum(np.diff(self.start)[keep])))
         return _Blocks(self.x[:, cols], self.w[cols], self.b[keep], start), cols
@@ -372,25 +370,34 @@ def _newton_step(agg, groups, blocks, y, mu, r):
     return dy, v[:, :h, 0].T, dlam, v[:, h, 0], ok
 
 
-def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
-    """Damped Newton on the KKT systems of all blocks at once.  Each block
-    keeps its own step cap, line search, convergence test and iteration
-    limit, so its iterates are those of a solve on its own; it leaves the
-    batch when it converges or its system is singular or its line search
-    fails.  Returns per block (y, d, lam, mu, residual, iterations), or
-    (None, residual) where it did not converge."""
+def _kkt_start(agg, groups, blocks, y=None):
+    """The KKT start (y, d, lam, mu) of all blocks at the allocation y, by
+    default feasible_start's: the cluster budgets d of y and multipliers
+    consistent with stationarity.  Where marginal utilities underflowed at
+    y, a flat multiplier guess and the damped iteration take over."""
+    if y is None:
+        y = _block_starts(agg, blocks)
     sizes = _membership(groups)[3]
-    y, of, first = np.array(y0, dtype=float), blocks.of, blocks.start[:-1]
-    # consistent multiplier warm start from the stationarity conditions;
-    # where marginal utilities underflowed at the start, a flat multiplier
-    # guess and the damped iteration take over
+    of, first = blocks.of, blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mean = _cluster_sum(groups, agg.grad(blocks.x + y)) / sizes[:, None]
         denom = np.add.reduceat(blocks.w * mean, first, axis=1)
         flat = ~np.isfinite(denom) | (denom <= 1e-290)
         lam = np.where(flat[:, of], -blocks.w, -blocks.w * mean / denom[:, of])
         mu = np.where(flat, 1.0, 1.0 / denom).mean(axis=0)
-    d = _cluster_sum(groups, y)[:, first]
+    return y, _cluster_sum(groups, y)[:, first], lam, mu
+
+
+def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
+    """Damped Newton on the KKT systems of all blocks at once, from the
+    KKT start (y, d, lam, mu).  Each block keeps its own step cap, line
+    search, convergence test and iteration limit, so its iterates are those
+    of a solve on its own; it leaves the batch when it converges or its
+    system is singular or its line search fails.  Returns y and per block
+    (rho, mu, residual, iterations, largest residual): a block is certified
+    where its largest residual is at most kkt_tol, in 0 steps at a start
+    that passes."""
+    y, d, lam, mu = (np.array(a, dtype=float) for a in start)
     opt, res = np.empty(mu.size), np.empty(mu.size)
     iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
     r = None
@@ -435,15 +442,15 @@ def _newton(agg, groups, blocks, y0, kkt_tol, max_iter):
         keep = moved[sub.of]
         r = (r_y[:, keep], r_d[:, moved], r_c[:, keep], r_u[moved],
              grad[:, keep], norm[moved])
-    return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], iters[m])
-            if res[m] <= kkt_tol else (None, float(res[m]))
-            for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
+    # rho_m = sum_c d_c, each block's sum taken over contiguous memory, by
+    # the pairwise rule of np.sum, whatever the number of clusters
+    rho = np.ascontiguousarray(d.T).sum(axis=1)
+    return y, rho, mu, opt, iters, res
 
 
-def _exponential_blocks(agg, groups, blocks, kkt_tol):
-    """Per block, its solution in closed form for exponential agents, raw
-    or shifted, without an interdependence term, or None where that point
-    fails the certificate of a Newton solve at kkt_tol.
+def _exponential_blocks(agg, groups, blocks):
+    """The KKT point (y, d, lam, mu) of all blocks in closed form, for
+    exponential agents, raw or shifted, without an interdependence term.
 
     With u_j(z) = s_j - exp(-alpha_j z), s_j = 1 for a shifted agent and 0
     otherwise, and on cluster c beta_c = sum 1/alpha_j, a_j =
@@ -456,7 +463,7 @@ def _exponential_blocks(agg, groups, blocks, kkt_tol):
     alphas, k = agg.exponential_form
     member = _membership(groups)[0]
     first, of = blocks.start[:-1], blocks.of
-    # a point that is not finite fails the certificate and goes to Newton
+    # a point that is not finite fails Newton's test and is refused
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_j = np.log(1.0 / alphas) / alphas
         beta = _cluster_sum(groups, 1.0 / alphas)[:, None]
@@ -471,12 +478,7 @@ def _exponential_blocks(agg, groups, blocks, kkt_tol):
         y = ((level[:, of] - s)[member] / alphas[:, None] - a_j[:, None]
              - blocks.x)
         d = beta * level
-    opt, rmax = _optimality(groups, blocks, mu, _residual(
-        agg, groups, blocks, y, d, lam, mu))
-    certified = np.maximum(opt, rmax) <= kkt_tol
-    return [(y[:, a:b], d[:, m], lam[:, a:b], mu[m], opt[m], 0)
-            if certified[m] else None
-            for m, (a, b) in enumerate(zip(first, blocks.start[1:]))]
+    return y, d, lam, mu
 
 
 def _batch(specs):
@@ -493,73 +495,64 @@ def _batch(specs):
     return _Blocks.join([p for p, _ in parts]), parts
 
 
-def _finish(specs, starts, blocks, parts, results):
-    """One PrimalSolution per spec, once every block that results leaves
-    None has been solved by the batched Newton, from starts if given; a
-    block Newton does not certify raises ConvergenceError."""
+def _finish(specs, blocks, parts, start):
+    """One PrimalSolution per spec, once the batched Newton has certified
+    every block from the KKT start; the first block it does not certify
+    raises ConvergenceError."""
     agg, groups = specs[0].aggregator, specs[0].clusters.groups
     kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
-    todo = np.array([out is None for out in results])
-    if todo.any():
-        sub, keep = blocks.take(todo)
-        if starts is not None:
-            y0 = np.concatenate([np.asarray(start, float)[:, cols]
-                                 for start, (_, cols) in zip(starts, parts)],
-                                axis=1)[:, keep]
-        else:
-            y0 = _block_starts(agg, sub)
-        newton = _newton(agg, groups, sub, y0, kkt_tol, max_iter)
-        for m, out in zip(np.flatnonzero(todo), newton):
-            if out[0] is None:
-                raise ConvergenceError(
-                    f"block solve stalled at residual {out[1]:.3e} "
-                    f"(tolerance {kkt_tol:.1e})", residual=out[1])
-            results[m] = out
-    sols, first = [], 0
+    y, rho, mu, resid, iters, res = _newton(agg, groups, blocks, start,
+                                            kkt_tol, max_iter)
+    refused = np.flatnonzero(~(res <= kkt_tol))
+    if refused.size:
+        worst = float(res[refused[0]])
+        raise ConvergenceError(f"block solve stalled at residual {worst:.3e} "
+                               f"(tolerance {kkt_tol:.1e})", residual=worst)
+    sols, m, k = [], 0, 0
     for spec, (part, cols) in zip(specs, parts):
-        own, first = results[first:first + part.b.size], first + part.b.size
+        own, cut = slice(m, m + part.b.size), k + cols.size
         y_hat = np.empty_like(spec.x)
-        y_hat[:, cols] = np.concatenate([out[0] for out in own], axis=1)
-        _, d, _, mu, resid, iters = zip(*own)
+        y_hat[:, cols] = y[:, k:cut]
         sols.append(PrimalSolution(
-            y_hat=y_hat, rho=spec.sigma.expand([np.sum(dm) for dm in d]),
-            mu=np.array(mu, dtype=float),
-            kkt_residual=np.array(resid, dtype=float),
-            iterations=np.array(iters, dtype=int)))
+            y_hat=y_hat, rho=spec.sigma.expand(rho[own]), mu=mu[own],
+            kkt_residual=resid[own], iterations=iters[own]))
+        m, k = own.stop, cut
     return sols
 
 
 def solve_batch(specs) -> list[PrimalSolution]:
     """solve_rho of several problems at once, one PrimalSolution each.
 
-    For exponential agents without an interdependence term every block is
-    first solved in closed form, and kept where that point passes the
-    certificate of a Newton solve at kkt_tol.  The other blocks of all
-    specs go side by side into one batched Newton, which steps each block
-    on its own, so every block takes the iterates of a solve of its problem
-    alone and the results equal those of solve_rho spec by spec.  Each such
-    block starts at its point of feasible_start, all blocks in one root
-    find; for a single agent that is its solution, which Newton only
-    certifies.  A block Newton does not certify raises ConvergenceError.
-    All specs must share the aggregator object, the cluster groups and the
-    solver tolerances.
+    The blocks of all specs go side by side into one batched Newton, which
+    steps each block on its own, so every block takes the iterates of a
+    solve of its problem alone and the results equal those of solve_rho
+    spec by spec.  For exponential agents without an interdependence term
+    each block starts at its closed-form solution, which Newton certifies
+    in 0 steps, or else polishes from there.  Otherwise each block starts at
+    its point of feasible_start, all blocks in one root find; for a single
+    agent that is its solution, which Newton only certifies.  A block
+    Newton does not certify raises ConvergenceError.  All specs must share
+    the aggregator object, the cluster groups and the solver tolerances.
     """
     blocks, parts = _batch(specs)
-    agg, results = specs[0].aggregator, [None] * blocks.b.size
-    if agg.exponential_form is not None:
-        results = _exponential_blocks(agg, specs[0].clusters.groups, blocks,
-                                      specs[0].kkt_tol)
-    return _finish(specs, None, blocks, parts, results)
+    agg, groups = specs[0].aggregator, specs[0].clusters.groups
+    start = (_kkt_start(agg, groups, blocks) if agg.exponential_form is None
+             else _exponential_blocks(agg, groups, blocks))
+    return _finish(specs, blocks, parts, start)
 
 
 def _solve_newton(specs, starts=None) -> list[PrimalSolution]:
-    """solve_batch without the closed form: every block goes through the
-    batched Newton, whatever the aggregator, from ``starts`` as given (one
-    per spec) or else from solve_batch's starts.  Tests drive Newton on
-    exponential agents through it, hold it to the closed forms and force its
-    paths by their starts."""
+    """solve_batch without the closed form: every block starts at the
+    allocation of ``starts`` (one per spec), or else of feasible_start,
+    with multipliers from stationarity, whatever the aggregator.  Tests
+    drive Newton on exponential agents through it, hold it to the closed
+    forms and force its paths by their starts."""
     blocks, parts = _batch(specs)
-    return _finish(specs, starts, blocks, parts, [None] * blocks.b.size)
+    agg, groups = specs[0].aggregator, specs[0].clusters.groups
+    y0 = None if starts is None else np.concatenate(
+        [np.asarray(start, float)[:, cols]
+         for start, (_, cols) in zip(starts, parts)], axis=1)
+    return _finish(specs, blocks, parts, _kkt_start(agg, groups, blocks, y0))
 
 
 def solve_rho(spec: RiskSpec) -> PrimalSolution:
@@ -567,12 +560,11 @@ def solve_rho(spec: RiskSpec) -> PrimalSolution:
 
     Returns the blockwise unique optimal allocation, the risk value per atom
     (constant on each block), the utility-constraint multiplier and the final
-    KKT residual per block.  The blocks are independent programs.  For
-    exponential agents without an interdependence term a block whose closed
-    form passes the KKT certificate is solved by it; one batched Newton
-    steps the other blocks together, each from its point of feasible_start,
-    and a block it does not certify raises ConvergenceError.  This is
-    solve_batch of one spec.
+    KKT residual per block.  The blocks are independent programs, which
+    one batched Newton steps together, each from its own KKT start: the
+    closed form for exponential agents without an interdependence term,
+    else its point of feasible_start.  A block it does not certify raises
+    ConvergenceError.  This is solve_batch of one spec.
     """
     return solve_batch([spec])[0]
 

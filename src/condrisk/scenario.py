@@ -136,11 +136,14 @@ def _json_int(text: str):
 
 
 def parse_scenario(path: str) -> Scenario:
-    """Load, check and build a scenario from a JSON file."""
+    """Load, check and build a scenario from a UTF-8 JSON file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh, parse_int=_json_int)
         _check(doc, _DOCUMENT, ())
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ScenarioError(f"{path}: cannot read: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: invalid JSON at line {exc.lineno}, "
                             f"column {exc.colno}: {exc.msg}") from exc

@@ -238,12 +238,29 @@ class TestCompositeScenario:
         assert capsys.readouterr().out == default
 
 
+def _bad_scenario(tmp_path, kind):
+    """A path parse_scenario refuses: of a malformed document, of no file,
+    of a directory, or of a file that is not UTF-8."""
+    path = tmp_path / "scenario.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not_utf8":
+        # Latin-1 for "w\u00e9" inside an otherwise valid document
+        path.write_bytes(json.dumps(CANONICAL_DOC).replace(
+            '"w0"', '"w\u00e9"').encode("latin-1"))
+    elif kind == "schema":
+        path = write_doc(tmp_path, "bad.json", agents=[{"kind": "quadratic"}])
+    return str(path)
+
+
 class TestCliErrors:
-    def test_schema_error_exit_code(self, tmp_path, capsys):
-        path = write_doc(tmp_path, "bad.json",
-                         agents=[{"kind": "quadratic"}])
-        assert main(["risk", str(path)]) == 1
-        assert "scenario error" in capsys.readouterr().err
+    @pytest.mark.parametrize("kind",
+                             ["schema", "missing", "directory", "not_utf8"])
+    def test_schema_error_exit_code(self, tmp_path, capsys, kind):
+        path = _bad_scenario(tmp_path, kind)
+        assert main(["risk", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("scenario error: ") and path in err
 
     def test_invariant_violation_exit_code(self, tmp_path, capsys):
         path = write_doc(tmp_path, "posb.json", b=[1.0, 1.0])
