@@ -7,9 +7,7 @@ the dual measure vectors and penalties, exponential closed forms, time
 consistency across nested partitions, and risk-transfer equilibria.
 """
 
-from .consistency import (ConsistencyReport, run_consistency,
-                          verify_a_consistency, verify_q_consistency,
-                          verify_rho_recursion, verify_y_consistency)
+from .consistency import ConsistencyReport, run_consistency
 from .dual import (DualGapError, DualReport, PenaltyDivergenceError,
                    dual_report, dual_value, extract_dual_optimizer, in_q1,
                    penalty_alpha1)
@@ -19,9 +17,9 @@ from .exponential import (ExpConstants, a_hat_closed, alpha1_entropic,
                           exp_constants, q_hat_closed, rho_closed,
                           y_hat_closed)
 from .oracle import EmptyFeasibleGridError, grid_max_alpha1, grid_min_rho
-from .preferences import (Aggregator, ArctanPowerUtility, CustomUtility,
-                          ExponentialUtility, InversionError,
-                          LambdaAggregator, RationalPowerUtility, conjugate_V)
+from .preferences import (Aggregator, ArctanPowerUtility, ExponentialUtility,
+                          InversionError, LambdaAggregator,
+                          RationalPowerUtility)
 from .primal import (AxiomReport, ClusterConstraint, ConvergenceError,
                      PrimalSolution, RiskSpec, check_axioms, feasible_start,
                      solve_rho)
@@ -32,21 +30,19 @@ from .scenario import Scenario, ScenarioError, parse_scenario
 
 __all__ = [
     "Aggregator", "ArctanPowerUtility", "AxiomReport", "ClusterConstraint",
-    "ConsistencyReport", "ConvergenceError", "CustomUtility", "DensityVector",
-    "DualGapError", "DualReport", "EmptyFeasibleGridError",
-    "EquilibriumTriple", "ExpConstants", "ExponentialUtility",
-    "InversionError", "LambdaAggregator", "MsorteReport",
-    "PenaltyDivergenceError", "PrimalSolution", "RationalPowerUtility",
-    "RiskSpec", "Scenario", "ScenarioError", "ScenarioSpace", "SigmaPartition",
-    "a_hat_closed", "alpha1_entropic", "build_equilibrium", "check_axioms",
-    "coarsens", "cond_exp", "cond_exp_under_density", "cond_relative_entropy",
-    "conjugate_V", "dual_report", "dual_value", "exp_constants",
-    "extract_dual_optimizer", "feasible_start", "grid_max_alpha1",
-    "grid_min_rho", "in_q1", "is_measurable", "parse_scenario",
-    "penalty_alpha1", "pi_problem", "q_hat_closed", "rho_closed",
-    "run_consistency", "solve_rho", "verify_a_consistency",
-    "verify_msorte", "verify_q_consistency", "verify_rho_recursion",
-    "verify_y_consistency", "y_hat_closed",
+    "ConsistencyReport", "ConvergenceError", "DensityVector", "DualGapError",
+    "DualReport", "EmptyFeasibleGridError", "EquilibriumTriple",
+    "ExpConstants", "ExponentialUtility", "InversionError", "LambdaAggregator",
+    "MsorteReport", "PenaltyDivergenceError", "PrimalSolution",
+    "RationalPowerUtility", "RiskSpec", "Scenario", "ScenarioError",
+    "ScenarioSpace", "SigmaPartition", "a_hat_closed", "alpha1_entropic",
+    "build_equilibrium", "check_axioms", "coarsens", "cond_exp",
+    "cond_exp_under_density", "cond_relative_entropy", "dual_report",
+    "dual_value", "exp_constants", "extract_dual_optimizer", "feasible_start",
+    "grid_max_alpha1", "grid_min_rho", "in_q1", "is_measurable",
+    "parse_scenario", "penalty_alpha1", "pi_problem", "q_hat_closed",
+    "rho_closed", "run_consistency", "solve_rho", "verify_msorte",
+    "y_hat_closed",
 ]
 
 __version__ = "0.1.0"

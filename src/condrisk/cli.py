@@ -5,7 +5,9 @@ the computation and emits a deterministic JSON report (stable key order,
 numbers as 12-significant-digit decimal strings).
 
 Exit codes: 0 success (the report carries a pass field), 1 scenario format
-error, 2 domain invariant violation, 3 convergence failure.
+error, 2 domain invariant violation or a usage error (among them an --out
+path whose directory does not exist, found before the scenario is read,
+and an --out path that cannot be written), 3 convergence failure.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -232,6 +235,9 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help="write the report to this path instead of stdout")
     args = parser.parse_args(argv)
+    folder = os.path.dirname(args.out or "") or "."
+    if not os.path.isdir(folder):
+        parser.error(f"--out {args.out}: directory {folder} does not exist")
 
     try:
         sc = parse_scenario(args.file)
@@ -254,8 +260,12 @@ def main(argv=None) -> int:
 
     text = json.dumps(report, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"cannot write the report: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -3,16 +3,16 @@
 For partitions h coarser than g and a threshold measurable at the coarse
 level, the optimal allocations, dual densities and fair allocations computed
 through g and then re-hedged at h relate to the direct h-computations by
-exact log/exp identities.  Each verifier returns the largest absolute
-violation found, including the intermediate identities used to derive it.
+exact log/exp identities.  ``run_consistency`` reports, for each of the
+four identities, the largest absolute violation found, including the
+intermediate identities used to derive it.
 
 The four identities query the optimal objects (rho, y, q, a) of five
 (positions, partition) instances: x at g and at h, zero at h, and the
 re-hedges of the g-optimal allocation and fair allocation at h.  A check
 computes all five once, in two batches: the three direct instances first,
 then the two re-hedges, whose positions come from the first batch.
-Instances with equal positions and partition are computed once;
-``run_consistency`` shares one computation among all four identities.
+Instances with equal positions and partition are computed once.
 
 The identities are asserted for the exponential closed forms.  A solver
 mode computes the same objects through ``solve_batch`` and
@@ -118,6 +118,8 @@ def _instances(x, b_h, g, h, c: ExpConstants, use_solver: bool,
 
 
 def _y_error(o: dict[str, _Optimum], c: ExpConstants) -> float:
+    """Allocation identity: re-hedging the g-optimal allocation at h adds
+    the h-optimum of zero to the direct h-optimum, agent by agent."""
     err = np.max(np.abs(o["yh"].y - (o["xh"].y + o["0h"].y)))
     # intermediate: the g- and h-optima differ by the scaled risk spread
     scale = 1.0 / (c.beta * c.alphas)
@@ -129,6 +131,9 @@ def _y_error(o: dict[str, _Optimum], c: ExpConstants) -> float:
 
 def _q_error(o: dict[str, _Optimum], x, g: SigmaPartition,
              h: SigmaPartition, c: ExpConstants) -> float:
+    """Density chain rule: the g-density times the density of the re-hedged
+    problem at h equals the direct h-density, for both the allocation and
+    the fair-allocation re-hedges."""
     q_g, q_h, q_reh_a = o["xg"].q, o["xh"].q, o["ah"].q
     err = max(np.max(np.abs(q_g * o["yh"].q - q_h)),
               np.max(np.abs(q_g * q_reh_a - q_h)))
@@ -142,6 +147,8 @@ def _q_error(o: dict[str, _Optimum], x, g: SigmaPartition,
 
 def _a_error(o: dict[str, _Optimum], h: SigmaPartition,
              c: ExpConstants) -> float:
+    """Fair-allocation identity, with its four-term decomposition checked
+    term by term as a diagnostic."""
     a_g, a_h, a_0, lhs = o["xg"].a, o["xh"].a, o["0h"].a, o["ah"].a
     err = np.max(np.abs(lhs - (a_h + a_0)))
 
@@ -168,38 +175,11 @@ def _a_error(o: dict[str, _Optimum], h: SigmaPartition,
 
 
 def _rho_error(o: dict[str, _Optimum]) -> float:
+    """Risk recursion: hedging the negated g-optimal allocation at h costs
+    the h-risk of zero plus the direct h-risk."""
     lhs = o["yh"].rho
     rhs = o["0h"].rho + o["xh"].rho
     return float(np.max(np.abs(lhs - rhs)))
-
-
-def verify_y_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Allocation identity: re-hedging the g-optimal allocation at h adds
-    the h-optimum of zero to the direct h-optimum, agent by agent."""
-    return _y_error(_instances(x, b_h, g, h, c, use_solver), c)
-
-
-def verify_q_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Density chain rule: the g-density times the density of the re-hedged
-    problem at h equals the direct h-density, for both the allocation and
-    the fair-allocation re-hedges."""
-    return _q_error(_instances(x, b_h, g, h, c, use_solver), x, g, h, c)
-
-
-def verify_a_consistency(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Fair-allocation identity, with its four-term decomposition checked
-    term by term as a diagnostic."""
-    return _a_error(_instances(x, b_h, g, h, c, use_solver), h, c)
-
-
-def verify_rho_recursion(x, b_h, g: SigmaPartition, h: SigmaPartition,
-                         c: ExpConstants, use_solver: bool = False) -> float:
-    """Risk recursion: hedging the negated g-optimal allocation at h costs
-    the h-risk of zero plus the direct h-risk."""
-    return _rho_error(_instances(x, b_h, g, h, c, use_solver))
 
 
 @dataclass(frozen=True)

@@ -138,10 +138,9 @@ def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
 
     The last result is kept for the same three objects: a dual optimizer
     is checked for its gap and then reported with the same q, spec and
-    sol.  All three hash by identity, and every array they hold is a
-    write-protected private copy, so identity implies equal inputs as
-    long as the agent utilities, which may wrap user callables, do not
-    change after construction.
+    sol.  All three hash by identity, every array they hold is a
+    write-protected private copy and every utility kind is a frozen
+    dataclass, so identity implies equal inputs.
     """
     _check_density(q, spec)
     out = (_alpha1_exponential(q, spec)

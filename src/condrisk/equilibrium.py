@@ -156,7 +156,8 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
     of the allocation exhausts the budget, and the budget-constrained
     utility maximum is attained by the allocation.  For separable
     aggregators a per-agent optimality diagnostic (marginal utility
-    proportional to the agent's density on each block) is also reported.
+    proportional to the agent's density on each block) is also reported;
+    atoms where a marginal utility underflows to 0 do not enter it.
     """
     g, y = spec.sigma, t.y
     if t.q.sigma is not g and t.q.sigma != g:
@@ -185,8 +186,13 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
     if spec.aggregator.separable:
         ratio = (spec.aggregator.grad(spec.x + y)
                  / np.maximum(t.q.q, 1e-300))
-        per_agent = float(np.max(np.abs(ratio - cond_exp(ratio, g))
-                                 / np.abs(ratio)))
+        # where a marginal utility underflows to 0 the atom shows nothing of
+        # the ratio: it is left out of its block's mean and of the maximum
+        seen = ratio > 0.0
+        mean = cond_exp(ratio, g) / np.maximum(1.0 - cond_exp(~seen, g),
+                                               1e-300)
+        per_agent = float(np.max(np.abs(ratio - mean)
+                                 / np.where(seen, ratio, np.inf)))
 
     return MsorteReport(cluster_feasibility=cluster_res,
                         budget_match=max(budget_res, value_budget_res),

@@ -7,10 +7,10 @@ penalty all have explicit log/exp expressions.  These are the reference
 values the numerical solvers are validated against.
 
 The primal solver has its own closed form for exponential agents, raw or
-shifted, in any cluster structure, and uses it wherever its point passes
-the KKT certificate.  This module neither calls the solver for these
-formulas nor is called by it, so checking one against the other compares
-two independent computations.
+shifted, in any cluster structure, and starts its Newton there, which
+certifies that point or polishes it.  This module neither calls the solver
+for these formulas nor is called by it, so checking one against the other
+compares two independent computations.
 """
 
 from __future__ import annotations

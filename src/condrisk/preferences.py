@@ -1,8 +1,7 @@
 """Agent preferences: univariate utilities, the multivariate aggregator
 (sum of agent utilities plus an optional concave interdependence term),
-analytic derivatives, the exponential convex conjugate, gradient inversion,
-and the one safeguarded Newton the solvers use for every scalar root: the
-start of each primal block, inverse marginals of custom utilities, the
+analytic derivatives, gradient inversion, and the one safeguarded Newton
+the solvers use for every scalar root: the start of each primal block, the
 s-equation of gradient inversion and the log multipliers of the dual side.
 
 All utilities are strictly increasing and strictly concave on the real
@@ -168,62 +167,6 @@ class ArctanPowerUtility(UnivariateUtility):
         return np.where(m <= self.p, pos, neg)
 
 
-# CustomUtility's midpoint test draws this many pairs from this seed, and
-# its deriv2 takes central differences at this step when no second
-# derivative is given
-_SELFTEST_POINTS = 64
-_SELFTEST_SEED = 0
-_DERIV2_STEP = 1e-6
-
-
-class CustomUtility(UnivariateUtility):
-    """Extension point: wrap user-supplied value/derivative callables.
-
-    A randomized midpoint test rejects candidates that are not strictly
-    concave or not strictly increasing; ``deriv2`` falls back to central
-    differences when no second derivative is given.
-    """
-
-    def __init__(self, value_fn, deriv_fn, deriv2_fn=None, sup=np.inf):
-        self._value = value_fn
-        self._deriv = deriv_fn
-        self._deriv2 = deriv2_fn
-        self.sup = float(sup)
-        rng = np.random.default_rng(_SELFTEST_SEED)
-        xs = rng.uniform(-5.0, 5.0, size=_SELFTEST_POINTS)
-        ys = rng.uniform(-5.0, 5.0, size=_SELFTEST_POINTS)
-        keep = np.abs(xs - ys) > 1e-6
-        xs, ys = xs[keep], ys[keep]
-        mid = self.value((xs + ys) / 2.0)
-        if np.any(mid <= (self.value(xs) + self.value(ys)) / 2.0):
-            raise ValueError("custom utility failed the strict concavity test")
-        if np.any(np.asarray(self.deriv(xs)) <= 0.0):
-            raise ValueError("custom utility is not strictly increasing")
-
-    def value(self, x):
-        return np.asarray(self._value(np.asarray(x, dtype=float)), dtype=float)
-
-    def deriv(self, x):
-        return np.asarray(self._deriv(np.asarray(x, dtype=float)), dtype=float)
-
-    def deriv2(self, x):
-        if self._deriv2 is not None:
-            return np.asarray(self._deriv2(np.asarray(x, dtype=float)), dtype=float)
-        x, h = np.asarray(x, dtype=float), _DERIV2_STEP
-        return (self.deriv(x + h) - self.deriv(x - h)) / (2.0 * h)
-
-    def inverse_deriv(self, m):
-        """Every entry at once by increasing_roots on m - u'(x) from 0;
-        where deriv2 is 0, infinite or wrong, bisection takes over from
-        Newton."""
-        m = np.asarray(m, dtype=float)
-        flat = m.ravel()
-        x, _ = increasing_roots(lambda x: (flat - self.deriv(x), None),
-                                lambda x, _: -self.deriv2(x),
-                                np.zeros(flat.size))
-        return x.reshape(m.shape)
-
-
 @dataclass(frozen=True)
 class LambdaAggregator:
     """Concave, nondecreasing, bounded-above interdependence term.
@@ -296,17 +239,15 @@ class Aggregator:
             raise ValueError("need at least one agent utility")
         if not self.lam.is_zero and self.lam.weights.size != self.nagents:
             raise ValueError("lambda weights must have one entry per agent")
-        # closed forms for exponential agents without interdependence term,
-        # and a vectorized fast path when none of them is shifted
-        exp_form = exp_alphas = None
+        # closed forms, and a vectorized fast path, for exponential agents
+        # without interdependence term
+        exp_form = None
         if self.lam.is_zero and all(isinstance(u, ExponentialUtility)
                                     for u in self.utilities):
-            alphas = np.array([u.alpha for u in self.utilities], dtype=float)
-            shifted = sum(u.shifted for u in self.utilities)
-            exp_form = (alphas, shifted)
-            exp_alphas = None if shifted else alphas
+            exp_form = (np.array([u.alpha for u in self.utilities],
+                                 dtype=float),
+                        sum(u.shifted for u in self.utilities))
         object.__setattr__(self, "_exp_form", exp_form)
-        object.__setattr__(self, "_exp_alphas", exp_alphas)
 
     @property
     def nagents(self) -> int:
@@ -321,7 +262,8 @@ class Aggregator:
     def raw_exponential_alphas(self) -> np.ndarray | None:
         """Exponent vector when every agent is raw exponential and the
         interdependence term vanishes; None otherwise."""
-        return self._exp_alphas
+        form = self._exp_form
+        return form[0] if form is not None and not form[1] else None
 
     @property
     def exponential_form(self) -> tuple | None:
@@ -337,16 +279,18 @@ class Aggregator:
     def value(self, x):
         """U(x) for x of shape (N,) or (N, K)."""
         x = np.asarray(x, dtype=float)
-        if self._exp_alphas is not None:
-            a = self._exp_alphas if x.ndim == 1 else self._exp_alphas[:, None]
-            return -stable_sum(np.exp(-a * x))
+        if self._exp_form is not None:
+            alphas, k = self._exp_form
+            a = alphas if x.ndim == 1 else alphas[:, None]
+            return k - stable_sum(np.exp(-a * x))
         parts = sum(u.value(x[j]) for j, u in enumerate(self.utilities))
         return parts + self.lam.value(x)
 
     def grad(self, x):
         x = np.asarray(x, dtype=float)
-        if self._exp_alphas is not None:
-            a = self._exp_alphas if x.ndim == 1 else self._exp_alphas[:, None]
+        if self._exp_form is not None:
+            alphas = self._exp_form[0]
+            a = alphas if x.ndim == 1 else alphas[:, None]
             return a * np.exp(-a * x)
         g = np.stack([u.deriv(x[j]) for j, u in enumerate(self.utilities)])
         return g + self.lam.grad(x)
@@ -362,8 +306,9 @@ class Aggregator:
         (u_j''(x_j) per agent, v''(beta^T x)), v'' = 0 when U is separable:
         shapes (N,) and scalar for a point, (N, K) and (K,) columnwise."""
         x = np.asarray(x, dtype=float)
-        if self._exp_alphas is not None:
-            a = self._exp_alphas if x.ndim == 1 else self._exp_alphas[:, None]
+        if self._exp_form is not None:
+            alphas = self._exp_form[0]
+            a = alphas if x.ndim == 1 else alphas[:, None]
             d2 = -a * a * np.exp(-a * x)
         else:
             d2 = np.stack([u.deriv2(x[j]) for j, u in enumerate(self.utilities)])
@@ -649,14 +594,3 @@ def xlogx(r: np.ndarray) -> np.ndarray:
     """r log r elementwise for r >= 0, with 0 log 0 = 0."""
     pos = r > 0.0
     return np.where(pos, r * np.log(np.where(pos, r, 1.0)), 0.0)
-
-
-def conjugate_V(alphas, y) -> float:
-    """Convex conjugate of the raw exponential aggregator at y > 0:
-    sum_j (y_j/alpha_j) (log(y_j/alpha_j) - 1), extended by 0 at y_j = 0."""
-    alphas = np.asarray(alphas, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if np.any(y < 0.0):
-        raise ValueError("conjugate argument must be nonnegative")
-    r = y / alphas
-    return float((xlogx(r) - r).sum())

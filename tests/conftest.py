@@ -8,6 +8,7 @@ import pytest
 from condrisk import (Aggregator, ClusterConstraint, ExponentialUtility,
                       RiskSpec, ScenarioSpace,
                       SigmaPartition, exp_constants)
+from condrisk.preferences import UnivariateUtility, xlogx
 
 # Canonical two-atom instance, values frozen from 40-digit arithmetic:
 # two unit-exponent agents, full sharing, uniform atoms, positions
@@ -40,6 +41,36 @@ def make_canonical_spec():
 @pytest.fixture
 def canonical_spec():
     return make_canonical_spec()
+
+
+class CurvedExponential(UnivariateUtility):
+    """u(x) = -exp(-x) with its exact inverse marginal -log(m), but with
+    the second derivative deriv2(x) given: a curvature that vanishes where
+    the exponential's does not makes a block's Newton system singular."""
+
+    sup = 0.0
+
+    def __init__(self, deriv2):
+        self._deriv2 = deriv2
+
+    def value(self, x):
+        return -np.exp(-np.asarray(x, dtype=float))
+
+    def deriv(self, x):
+        return np.exp(-np.asarray(x, dtype=float))
+
+    def deriv2(self, x):
+        return self._deriv2(np.asarray(x, dtype=float))
+
+    def inverse_deriv(self, m):
+        return -np.log(np.asarray(m, dtype=float))
+
+
+def conjugate_V(alphas, y) -> float:
+    """Reference convex conjugate of the raw exponential aggregator at
+    y >= 0: sum_j (y_j/alpha_j) (log(y_j/alpha_j) - 1), with 0 log 0 = 0."""
+    r = np.asarray(y, dtype=float) / np.asarray(alphas, dtype=float)
+    return float((xlogx(r) - r).sum())
 
 
 def random_partition(rng, space, max_blocks=None):

@@ -2,9 +2,7 @@ import numpy as np
 import pytest
 
 from condrisk import (ScenarioSpace, SigmaPartition, exp_constants,
-                      run_consistency, verify_a_consistency,
-                      verify_q_consistency, verify_rho_recursion,
-                      verify_y_consistency)
+                      run_consistency)
 from conftest import random_chain
 
 
@@ -58,8 +56,8 @@ class TestClosedForm:
         c = exp_constants([2.0])
         rng = np.random.default_rng(43)
         x = rng.uniform(-2, 2, size=(1, 4))
-        err = verify_a_consistency(x, np.full(4, -0.5), g, h, c)
-        assert err <= 1e-10
+        rep = run_consistency(x, np.full(4, -0.5), g, h, c)
+        assert rep.max_abs_err_a <= 1e-10
 
     def test_random_chains(self):
         rng = np.random.default_rng(44)
@@ -76,15 +74,15 @@ class TestHypotheses:
         crossing = SigmaPartition(space, ((0, 2), (1, 3)))
         c = exp_constants([1.0])
         with pytest.raises(ValueError):
-            verify_y_consistency(np.zeros((1, 4)), np.full(4, -1.0), g,
-                                 crossing, c)
+            run_consistency(np.zeros((1, 4)), np.full(4, -1.0), g,
+                            crossing, c)
 
     def test_flags_threshold_not_coarse_measurable(self):
         space, g, h = four_atom_chain()
         c = exp_constants([1.0, 1.0])
         b_fine = g.expand(np.array([-2.0, -3.0]))  # g- but not h-measurable
         with pytest.raises(ValueError, match="coarse"):
-            verify_q_consistency(np.zeros((2, 4)), b_fine, g, h, c)
+            run_consistency(np.zeros((2, 4)), b_fine, g, h, c)
 
 
 class TestSolverMode:
@@ -109,15 +107,13 @@ class TestSolverMode:
         c = exp_constants([0.7, 1.3])
         rng = np.random.default_rng(47)
         x = rng.uniform(-2, 2, size=(2, 4))
-        err = verify_rho_recursion(x, np.full(4, -1.0), g, h, c,
-                                   use_solver=True)
-        assert err <= 1e-6
+        rep = run_consistency(x, np.full(4, -1.0), g, h, c, use_solver=True)
+        assert rep.max_abs_err_rho_recursion <= 1e-6
 
 
 class TestSharedMemo:
     """run_consistency computes every distinct (positions, partition) pair
-    once for all four identities, and reports exactly what the four
-    standalone verifiers report."""
+    once for all four identities."""
 
     @staticmethod
     def chains():
@@ -144,14 +140,6 @@ class TestSharedMemo:
         monkeypatch.setattr(module, name, wrapper)
         return keys
 
-    @staticmethod
-    def _assert_standalone_equal(rep, args, use_solver):
-        assert rep.max_abs_err_y == verify_y_consistency(*args, use_solver)
-        assert rep.max_abs_err_q == verify_q_consistency(*args, use_solver)
-        assert rep.max_abs_err_a == verify_a_consistency(*args, use_solver)
-        assert rep.max_abs_err_rho_recursion == verify_rho_recursion(
-            *args, use_solver)
-
     @pytest.mark.parametrize("case", ["generic", "h = g", "zero positions"])
     def test_solver_mode_one_solve_per_pair(self, monkeypatch, case):
         import condrisk.consistency as cons
@@ -163,12 +151,11 @@ class TestSharedMemo:
         extracts = self._record(monkeypatch, cons, "extract_dual_optimizer",
                                 lambda sol, spec: (spec.x.tobytes(),
                                                    spec.sigma.blocks))
-        rep = run_consistency(*args, use_solver=True)
+        run_consistency(*args, use_solver=True)
         solves = [pair for batch in batches for pair in batch]
         assert len(batches) <= 2
         assert len(solves) == len(set(solves)) <= most
         assert sorted(extracts) == sorted(solves)
-        self._assert_standalone_equal(rep, args, True)
 
     @pytest.mark.parametrize("case", ["generic", "h = g", "zero positions"])
     def test_closed_form_one_evaluation_per_pair(self, monkeypatch, case):
@@ -185,9 +172,8 @@ class TestSharedMemo:
         ys = self._record(monkeypatch, cons, "_y_from_rho",
                           lambda x, rho, c: x.tobytes())
         qs = self._record(monkeypatch, cons, "q_hat_closed", pair)
-        rep = run_consistency(*args)
+        run_consistency(*args)
         assert not inner
         assert len(rhos) == len(set(rhos)) <= most
         assert sorted(ys) == sorted(x for x, _ in rhos)
         assert sorted(qs) == sorted(rhos)
-        self._assert_standalone_equal(rep, args, False)

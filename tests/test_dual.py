@@ -8,12 +8,12 @@ from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
                       DensityVector, ExponentialUtility, InversionError,
                       LambdaAggregator, PenaltyDivergenceError,
                       RationalPowerUtility, RiskSpec, ScenarioSpace,
-                      SigmaPartition, cond_exp, conjugate_V, dual_report,
+                      SigmaPartition, cond_exp, dual_report,
                       dual_value, extract_dual_optimizer, in_q1,
                       parse_scenario, penalty_alpha1, q_hat_closed,
                       solve_rho)
 from condrisk import dual, equilibrium, pi_problem, preferences
-from conftest import (CANONICAL, make_canonical_spec,
+from conftest import (CANONICAL, conjugate_V, make_canonical_spec,
                       random_exponential_instance, random_partition)
 
 

@@ -87,6 +87,19 @@ class TestVerify:
         rep = verify_msorte(triple, spec)
         assert rep.passed, rep
 
+    def test_underflowed_marginal_leaves_the_diagnostic_finite(self):
+        # at x = 800 the marginal utility e^-800 underflows to 0, and so
+        # does the density: that atom shows nothing of the ratio
+        space = ScenarioSpace.uniform(2)
+        spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
+                        x=np.array([[800.0, 0.0], [800.0, 0.0]]),
+                        aggregator=Aggregator.exponential([1.0, 1.0]),
+                        b=np.full(2, -1.0),
+                        clusters=ClusterConstraint.no_sharing(2))
+        rep = verify_msorte(build_equilibrium(spec), spec)
+        assert rep.passed, rep
+        assert rep.per_agent_optimality == 0.0
+
     def test_triple_invariants(self, canonical_spec):
         g = canonical_spec.sigma
         with pytest.raises(ValueError):

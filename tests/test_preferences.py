@@ -3,12 +3,12 @@ import warnings
 import numpy as np
 import pytest
 
-from condrisk import (Aggregator, ArctanPowerUtility, CustomUtility,
-                      ExponentialUtility, InversionError, LambdaAggregator,
-                      RationalPowerUtility, conjugate_V)
+from condrisk import (Aggregator, ArctanPowerUtility, ExponentialUtility,
+                      InversionError, LambdaAggregator, RationalPowerUtility)
 from condrisk import preferences
 from condrisk.preferences import (increasing_roots, invert_gradient,
                                   utility_level_roots)
+from conftest import conjugate_V
 
 ALL_KINDS = [
     ExponentialUtility(1.0),
@@ -160,6 +160,34 @@ class TestAggregatorProperties:
         np.testing.assert_array_equal(lam.weights, [1.0, 2.0])
         assert not lam.weights.flags.writeable
 
+    @pytest.mark.parametrize("shifted", [(True, True), (True, False, True)],
+                             ids=["shifted", "mixed"])
+    def test_exponential_fast_path_matches_the_agents(self, shifted):
+        # every agent exponential, raw or shifted: value, grad and
+        # curvature take all exponents at once, and agree with the agents
+        # one by one to a few ulp of the terms summed
+        rng = np.random.default_rng(8)
+        agents = tuple(ExponentialUtility(a, s) for a, s in
+                       zip(rng.uniform(0.3, 3.0, len(shifted)), shifted))
+        a = Aggregator(agents)
+        assert a.exponential_form[1] == sum(shifted)
+        assert a.raw_exponential_alphas is None
+        eps = np.finfo(float).eps
+        for x in (rng.uniform(-3.0, 3.0, len(agents)),
+                  rng.uniform(-3.0, 3.0, (len(agents), 7))):
+            own = np.stack([u.value(x[j]) for j, u in enumerate(agents)])
+            terms = np.abs(own).sum(axis=0) + sum(shifted)
+            assert np.all(np.abs(a.value(x) - own.sum(axis=0))
+                          <= 4.0 * eps * terms)
+            np.testing.assert_allclose(
+                a.grad(x), [u.deriv(x[j]) for j, u in enumerate(agents)],
+                rtol=4.0 * eps, atol=0.0)
+            d2, v2 = a.curvature(x)
+            np.testing.assert_allclose(
+                d2, [u.deriv2(x[j]) for j, u in enumerate(agents)],
+                rtol=4.0 * eps, atol=0.0)
+            assert v2 == 0.0
+
     def test_first_order_concavity_inequality(self):
         a = Aggregator.exponential([0.5, 1.5])
         rng = np.random.default_rng(6)
@@ -193,49 +221,6 @@ class TestConjugate:
         y = a.grad(x)
         gap = x @ y - (a.value(x) - conjugate_V(alphas, y))
         assert gap == pytest.approx(0.0, abs=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            conjugate_V([1.0], [-0.5])
-
-
-class TestCustomUtility:
-    def test_accepts_concave_increasing(self):
-        u = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
-                          sup=0.0)
-        assert u.value(0.0) == pytest.approx(-1.0)
-        assert u.inverse_deriv(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-9)
-
-    def test_zero_curvature_inverts_by_bisection(self):
-        u = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
-                          lambda x: np.zeros_like(x), sup=0.0)
-        m = np.array([[0.5, 2.0], [1e-3, 40.0]])
-        np.testing.assert_allclose(u.inverse_deriv(m), -np.log(m), rtol=0,
-                                   atol=1e-10)
-
-    def test_infinite_curvature_inverts_by_bisection(self):
-        # an infinite slope makes every Newton step zero: taken as
-        # converged, it would leave each entry at the first point tried
-        u = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
-                          lambda x: np.full_like(x, -np.inf), sup=0.0)
-        m = np.array([0.5, 1.0, 3.0])
-        np.testing.assert_allclose(u.inverse_deriv(m), -np.log(m), rtol=0,
-                                   atol=1e-10)
-
-    def test_marginal_out_of_range_raises(self):
-        # u' = 1 + e^{-x} > 1: no point has marginal utility 1/2
-        u = CustomUtility(lambda x: x - np.exp(-x), lambda x: 1.0 + np.exp(-x))
-        with pytest.raises(InversionError, match="no sign change"):
-            u.inverse_deriv(np.array([0.5]))
-
-    def test_rejects_convex(self):
-        with pytest.raises(ValueError):
-            CustomUtility(lambda x: x ** 2, lambda x: 2 * x)
-
-    def test_rejects_decreasing(self):
-        with pytest.raises(ValueError):
-            CustomUtility(lambda x: -x - 0.001 * x ** 2 * np.sign(x) * x,
-                          lambda x: -np.ones_like(x))
 
 
 def batch(f, slope):
@@ -291,9 +276,17 @@ class TestIncreasingRoots:
 
     @pytest.mark.parametrize("slope", [np.inf, -np.inf, np.nan, 0.0, -1.0])
     def test_slope_that_is_not_finite_and_positive_bisects(self, slope):
-        root, _ = increasing_roots(lambda s: (s - 0.3, None),
-                                   lambda s, _: np.full_like(s, slope), [0.0])
-        assert root[0] == pytest.approx(0.3, abs=1e-12)
+        # a line, and inverse marginals m = e^-s from 0 with their roots on
+        # both sides and far apart
+        m = np.array([0.5, 2.0, 1e-3, 40.0])
+
+        def f(s):
+            return np.concatenate(([s[0] - 0.3], m - np.exp(-s[1:])))
+
+        root, _ = increasing_roots(*batch(f, lambda s: np.full_like(s, slope)),
+                                   np.zeros(5))
+        np.testing.assert_allclose(root, np.concatenate(([0.3], -np.log(m))),
+                                   rtol=0, atol=1e-12)
 
     def test_root_done_at_its_start_warns_nothing(self):
         # the first root is done at its first evaluation and keeps an open
@@ -337,11 +330,15 @@ class TestIncreasingRoots:
             increasing_roots(*batch(lambda s: np.where(s > 0.3, 1.0, -1.0),
                                     np.zeros_like), [0.0])
 
-    def test_root_beyond_the_limit_raises(self):
+    @pytest.mark.parametrize("f, slope", [
         # the root s = 1e13 lies beyond |s| <= 1e12
+        (lambda s: s / 1e13 - 1.0, lambda s: np.full_like(s, 1e-13)),
+        # m - (1 + e^-s) for m = 1/2 stays below -1/2: no root at all
+        (lambda s: -0.5 - np.exp(-s), lambda s: np.exp(-s)),
+    ], ids=["beyond", "nowhere"])
+    def test_root_beyond_the_limit_raises(self, f, slope):
         with pytest.raises(InversionError, match="no sign change"):
-            increasing_roots(*batch(lambda s: s / 1e13 - 1.0,
-                                    lambda s: np.full_like(s, 1e-13)), [0.0])
+            increasing_roots(*batch(f, slope), [0.0])
 
     def test_root_beyond_a_finite_state_raises(self):
         # the root s = 1000 lies beyond s = 700, past which the value is

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
-                      ConvergenceError, CustomUtility, ExponentialUtility,
+                      ConvergenceError, ExponentialUtility,
                       LambdaAggregator, RationalPowerUtility, RiskSpec,
                       ScenarioSpace, SigmaPartition, check_axioms, cond_exp,
                       exp_constants, feasible_start, grid_min_rho,
                       is_measurable, rho_closed, solve_rho, y_hat_closed)
 from condrisk import primal
-from conftest import CANONICAL, make_canonical_spec, random_exponential_instance
+from conftest import (CANONICAL, CurvedExponential, make_canonical_spec,
+                      random_exponential_instance)
 
 
 def newton_rho(spec, start=None):
@@ -393,8 +394,7 @@ class TestBatchedNewton:
         # agents of zero curvature make a block's system singular, but on
         # one atom the start is the solution, found by bisection where the
         # slope of the root find is infinite, and Newton only certifies it
-        flat = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
-                             lambda x: np.zeros_like(x), sup=0.0)
+        flat = CurvedExponential(np.zeros_like)
         space = ScenarioSpace.uniform(1)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
                         x=np.array([[1.0], [-0.5]]),
@@ -413,9 +413,8 @@ class TestBatchedNewton:
         # is singular, and Newton gives that block up at its start while
         # the other blocks of the batch take the iterates they take without
         # it
-        kinked = CustomUtility(lambda x: -np.exp(-x), lambda x: np.exp(-x),
-                               lambda x: np.where(x > 50.0, 0.0, -np.exp(-x)),
-                               sup=0.0)
+        kinked = CurvedExponential(
+            lambda x: np.where(x > 50.0, 0.0, -np.exp(-x)))
         agg = Aggregator((kinked, ExponentialUtility(2.0),
                           ExponentialUtility(0.5)))
         groups = ((0, 1), (2,))

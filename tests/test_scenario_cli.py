@@ -338,6 +338,28 @@ class TestCliErrors:
         assert main(["risk", canonical_file, "--tol", tol]) == 2
         assert "kkt_tol" in capsys.readouterr().err
 
+    def test_out_in_a_missing_directory_fails_before_the_solve(
+            self, canonical_file, tmp_path, monkeypatch, capsys):
+        import condrisk.cli as cli
+
+        def unread(path):
+            raise AssertionError("the scenario was read")
+
+        monkeypatch.setattr(cli, "parse_scenario", unread)
+        out = str(tmp_path / "missing" / "x.json")
+        with pytest.raises(SystemExit) as exc:
+            main(["risk", canonical_file, "--out", out])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert out in err and "Traceback" not in err
+
+    def test_out_that_cannot_be_written_exit_code(self, canonical_file,
+                                                  tmp_path, capsys):
+        # a directory is no file to write the report to
+        assert main(["risk", canonical_file, "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(tmp_path) in err
+
     def test_convergence_failure_exit_code(self, canonical_file, monkeypatch,
                                            capsys):
         from condrisk.primal import ConvergenceError
