@@ -188,6 +188,25 @@ class TestAggregatorProperties:
                 rtol=4.0 * eps, atol=0.0)
             assert v2 == 0.0
 
+    @pytest.mark.parametrize("agg", [
+        Aggregator((ExponentialUtility(1.0), RationalPowerUtility(2.0))),
+        Aggregator((ExponentialUtility(1.0), ExponentialUtility(2.0)),
+                   LambdaAggregator.composite(ExponentialUtility(1.0, True),
+                                              [1.0, 0.5])),
+    ], ids=["other_agent", "lambda_term"])
+    def test_no_exponential_form_unless_separable_exponential(self, agg):
+        # a non-exponential agent or an interdependence term leaves the
+        # aggregator on the per-agent path, with no closed forms
+        assert agg.exponential_form is None
+        assert agg.raw_exponential_alphas is None
+
+    def test_raw_exponential_form(self):
+        a = Aggregator.exponential([0.5, 1.5])
+        alphas, k = a.exponential_form
+        np.testing.assert_array_equal(alphas, [0.5, 1.5])
+        assert k == 0
+        assert a.raw_exponential_alphas is alphas
+
     def test_first_order_concavity_inequality(self):
         a = Aggregator.exponential([0.5, 1.5])
         rng = np.random.default_rng(6)
@@ -330,15 +349,17 @@ class TestIncreasingRoots:
             increasing_roots(*batch(lambda s: np.where(s > 0.3, 1.0, -1.0),
                                     np.zeros_like), [0.0])
 
-    @pytest.mark.parametrize("f, slope", [
+    def test_root_beyond_the_limit_raises(self):
         # the root s = 1e13 lies beyond |s| <= 1e12
-        (lambda s: s / 1e13 - 1.0, lambda s: np.full_like(s, 1e-13)),
-        # m - (1 + e^-s) for m = 1/2 stays below -1/2: no root at all
-        (lambda s: -0.5 - np.exp(-s), lambda s: np.exp(-s)),
-    ], ids=["beyond", "nowhere"])
-    def test_root_beyond_the_limit_raises(self, f, slope):
         with pytest.raises(InversionError, match="no sign change"):
-            increasing_roots(*batch(f, slope), [0.0])
+            increasing_roots(*batch(lambda s: s / 1e13 - 1.0,
+                                    lambda s: np.full_like(s, 1e-13)), [0.0])
+
+    def test_marginal_out_of_range_raises(self):
+        # m - (1 + e^-s) for m = 1/2 stays below -1/2: no root at all
+        with pytest.raises(InversionError, match="no sign change"):
+            increasing_roots(*batch(lambda s: -0.5 - np.exp(-s),
+                                    lambda s: np.exp(-s)), [0.0])
 
     def test_root_beyond_a_finite_state_raises(self):
         # the root s = 1000 lies beyond s = 700, past which the value is
