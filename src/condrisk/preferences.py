@@ -33,21 +33,16 @@ def stable_sum(x):
 class UnivariateUtility:
     """Interface for a single agent's utility.
 
-    Subclasses provide ``value``, ``deriv`` and ``deriv2`` (vectorized over
-    numpy arrays), ``sup`` (the supremum of the utility over the reals) and
-    ``inverse_deriv`` mapping a positive marginal utility back to the point
-    attaining it.
+    Subclasses provide ``terms(x)``, the triple (u(x), u'(x), u''(x)) from
+    one evaluation of what the three share, ``inverse_deriv`` mapping a
+    positive marginal utility back to the point attaining it, both
+    vectorized over numpy arrays, and ``sup``, the supremum of the utility
+    over the reals.
     """
 
     sup: float
 
-    def value(self, x):
-        raise NotImplementedError
-
-    def deriv(self, x):
-        raise NotImplementedError
-
-    def deriv2(self, x):
+    def terms(self, x):
         raise NotImplementedError
 
     def inverse_deriv(self, m):
@@ -65,23 +60,27 @@ class ExponentialUtility(UnivariateUtility):
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be finite and positive, not "
                              f"{self.alpha!r}")
+        if not isinstance(self.shifted, bool):
+            raise ValueError(f"shifted must be a bool, not {self.shifted!r}")
 
     @property
     def sup(self) -> float:
         return 1.0 if self.shifted else 0.0
 
-    def value(self, x):
-        e = -np.exp(-self.alpha * np.asarray(x, dtype=float))
-        return 1.0 + e if self.shifted else e
-
-    def deriv(self, x):
-        return self.alpha * np.exp(-self.alpha * np.asarray(x, dtype=float))
-
-    def deriv2(self, x):
-        return -self.alpha ** 2 * np.exp(-self.alpha * np.asarray(x, dtype=float))
+    def terms(self, x):
+        e = np.exp(-self.alpha * np.asarray(x, dtype=float))
+        return (1.0 - e if self.shifted else -e, self.alpha * e,
+                -self.alpha ** 2 * e)
 
     def inverse_deriv(self, m):
         return -np.log(np.asarray(m, dtype=float) / self.alpha) / self.alpha
+
+
+def _branches(x):
+    """x as an array, the mask of x >= 0 and 1 - min(x, 0): the power
+    kinds' branch and the base of their power below 0."""
+    x = np.asarray(x, dtype=float)
+    return x, x >= 0.0, 1.0 - np.minimum(x, 0.0)
 
 
 @dataclass(frozen=True)
@@ -98,26 +97,15 @@ class RationalPowerUtility(UnivariateUtility):
     def sup(self) -> float:
         return self.p
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
-        pos = self.p * xp / (xp + 1.0)
-        neg = 1.0 - (1.0 - xn) ** self.p
-        return np.where(x >= 0.0, pos, neg)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
-        pos = self.p / (xp + 1.0) ** 2
-        neg = self.p * (1.0 - xn) ** (self.p - 1.0)
-        return np.where(x >= 0.0, pos, neg)
-
-    def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        xp, xn = np.maximum(x, 0.0), np.minimum(x, 0.0)
-        pos = -2.0 * self.p / (xp + 1.0) ** 3
-        neg = -self.p * (self.p - 1.0) * (1.0 - xn) ** (self.p - 2.0)
-        return np.where(x >= 0.0, pos, neg)
+    def terms(self, x):
+        x, pos, base = _branches(x)
+        xp = np.maximum(x, 0.0)
+        xq = xp + 1.0
+        return (np.where(pos, self.p * xp / xq, 1.0 - base ** self.p),
+                np.where(pos, self.p / xq ** 2,
+                         self.p * base ** (self.p - 1.0)),
+                np.where(pos, -2.0 * self.p / xq ** 3,
+                         -self.p * (self.p - 1.0) * base ** (self.p - 2.0)))
 
     def inverse_deriv(self, m):
         m = np.asarray(m, dtype=float)
@@ -141,24 +129,13 @@ class ArctanPowerUtility(UnivariateUtility):
     def sup(self) -> float:
         return self.p * np.pi / 2.0
 
-    def value(self, x):
-        x = np.asarray(x, dtype=float)
-        xn = np.minimum(x, 0.0)
-        return np.where(x >= 0.0, self.p * np.arctan(x),
-                        1.0 - (1.0 - xn) ** self.p)
-
-    def deriv(self, x):
-        x = np.asarray(x, dtype=float)
-        xn = np.minimum(x, 0.0)
-        return np.where(x >= 0.0, self.p / (1.0 + x ** 2),
-                        self.p * (1.0 - xn) ** (self.p - 1.0))
-
-    def deriv2(self, x):
-        x = np.asarray(x, dtype=float)
-        xn = np.minimum(x, 0.0)
-        pos = -2.0 * self.p * x / (1.0 + x ** 2) ** 2
-        neg = -self.p * (self.p - 1.0) * (1.0 - xn) ** (self.p - 2.0)
-        return np.where(x >= 0.0, pos, neg)
+    def terms(self, x):
+        x, pos, base = _branches(x)
+        xq = 1.0 + x ** 2
+        return (np.where(pos, self.p * np.arctan(x), 1.0 - base ** self.p),
+                np.where(pos, self.p / xq, self.p * base ** (self.p - 1.0)),
+                np.where(pos, -2.0 * self.p * x / xq ** 2,
+                         -self.p * (self.p - 1.0) * base ** (self.p - 2.0)))
 
     def inverse_deriv(self, m):
         m = np.asarray(m, dtype=float)
@@ -203,20 +180,6 @@ class LambdaAggregator:
         """beta^T x for x of shape (N,) or (N, K); returns scalar or (K,)."""
         return stable_sum((self.weights * np.asarray(x, dtype=float).T).T)
 
-    def value(self, x):
-        """x has shape (N,) or (N, K); returns scalar or (K,)."""
-        if self.is_zero:
-            x = np.asarray(x, dtype=float)
-            return 0.0 if x.ndim == 1 else np.zeros(x.shape[1])
-        return self.u.value(self.level(x))
-
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.is_zero:
-            return np.zeros_like(x)
-        d = self.u.deriv(self.level(x))
-        return np.multiply.outer(self.weights, d) if x.ndim == 2 else d * self.weights
-
     @classmethod
     def zero(cls) -> "LambdaAggregator":
         return cls()
@@ -228,7 +191,8 @@ class LambdaAggregator:
 
 @dataclass(frozen=True)
 class Aggregator:
-    """Multivariate utility: sum of agent utilities plus the lambda term."""
+    """Multivariate utility U(z) = sum_j u_j(z_j) + v(beta^T z): the agent
+    utilities plus the lambda term, v = 0 without one."""
 
     utilities: tuple
     lam: LambdaAggregator = field(default_factory=LambdaAggregator.zero)
@@ -237,8 +201,10 @@ class Aggregator:
         object.__setattr__(self, "utilities", tuple(self.utilities))
         if len(self.utilities) < 1:
             raise ValueError("need at least one agent utility")
-        if not self.lam.is_zero and self.lam.weights.size != self.nagents:
-            raise ValueError("lambda weights must have one entry per agent")
+        shape = (self.nagents,)
+        if not self.lam.is_zero and self.lam.weights.shape != shape:
+            raise ValueError(f"lambda weights must have shape {shape}, one "
+                             f"per agent, not {self.lam.weights.shape}")
         # closed forms, and a vectorized fast path, for exponential agents
         # without interdependence term
         exp_form = None
@@ -276,24 +242,31 @@ class Aggregator:
     def separable(self) -> bool:
         return self.lam.is_zero
 
-    def value(self, x):
-        """U(x) for x of shape (N,) or (N, K)."""
-        x = np.asarray(x, dtype=float)
+    def terms(self, z):
+        """(U(z), grad U(z), u'', v'') for z of shape (N,) or (N, K), in one
+        pass over the agents: the Hessian of U is diag(u'') + v'' beta
+        beta^T, with u_j''(z_j) per agent and v''(beta^T z), 0 where U is
+        separable, per column.  value and grad are views of it."""
+        z = np.asarray(z, dtype=float)
         if self._exp_form is not None:
             alphas, k = self._exp_form
-            a = alphas if x.ndim == 1 else alphas[:, None]
-            return k - stable_sum(np.exp(-a * x))
-        parts = sum(u.value(x[j]) for j, u in enumerate(self.utilities))
-        return parts + self.lam.value(x)
+            a = alphas if z.ndim == 1 else alphas[:, None]
+            e = np.exp(-a * z)
+            return k - stable_sum(e), a * e, -a * a * e, np.zeros(z.shape[1:])
+        u, du, d2u = zip(*(f.terms(z[j])
+                           for j, f in enumerate(self.utilities)))
+        value, grad, d2 = sum(u), np.stack(du), np.stack(d2u)
+        if self.separable:
+            return value, grad, d2, np.zeros(z.shape[1:])
+        v, dv, d2v = self.lam.u.terms(self.lam.level(z))
+        grad = grad + np.multiply.outer(self.lam.weights, dv)
+        return value + v, grad, d2, d2v
 
-    def grad(self, x):
-        x = np.asarray(x, dtype=float)
-        if self._exp_form is not None:
-            alphas = self._exp_form[0]
-            a = alphas if x.ndim == 1 else alphas[:, None]
-            return a * np.exp(-a * x)
-        g = np.stack([u.deriv(x[j]) for j, u in enumerate(self.utilities)])
-        return g + self.lam.grad(x)
+    def value(self, z):
+        return self.terms(z)[0]
+
+    def grad(self, z):
+        return self.terms(z)[1]
 
     def inverse_marginals(self, m):
         """(u_j')^{-1}(m_j) per agent: the point where the marginal utility
@@ -301,19 +274,12 @@ class Aggregator:
         return np.stack([u.inverse_deriv(m[j])
                          for j, u in enumerate(self.utilities)])
 
-    def curvature(self, x):
-        """The Hessian H = diag(u'') + v'' beta beta^T of U at x as the pair
-        (u_j''(x_j) per agent, v''(beta^T x)), v'' = 0 when U is separable:
-        shapes (N,) and scalar for a point, (N, K) and (K,) columnwise."""
-        x = np.asarray(x, dtype=float)
-        if self._exp_form is not None:
-            alphas = self._exp_form[0]
-            a = alphas if x.ndim == 1 else alphas[:, None]
-            d2 = -a * a * np.exp(-a * x)
-        else:
-            d2 = np.stack([u.deriv2(x[j]) for j, u in enumerate(self.utilities)])
-        return d2, (0.0 if self.separable
-                    else self.lam.u.deriv2(self.lam.level(x)))
+    def own_curvature(self, z):
+        """u_j''(z_j) per agent, without the interdependence term: for the
+        root finds that need no more at the points inverse_marginals
+        returns."""
+        return np.stack([u.terms(z[j])[2]
+                         for j, u in enumerate(self.utilities)])
 
     @classmethod
     def exponential(cls, alphas, shifted: bool = False) -> "Aggregator":
@@ -470,19 +436,26 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     log terms.
     """
     target = np.asarray(target, dtype=float)
+    z, _ = _inverse(a, target.reshape(target.shape[0], -1))
+    return z.reshape(target.shape)
+
+
+def _inverse(a: Aggregator, t: np.ndarray):
+    """invert_gradient for t of shape (N, K), and a.terms(z), the pass that
+    checks z, or None for the unchecked closed form of a separable U."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if a.separable or not np.any(a.lam.weights > 0.0):
-            return a.inverse_marginals(target)
-        t = target.reshape(target.shape[0], -1)
+            return a.inverse_marginals(t), None
         z = _invert_composite(a, t)
-        resid = np.max(np.abs(np.log(a.grad(z) / t)), axis=0)
+        terms = a.terms(z)
+        resid = np.max(np.abs(np.log(terms[1] / t)), axis=0)
     bad = ~(resid <= _INVERT_GRAD_TOL)
     if np.any(bad):
         raise InversionError(
             f"gradient inversion failed on {int(bad.sum())} of {bad.size} "
             "columns (non-finite or log-gradient residual above "
             f"{_INVERT_GRAD_TOL:.0e})")
-    return z.reshape(target.shape)
+    return z, terms
 
 
 def _invert_composite(a: Aggregator, t: np.ndarray):
@@ -492,14 +465,16 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     bact = beta[act][:, None]
 
     def state(s):
-        r = t - beta[:, None] * v.deriv(s)
+        _, dv, d2v = v.terms(s)
+        r = t - beta[:, None] * dv
         z = a.inverse_marginals(r)
         inside = np.all(r[act] > 0.0, axis=0)
-        return np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf), z
+        return (np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf),
+                (z, d2v, a.own_curvature(z)))
 
-    def slope(s, z):
-        return v.deriv2(s) * (bact ** 2 / a.curvature(z)[0][act]).sum(
-            axis=0) + 1.0
+    def slope(s, payload):
+        _, d2v, d2 = payload
+        return d2v * (bact ** 2 / d2[act]).sum(axis=0) + 1.0
 
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
     # so phi < 0 up to max(s_lo, beta^T z0): the root lies above it, and
@@ -507,12 +482,12 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     z0 = a.inverse_marginals(t)
     lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
                     (bact * z0[act]).sum(axis=0))
-    s, z = increasing_roots(state, slope, lo + 1.0, lo)
+    s, (z, _, d2) = increasing_roots(state, slope, lo + 1.0, lo)
 
     # The last step, taken on the full system at z(s): it moves s by the
     # Newton step on phi and each z_j in proportion to beta_j / u_j''.
     phi = s - (bact * z[act]).sum(axis=0)
-    d2, v2 = a.curvature(z)
+    v2 = v.terms(a.lam.level(z))[2]
     q = bact / d2[act]
     z[act] += q * (phi * v2 / (1.0 + v2 * (bact * q).sum(axis=0)))
     return z
@@ -520,7 +495,7 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
 
 def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
     """(z, U(z), slope) columnwise along grad U(z) = g = q exp(-t), with t
-    one entry per column.
+    one entry per column, from one aggregator pass at z.
 
     dz/dt = (-H)^{-1} g for the Hessian H of U at z, so U(z) changes with
     t at the slope g^T (-H)^{-1} g, which Sherman-Morrison gives on the
@@ -536,21 +511,22 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
             "vanishing densities with an interdependence term")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = q * np.exp(-t)
-        z = invert_gradient(a, np.where(zero, 1.0, g) if vanish else g)
-        d2, v2 = a.curvature(z)
+        z, terms = _inverse(a, np.where(zero, 1.0, g) if vanish else g)
+        if vanish:
+            # each agent on its own, at its supremum where its q_j is 0
+            own, _, d2 = (np.stack(part) for part in zip(
+                *(u.terms(z[j]) for j, u in enumerate(a.utilities))))
+            sup = np.array([[u.sup] for u in a.utilities])
+            value, z = (np.where(zero, sup, own).sum(axis=0),
+                        np.where(zero, 0.0, z))
+        else:
+            value, _, d2, v2 = a.terms(z) if terms is None else terms
         slope = -(g * g / d2).sum(axis=0)
         if not a.separable:
             beta = a.lam.weights[:, None]
             bg = (beta * g / d2).sum(axis=0)
             bb = (beta * beta / d2).sum(axis=0)
             slope = slope + v2 * bg * bg / (1.0 + v2 * bb)
-        if vanish:
-            sup = np.array([[u.sup] for u in a.utilities])
-            own = np.stack([u.value(z[j]) for j, u in enumerate(a.utilities)])
-            value = np.where(zero, sup, own).sum(axis=0)
-            z = np.where(zero, 0.0, z)
-        else:
-            value = a.value(z)
     return z, value, slope
 
 

@@ -231,15 +231,15 @@ def _block_starts(agg, blocks) -> np.ndarray:
 
     def state(t):
         zhat = agg.inverse_marginals(np.exp(-t) * ones)
-        z = up + zhat[:, of]
-        return (np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b,
-                (zhat, z))
+        value, grad, _, _ = agg.terms(up + zhat[:, of])
+        return (np.add.reduceat(blocks.w * value, first) - blocks.b,
+                (zhat, grad))
 
     def slope(t, payload):
-        zhat, z = payload
-        dz = -np.exp(-t) / agg.curvature(zhat)[0]
+        zhat, grad = payload
+        dz = -np.exp(-t) / agg.own_curvature(zhat)
         return np.add.reduceat(
-            blocks.w * stable_sum(agg.grad(z) * dz[:, of]), first)
+            blocks.w * stable_sum(grad * dz[:, of]), first)
 
     _, (zhat, _) = increasing_roots(state, slope, np.zeros(blocks.b.size))
     return (zhat - low)[:, of]
@@ -265,22 +265,24 @@ def _cluster_sum(groups, x):
     return np.add.reduceat(x[order], cut, axis=0)
 
 
-def _residual(agg, groups, blocks, y, d, lam, mu):
-    """KKT residuals of all blocks, (r_y, r_d, r_c, r_u, grad, norm): of
-    stationarity in y and d, of the cluster budgets d and of the utility
-    constraint, and the Euclidean norm of all four per block."""
+def _residual(agg, groups, blocks, y, d, lam, mu, terms=None):
+    """KKT residuals of all blocks, (r_y, r_d, r_c, r_u, grad, d2, v2,
+    norm): of stationarity in y and d, of the cluster budgets d and of the
+    utility constraint, the gradient and Hessian pair of U from its one
+    pass at x + y, agg.terms there unless given, and the Euclidean norm of
+    all four residuals per block."""
     member = _membership(groups)[0]
     first, of = blocks.start[:-1], blocks.of
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = blocks.x + y
-        grad = agg.grad(z)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        value, grad, d2, v2 = (agg.terms(blocks.x + y) if terms is None
+                               else terms)
         r_y = -lam[member] - (mu[of] * blocks.w) * grad
         r_d = 1.0 + np.add.reduceat(lam, first, axis=1)
         r_c = _cluster_sum(groups, y) - d[:, of]
-        r_u = np.add.reduceat(blocks.w * agg.value(z), first) - blocks.b
+        r_u = np.add.reduceat(blocks.w * value, first) - blocks.b
         sq = np.add.reduceat(stable_sum(r_y ** 2) + stable_sum(r_c ** 2),
                              first) + stable_sum(r_d ** 2) + r_u ** 2
-    return r_y, r_d, r_c, r_u, grad, np.sqrt(sq)
+    return r_y, r_d, r_c, r_u, grad, d2, v2, np.sqrt(sq)
 
 
 def _optimality(groups, blocks, mu, r):
@@ -289,7 +291,7 @@ def _optimality(groups, blocks, mu, r):
     per-cluster multiplier condition, cluster-sum feasibility and the
     activity of the utility constraint, scaled by mu: unlike the KKT
     residual it does not vanish on atoms of low probability."""
-    r_y, r_d, r_c, r_u, grad, _ = r
+    r_y, r_d, r_c, r_u, grad = r[:5]
     member, _, _, sizes = _membership(groups)
     first = blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore"):
@@ -328,15 +330,15 @@ def _newton_step(agg, groups, blocks, y, mu, r):
     diagonal, are solved by Sherman-Morrison on A and on S = E^T A^-1 E,
     diagonal plus rank one as the clusters are disjoint.  Summed over a
     block's atoms, sum dlam = -r_d and sum w grad^T dy = -r_u leave an
-    (h + 1) x (h + 1) system in (dd, dmu) per block.  A zero or non-finite
-    entry of P makes its block singular."""
-    r_y, r_d, r_c, r_u, grad, _ = r
+    (h + 1) x (h + 1) system in (dd, dmu) per block, with grad and H =
+    diag(d2) + v2 beta beta^T taken from r.  A zero or non-finite entry of
+    P makes its block singular."""
+    r_y, r_d, r_c, r_u, grad, d2, v2, _ = r
     (n, k), h, member = y.shape, len(groups), _membership(groups)[0]
     first, of = blocks.start[:-1], blocks.of
     beta = np.zeros((n, 1)) if agg.separable else agg.lam.weights[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         nmw = -mu[of] * blocks.w
-        d2, v2 = agg.curvature(blocks.x + y)
         p, g = nmw * d2, nmw * v2
         ip = 1.0 / p
         flat = ~np.isfinite(ip * p)
@@ -371,33 +373,36 @@ def _newton_step(agg, groups, blocks, y, mu, r):
 
 
 def _kkt_start(agg, groups, blocks, y=None):
-    """The KKT start (y, d, lam, mu) of all blocks at the allocation y, by
-    default feasible_start's: the cluster budgets d of y and multipliers
-    consistent with stationarity.  Where marginal utilities underflowed at
-    y, a flat multiplier guess and the damped iteration take over."""
+    """The KKT start (y, d, lam, mu, terms) of all blocks at the allocation
+    y, by default feasible_start's: the cluster budgets d of y, multipliers
+    consistent with stationarity and agg.terms at x + y, which the first
+    KKT residual reuses.  Where marginal utilities underflowed at y, a flat
+    multiplier guess and the damped iteration take over."""
     if y is None:
         y = _block_starts(agg, blocks)
     sizes = _membership(groups)[3]
     of, first = blocks.of, blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        mean = _cluster_sum(groups, agg.grad(blocks.x + y)) / sizes[:, None]
+        terms = agg.terms(blocks.x + y)
+        mean = _cluster_sum(groups, terms[1]) / sizes[:, None]
         denom = np.add.reduceat(blocks.w * mean, first, axis=1)
         flat = ~np.isfinite(denom) | (denom <= 1e-290)
         lam = np.where(flat[:, of], -blocks.w, -blocks.w * mean / denom[:, of])
         mu = np.where(flat, 1.0, 1.0 / denom).mean(axis=0)
-    return y, _cluster_sum(groups, y)[:, first], lam, mu
+    return y, _cluster_sum(groups, y)[:, first], lam, mu, terms
 
 
 def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
     """Damped Newton on the KKT systems of all blocks at once, from the
-    KKT start (y, d, lam, mu).  Each block keeps its own step cap, line
-    search, convergence test and iteration limit, so its iterates are those
-    of a solve on its own; it leaves the batch when it converges or its
-    system is singular or its line search fails.  Returns y and per block
-    (rho, mu, residual, iterations, largest residual): a block is certified
-    where its largest residual is at most kkt_tol, in 0 steps at a start
-    that passes."""
-    y, d, lam, mu = (np.array(a, dtype=float) for a in start)
+    KKT start (y, d, lam, mu), followed by agg.terms at x + y where the
+    start evaluated it, as _kkt_start's does.  Each block keeps its own
+    step cap, line search, convergence test and iteration limit, so its
+    iterates are those of a solve on its own; it leaves the batch when it
+    converges or its system is singular or its line search fails.  Returns
+    y and per block (rho, mu, residual, iterations, largest residual): a
+    block is certified where its largest residual is at most kkt_tol, in 0
+    steps at a start that passes."""
+    y, d, lam, mu = (np.array(a, dtype=float) for a in start[:4])
     opt, res = np.empty(mu.size), np.empty(mu.size)
     iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
     r = None
@@ -405,7 +410,7 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
         sub, cols = blocks.take(active)
         state = y[:, cols], d[:, active], lam[:, cols], mu[active]
         if r is None:
-            r = _residual(agg, groups, sub, *state)
+            r = _residual(agg, groups, sub, *state, *start[4:])
         opt[active], rmax = _optimality(groups, sub, state[3], r)
         res[active], iters[active] = np.maximum(opt[active], rmax), it
         going = ~(res[active] <= kkt_tol)
@@ -437,11 +442,11 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
         mu[active] = np.where(moved, cand[3], state[3])
         active[active] = moved
         # the blocks still active moved to their last trial point: its
-        # residuals open the next iteration
-        r_y, r_d, r_c, r_u, grad, norm = trial
+        # residuals, gradient and Hessian open the next iteration
+        r_y, r_d, r_c, r_u, grad, d2, v2, norm = trial
         keep = moved[sub.of]
         r = (r_y[:, keep], r_d[:, moved], r_c[:, keep], r_u[moved],
-             grad[:, keep], norm[moved])
+             grad[:, keep], d2[:, keep], v2[keep], norm[moved])
     # rho_m = sum_c d_c, each block's sum taken over contiguous memory, by
     # the pairwise rule of np.sum, whatever the number of clusters
     rho = np.ascontiguousarray(d.T).sum(axis=1)

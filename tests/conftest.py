@@ -53,14 +53,10 @@ class CurvedExponential(UnivariateUtility):
     def __init__(self, deriv2):
         self._deriv2 = deriv2
 
-    def value(self, x):
-        return -np.exp(-np.asarray(x, dtype=float))
-
-    def deriv(self, x):
-        return np.exp(-np.asarray(x, dtype=float))
-
-    def deriv2(self, x):
-        return self._deriv2(np.asarray(x, dtype=float))
+    def terms(self, x):
+        x = np.asarray(x, dtype=float)
+        e = np.exp(-x)
+        return -e, e, self._deriv2(x)
 
     def inverse_deriv(self, m):
         return -np.log(np.asarray(m, dtype=float))

@@ -524,7 +524,9 @@ class TestNewtonRefusals:
         spec = parse_scenario(str(self.COMPOSITE)).spec
         q = DensityVector(np.ones((spec.nagents, spec.space.natoms)),
                           spec.sigma)
-        inner, calls = preferences.invert_gradient, []
+        # gradient_path inverts the gradient through _inverse, which also
+        # hands it the aggregator's terms at the point
+        inner, calls = preferences._inverse, []
 
         def failing(agg, target):
             calls.append(1)
@@ -532,7 +534,7 @@ class TestNewtonRefusals:
                 raise InversionError("gradient inversion failed")
             return inner(agg, target)
 
-        monkeypatch.setattr(preferences, "invert_gradient", failing)
+        monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):
             dual._alpha1_newton(q, spec)
         calls.clear()

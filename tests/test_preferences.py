@@ -20,23 +20,32 @@ ALL_KINDS = [
 ]
 
 
+def value(u, x):
+    return u.terms(x)[0]
+
+
+def deriv(u, x):
+    return u.terms(x)[1]
+
+
 @pytest.mark.parametrize("u", ALL_KINDS)
 class TestUnivariate:
     def test_derivative_matches_differences(self, u):
         xs = np.linspace(-4.0, 4.0, 41)
-        num = (u.value(xs + 1e-6) - u.value(xs - 1e-6)) / 2e-6
-        np.testing.assert_allclose(u.deriv(xs), num, rtol=1e-5, atol=1e-7)
+        num = (value(u, xs + 1e-6) - value(u, xs - 1e-6)) / 2e-6
+        np.testing.assert_allclose(deriv(u, xs), num, rtol=1e-5, atol=1e-7)
 
     def test_second_derivative_matches_differences(self, u):
         # skip the kink at zero where one-sided curvature differs
         xs = np.concatenate([np.linspace(-4, -0.2, 15),
                              np.linspace(0.2, 4, 15)])
-        num = (u.deriv(xs + 1e-6) - u.deriv(xs - 1e-6)) / 2e-6
-        np.testing.assert_allclose(u.deriv2(xs), num, rtol=1e-4, atol=1e-6)
+        num = (deriv(u, xs + 1e-6) - deriv(u, xs - 1e-6)) / 2e-6
+        np.testing.assert_allclose(u.terms(xs)[2], num, rtol=1e-4,
+                                   atol=1e-6)
 
     def test_inverse_deriv_roundtrip(self, u):
         xs = np.linspace(-3.0, 5.0, 30)
-        m = u.deriv(xs)
+        m = deriv(u, xs)
         np.testing.assert_allclose(u.inverse_deriv(m), xs, rtol=1e-9,
                                    atol=1e-9)
 
@@ -47,13 +56,13 @@ class TestUnivariate:
         lo, hi = np.minimum(a, b), np.maximum(a, b)
         keep = hi - lo > 1e-3
         lo, hi = lo[keep], hi[keep]
-        assert np.all(u.value(hi) > u.value(lo))
-        mid = u.value((lo + hi) / 2)
-        assert np.all(mid > (u.value(lo) + u.value(hi)) / 2)
+        assert np.all(value(u, hi) > value(u, lo))
+        mid = value(u, (lo + hi) / 2)
+        assert np.all(mid > (value(u, lo) + value(u, hi)) / 2)
 
     def test_bounded_above_by_sup(self, u):
         xs = np.linspace(-5, 60, 200)
-        assert np.all(u.value(xs) <= u.sup + 1e-12)
+        assert np.all(value(u, xs) <= u.sup + 1e-12)
 
 
 class TestAggValue:
@@ -108,7 +117,7 @@ class TestAggGrad:
                                          [1.0, 0.5])
         a = Aggregator((ExponentialUtility(1.2), ExponentialUtility(0.8)), lam)
         x = np.array([0.3, -0.7])
-        d2, v2 = a.curvature(x)
+        _, _, d2, v2 = a.terms(x)
         h = np.diag(d2) + v2 * np.outer(lam.weights, lam.weights)
         for j in range(2):
             step = np.zeros(2)
@@ -131,6 +140,25 @@ def test_constructors_reject_bad_parameters(make, name, value):
     # NaN fails no comparison: each check must ask for a finite value
     with pytest.raises(ValueError, match=name):
         make(value)
+
+
+def test_shifted_must_be_a_bool():
+    # a truthy non-bool would give the closed forms a shift other than 1
+    for flag in (2, 1, 0, "yes", None, np.True_):
+        with pytest.raises(ValueError, match="shifted must be a bool"):
+            ExponentialUtility(1.0, shifted=flag)
+    assert ExponentialUtility(1.0, shifted=True).sup == 1.0
+
+
+def test_lambda_weights_need_one_entry_per_agent():
+    # weights of another shape would broadcast, or fail only when evaluated
+    agents = tuple(ExponentialUtility(1.0) for _ in range(4))
+    for w in (np.ones((2, 2)), np.ones((4, 1)), np.ones(3)):
+        lam = LambdaAggregator.composite(ExponentialUtility(1.0, True), w)
+        with pytest.raises(ValueError, match=r"shape \(4,\)"):
+            Aggregator(agents, lam)
+    Aggregator(agents, LambdaAggregator.composite(
+        ExponentialUtility(1.0, True), np.ones(4)))
 
 
 class TestAggregatorProperties:
@@ -163,9 +191,9 @@ class TestAggregatorProperties:
     @pytest.mark.parametrize("shifted", [(True, True), (True, False, True)],
                              ids=["shifted", "mixed"])
     def test_exponential_fast_path_matches_the_agents(self, shifted):
-        # every agent exponential, raw or shifted: value, grad and
-        # curvature take all exponents at once, and agree with the agents
-        # one by one to a few ulp of the terms summed
+        # every agent exponential, raw or shifted: terms takes all
+        # exponents at once, and agrees with the agents one by one to a few
+        # ulp of the terms summed
         rng = np.random.default_rng(8)
         agents = tuple(ExponentialUtility(a, s) for a, s in
                        zip(rng.uniform(0.3, 3.0, len(shifted)), shifted))
@@ -175,18 +203,14 @@ class TestAggregatorProperties:
         eps = np.finfo(float).eps
         for x in (rng.uniform(-3.0, 3.0, len(agents)),
                   rng.uniform(-3.0, 3.0, (len(agents), 7))):
-            own = np.stack([u.value(x[j]) for j, u in enumerate(agents)])
-            terms = np.abs(own).sum(axis=0) + sum(shifted)
-            assert np.all(np.abs(a.value(x) - own.sum(axis=0))
-                          <= 4.0 * eps * terms)
-            np.testing.assert_allclose(
-                a.grad(x), [u.deriv(x[j]) for j, u in enumerate(agents)],
-                rtol=4.0 * eps, atol=0.0)
-            d2, v2 = a.curvature(x)
-            np.testing.assert_allclose(
-                d2, [u.deriv2(x[j]) for j, u in enumerate(agents)],
-                rtol=4.0 * eps, atol=0.0)
-            assert v2 == 0.0
+            own, du, d2u = (np.stack(part) for part in zip(
+                *(u.terms(x[j]) for j, u in enumerate(agents))))
+            size = np.abs(own).sum(axis=0) + sum(shifted)
+            value, grad, d2, v2 = a.terms(x)
+            assert np.all(np.abs(value - own.sum(axis=0)) <= 4.0 * eps * size)
+            np.testing.assert_allclose(grad, du, rtol=4.0 * eps, atol=0.0)
+            np.testing.assert_allclose(d2, d2u, rtol=4.0 * eps, atol=0.0)
+            assert np.all(v2 == 0.0) and v2.shape == x.shape[1:]
 
     @pytest.mark.parametrize("agg", [
         Aggregator((ExponentialUtility(1.0), RationalPowerUtility(2.0))),
@@ -478,16 +502,18 @@ class TestUtilityLevelRoots:
         q, w = np.ones((2, 4)), np.full(4, 0.25)
         start, level = np.array([0, 2, 4]), np.array([-1.0, 0.5])
         cold = utility_level_roots(self.AGG, q, w, start, level)
-        inner = preferences.invert_gradient
+        inner, refused = preferences._inverse, []
 
         def bounded(agg, target):
             if np.max(target) > 1e6:
+                refused.append(float(np.max(target)))
                 raise InversionError("target beyond range")
             return inner(agg, target)
 
-        monkeypatch.setattr(preferences, "invert_gradient", bounded)
+        monkeypatch.setattr(preferences, "_inverse", bounded)
         z, t = utility_level_roots(self.AGG, q, w, start, level,
                                    np.array([-30.0, 0.0]))
+        assert refused, "the warm start at t = -30 never failed"
         np.testing.assert_allclose(t, cold[1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(z, cold[0], rtol=1e-12, atol=1e-12)
 
@@ -517,7 +543,7 @@ class TestUtilityLevelRoots:
 
     def test_inversion_failure_mid_solve_raises(self, monkeypatch):
         a = composite_aggregator(np.random.default_rng(41))
-        inner, calls = preferences.invert_gradient, []
+        inner, calls = preferences._inverse, []
 
         def failing(agg, target):
             calls.append(1)
@@ -525,7 +551,7 @@ class TestUtilityLevelRoots:
                 raise InversionError("gradient inversion failed")
             return inner(agg, target)
 
-        monkeypatch.setattr(preferences, "invert_gradient", failing)
+        monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):
             utility_level_roots(a, np.ones((4, 3)), np.full(3, 1.0 / 3.0),
                                 np.array([0, 3]), np.array([-1.0]))

@@ -9,7 +9,7 @@ from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
                       ScenarioSpace, SigmaPartition, check_axioms, cond_exp,
                       exp_constants, feasible_start, grid_min_rho,
                       is_measurable, rho_closed, solve_rho, y_hat_closed)
-from condrisk import primal
+from condrisk import extract_dual_optimizer, preferences, primal
 from conftest import (CANONICAL, CurvedExponential, make_canonical_spec,
                       random_exponential_instance)
 
@@ -253,7 +253,7 @@ def dense_kkt_step(agg, groups, xb, w, bval, y, d, lam, mu):
     for m, g in enumerate(groups):
         member[list(g)] = m
     z = xb + y
-    grad, (d2, v2) = agg.grad(z), agg.curvature(z)
+    _, grad, d2, v2 = agg.terms(z)
     beta = np.zeros(n) if agg.separable else agg.lam.weights
     hess = (d2.T[:, :, None] * np.eye(n)
             + np.multiply.outer(v2, np.outer(beta, beta)))
@@ -471,6 +471,62 @@ class TestBatchedNewton:
                             exp_constants([1.0, 2.0]))
         np.testing.assert_allclose(at_start.rho, closed, rtol=1e-10,
                                    atol=1e-10)
+
+
+class TestOnePassPerPoint:
+    """The aggregator is evaluated once per point: each KKT residual and
+    each state of the dual penalty's root find makes one Aggregator.terms
+    call, but the first residual, which takes the KKT start's, and the
+    Newton step none, as it takes the gradient and the Hessian from the
+    residuals at its point.  No two calls are at the same point."""
+
+    @staticmethod
+    def wide_spec(rng, k=20):
+        # as the wide_block workload: four agents of the three kinds, an
+        # interdependence term, two blocks and two clusters
+        space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                              rng.dirichlet(np.ones(k) * 2.0))
+        sigma = SigmaPartition(space, (tuple(range(8)), tuple(range(8, k))))
+        agg = Aggregator(
+            (ExponentialUtility(1.2, shifted=True), RationalPowerUtility(2.0),
+             ArctanPowerUtility(2.5), RationalPowerUtility(1.8)),
+            LambdaAggregator.composite(ExponentialUtility(0.9, shifted=True),
+                                       [0.3, 0.7, 0.5, 0.9]))
+        return RiskSpec(space=space, sigma=sigma,
+                        x=rng.normal(0.0, 1.0, (4, k)), aggregator=agg,
+                        b=sigma.expand(np.array([1.0, 3.0])),
+                        clusters=ClusterConstraint(((0, 1), (2, 3))))
+
+    def test_one_terms_call_per_residual_and_path_state(self, monkeypatch):
+        spec = self.wide_spec(np.random.default_rng(23))
+        calls, log = [], []
+        terms = Aggregator.terms
+
+        def counted(self, z):
+            calls.append(np.array(z, dtype=float))
+            return terms(self, z)
+
+        monkeypatch.setattr(Aggregator, "terms", counted)
+        for module, name in ((primal, "_residual"), (primal, "_newton_step"),
+                             (preferences, "gradient_path")):
+            def traced(*args, inner=getattr(module, name), name=name):
+                before = len(calls)
+                out = inner(*args)
+                log.append((name, len(calls) - before))
+                return out
+            monkeypatch.setattr(module, name, traced)
+        sol = solve_rho(spec)
+        solved = len(calls)
+        extract_dual_optimizer(sol, spec)
+        assert sol.iterations.max() > 0
+        made = {name: [n for m, n in log if m == name]
+                for name in ("_residual", "_newton_step", "gradient_path")}
+        assert all(made.values())
+        assert set(made["_newton_step"]) == {0}
+        assert made["_residual"][0] == 0 and set(made["_residual"][1:]) == {1}
+        assert set(made["gradient_path"]) == {1}
+        for part in (calls[:solved], calls[solved:]):
+            assert len({(z.shape, z.tobytes()) for z in part}) == len(part)
 
 
 def assert_same_solution(got, want):
