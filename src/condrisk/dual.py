@@ -7,12 +7,12 @@ Membership in the admissible dual set additionally requires a fairness
 inequality against every feasible allocation, which on finite spaces
 reduces to equality of densities within each risk-sharing cluster.
 
-All programs here are equality-constrained concave problems whose optima
-are characterized by a gradient proportionality.  For exponential agents
-the multiplier has a closed form; otherwise one root find on the log
-multipliers of all blocks, preferences.increasing_roots, pins them to the
-active constraints.  Where a primal solution is at hand, that root find
-starts at its multipliers.
+The penalty is a concave program whose optimum lies on the gradient path
+grad U(z) = q/mu, with one multiplier mu per block pinned by the active
+utility constraint: preferences.path_at_level, in closed form for
+exponential agents and by one root find on log mu for all blocks
+otherwise.  Where a primal solution is at hand, that root find starts at
+its multipliers.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .preferences import (InversionError, stable_sum, utility_level_roots,
-                          xlogx)
+from .preferences import path_at_level, stable_sum
 from .primal import PrimalSolution, RiskSpec, _cluster_sum, _membership
 from .prob_space import DensityVector, cond_exp
 
@@ -39,9 +38,9 @@ class PenaltyDivergenceError(RuntimeError):
     """
 
     def __init__(self, blocks, partial):
-        super().__init__(f"penalty diverges on blocks {sorted(blocks)}: "
+        self.blocks = tuple(sorted(int(m) for m in blocks))
+        super().__init__(f"penalty diverges on blocks {list(self.blocks)}: "
                          "densities differ within a risk-sharing cluster")
-        self.blocks = tuple(sorted(blocks))
         self.partial = partial
 
 
@@ -81,60 +80,18 @@ def in_q1(q: DensityVector, spec: RiskSpec) -> bool:
     return bool(fairness_blocks(q, spec).all())
 
 
-def _alpha1_exponential(q: DensityVector, spec: RiskSpec) -> np.ndarray:
-    """Penalty per block for exponential agents, raw or shifted, without
-    an interdependence term, in closed form.
-
-    grad U(z) = q/mu gives u_j(z_j) = s_j - q_j/(mu alpha_j), with s_j = 1
-    for a shifted agent and 0 otherwise, so E_w[U] = b fixes
-    mu = E_w[sum_j q_j/alpha_j] / (k - b) for the number k of shifted
-    agents.  The penalty E_w[sum_j q_j (-z_j)] is then
-    E_w[sum_j (q_j/alpha_j) log(q_j/(mu alpha_j))] with 0 log 0 = 0: a zero
-    density leaves its agent at the supremum at no cost.
-    """
-    alphas, k = spec.aggregator.exponential_form
-    blocks, cols = spec._blocks
-    first = blocks.start[:-1]
-    r = q.q[:, cols] / alphas[:, None]
-    mass = np.add.reduceat(blocks.w * r.sum(axis=0), first)
-    slack = k - blocks.b
-    if not np.all(slack > 0.0):
-        raise InversionError(f"utility level {blocks.b.max()!r} is not below "
-                             f"the supremum {float(k)!r}")
-    return (np.add.reduceat(blocks.w * xlogx(r).sum(axis=0), first)
-            - mass * np.log(mass / slack))
-
-
-def _alpha1_newton(q: DensityVector, spec: RiskSpec,
-                   sol: PrimalSolution | None = None) -> np.ndarray:
-    """Penalty per block for any aggregator: the z with grad U(z) = q/mu
-    and E_w[U(z)] = b, mu pinned for all blocks at once by
-    utility_level_roots on log mu, gives the penalty E_w[sum_j q_j (-z_j)].
-
-    The root find starts at log mu = 0, or at the log of the multipliers of
-    the primal solution sol when one is given.  At the dual optimizer
-    extracted from sol, q = mu grad U(X + Y_hat) on every block, so that
-    start is the root up to the solver's tolerance; for any other q it is
-    only a start, and the root is settled at round-off as from 0.
-    """
-    blocks, cols = spec._blocks
-    qc = q.q[:, cols]
-    t0 = None
-    if sol is not None and sol.mu.shape == blocks.b.shape:
-        usable = np.isfinite(sol.mu) & (sol.mu > 0.0)
-        t0 = np.log(np.where(usable, sol.mu, 1.0))
-    z, _ = utility_level_roots(spec.aggregator, qc, blocks.w, blocks.start,
-                               blocks.b, t0)
-    return -np.add.reduceat(blocks.w * (qc * z).sum(axis=0),
-                            blocks.start[:-1])
-
-
 @lru_cache(maxsize=1)
 def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
                    sol: PrimalSolution | None) -> np.ndarray:
     """Shortfall part of the penalty, per block, by direct maximization:
-    in closed form for exponential agents, by Newton otherwise, started at
-    the multipliers of sol when given.
+    E_w[sum_j q_j (-z_j)] at the point z with grad U(z) = q/mu and
+    E_w[U(z)] = b, preferences.path_at_level.
+
+    Where sol is given, the root find starts at log mu for its multipliers
+    mu.  At the dual optimizer extracted from sol, q = mu grad U(X + Y_hat)
+    on every block, so that start is the root up to the solver's
+    tolerance; for any other q it is only a start, and the root is settled
+    at round-off as from 0.
 
     The last result is kept for the same three objects: a dual optimizer
     is checked for its gap and then reported with the same q, spec and
@@ -143,9 +100,13 @@ def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
     dataclass, so identity implies equal inputs.
     """
     _check_density(q, spec)
-    out = (_alpha1_exponential(q, spec)
-           if spec.aggregator.exponential_form is not None
-           else _alpha1_newton(q, spec, sol))
+    blocks, cols = spec._blocks
+    t0 = None
+    if sol is not None and sol.mu.shape == blocks.b.shape:
+        usable = np.isfinite(sol.mu) & (sol.mu > 0.0)
+        t0 = np.log(np.where(usable, sol.mu, 1.0))
+    out = -path_at_level(spec.aggregator, q.q[:, cols], blocks.w,
+                         blocks.start, blocks.b, t0=t0)[1]
     out.setflags(write=False)
     return out
 

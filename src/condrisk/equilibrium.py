@@ -5,7 +5,9 @@ for a total budget when the allocation is cluster-feasible, exhausts the
 budget, and jointly maximizes conditional expected aggregated utility among
 all allocations whose measure-weighted value stays within the budget.  The
 optimal primal allocation together with the extracted dual optimizer and the
-fair per-agent allocations form such a triple.
+fair per-agent allocations form such a triple.  The budget-constrained
+maximum, pi_problem, is the penalty's program of the dual side with the
+budget pinned in place of the utility level.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dual import extract_dual_optimizer, in_q1
-from .preferences import gradient_path, increasing_roots, xlogx
+from .preferences import path_at_level
 from .primal import PrimalSolution, RiskSpec, _cluster_sum, solve_rho
 from .prob_space import (DensityVector, cond_exp, cond_exp_under_density,
                          is_measurable)
@@ -53,65 +55,15 @@ class EquilibriumTriple:
             raise ValueError("per-agent budgets do not sum to the total")
 
 
-def _pi_exponential(q: DensityVector, budget: np.ndarray,
-                    spec: RiskSpec) -> np.ndarray:
-    """pi per block for exponential agents, raw or shifted, without an
-    interdependence term, in closed form.
-
-    grad U(z) = mu q gives z_j = -log(mu q_j/alpha_j)/alpha_j, so with
-    r_j = q_j/alpha_j and 0 log 0 = 0 the budget
-    E_w[sum_j q_j (z_j - x_j)] = a fixes
-
-        log mu = -(a + E_w[sum_j q_j x_j] + E_w[sum_j r_j log r_j])
-                 / E_w[sum_j r_j],
-
-    and the utility is then pi = k - mu E_w[sum_j r_j] for the number k of
-    shifted agents.
-    """
-    alphas, k = spec.aggregator.exponential_form
-    blocks, cols = spec._blocks
-    first = blocks.start[:-1]
-    qc = q.q[:, cols]
-    r = qc / alphas[:, None]
-    mass = np.add.reduceat(blocks.w * r.sum(axis=0), first)
-    logmu = -(budget + np.add.reduceat(blocks.w * (qc * blocks.x).sum(axis=0),
-                                       first)
-              + np.add.reduceat(blocks.w * xlogx(r).sum(axis=0), first)) / mass
-    return k - np.exp(logmu) * mass
-
-
-def _pi_newton(q: DensityVector, budget: np.ndarray,
-               spec: RiskSpec) -> np.ndarray:
-    """pi per block for any aggregator: grad U(z) = mu q, with the budget
-    E_w[sum_j q_j (z_j - x_j)] = a pinning mu for all blocks at once by
-    increasing_roots on t = log mu from 0.  The cost falls with t at the
-    slope exp(-t) E_w[g^T (-H)^{-1} g] for g = mu q, so the budget minus
-    the cost is the increasing function whose roots are found."""
-    blocks, cols = spec._blocks
-    first = blocks.start[:-1]
-    qc = q.q[:, cols]
-
-    def state(t):
-        z, value, slope = gradient_path(spec.aggregator, qc, -t[blocks.of])
-        cost = np.add.reduceat(blocks.w * (qc * (z - blocks.x)).sum(axis=0),
-                               first)
-        return budget - cost, (value, np.exp(-t) * np.add.reduceat(
-            blocks.w * slope, first))
-
-    _, (value, _) = increasing_roots(state, lambda t, payload: payload[1],
-                                     np.zeros(budget.size))
-    return np.add.reduceat(blocks.w * value, first)
-
-
 def pi_problem(q: DensityVector, budget_a: np.ndarray,
                spec: RiskSpec) -> np.ndarray:
     """Best conditional expected utility within a measure-weighted budget.
 
     Maximizes E[U(X+Y)|g] over allocations with total q-value equal to the
     budget on each block (the constraint binds by strict monotonicity).
-    The optimum has grad U(X+Y) proportional to the densities; the scalar
-    multiplier is pinned by the budget, in closed form for exponential
-    agents.
+    The optimum has grad U(X+Y) proportional to the densities, with one
+    multiplier per block pinned by the budget: preferences.path_at_level
+    at E_w[q^T (X+Y)] = a + E_w[q^T X].
     """
     if not in_q1(q, spec):
         raise ValueError("measure vector is not admissible")
@@ -120,10 +72,12 @@ def pi_problem(q: DensityVector, budget_a: np.ndarray,
         raise ValueError(f"budget of shape {budget_a.shape} is not one row")
     if not is_measurable(budget_a, spec.sigma):
         raise ValueError("budget must be partition-measurable")
-    budget = budget_a[spec.sigma.first]
-    solve = (_pi_newton if spec.aggregator.exponential_form is None
-             else _pi_exponential)
-    return spec.sigma.expand(solve(q, budget, spec))
+    blocks, cols = spec._blocks
+    qc = q.q[:, cols]
+    level = budget_a[spec.sigma.first] + np.add.reduceat(
+        blocks.w * (qc * blocks.x).sum(axis=0), blocks.start[:-1])
+    return spec.sigma.expand(path_at_level(
+        spec.aggregator, qc, blocks.w, blocks.start, level, cost=True)[0])
 
 
 @dataclass(frozen=True)

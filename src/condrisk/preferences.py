@@ -530,40 +530,79 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
     return z, value, slope
 
 
-def utility_level_roots(a: Aggregator, q: np.ndarray, w: np.ndarray,
-                        start: np.ndarray, level: np.ndarray, t0=None):
-    """The point z with grad U(z) = q / mu_m on the columns
-    start[m]:start[m + 1] of block m and E_w[U(z)] = level_m there, for
-    every block at once by increasing_roots on t = log mu from t0, or
-    from 0 when t0 is None; returns (z, t).  Where the root find from t0
-    fails, it is made again from 0: a start far from the roots may lie
-    where grad U cannot be inverted to round-off.  A level at or above
-    the supremum of U has no such point and raises InversionError."""
+def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
+                  start: np.ndarray, level: np.ndarray, cost: bool = False,
+                  t0=None):
+    """(E_w[U(z)], E_w[q^T z]) per block m at the point z of the gradient
+    path grad U(z) = q exp(-t_m) on the columns start[m]:start[m + 1] of
+    block m where E_w[U(z)], or E_w[q^T z] when cost is true, equals
+    level_m: the two programs of the dual side, the penalty at a utility
+    level and pi_problem at a budget.
+
+    Both means increase with t: E_w[U] at the slope E_w[g^T (-H)^{-1} g] of
+    gradient_path, and E_w[q^T z] at exp(t) times that.  Exponential agents
+    without an interdependence term have a closed form; every other
+    aggregator finds t by increasing_roots, from t0 where given.  A utility
+    level at or above the supremum of U has no such point and raises
+    InversionError.
+    """
     level = np.asarray(level, dtype=float)
-    if np.any(level >= a.sup):
-        raise InversionError(f"utility level {level.max()!r} is not below "
-                             f"the supremum {a.sup!r}")
+    if not cost and np.any(level >= a.sup):
+        raise InversionError(f"utility level {float(level.max())!r} is not "
+                             f"below the supremum {float(a.sup)!r}")
+    if a.exponential_form is not None:
+        return _closed_path(a, q, w, start[:-1], level, cost)
+    return _path_roots(a, q, w, start, level, cost, t0)
+
+
+def _closed_path(a, q, w, first, level, cost):
+    """path_at_level for exponential agents, raw or shifted.
+
+    With r = q/alpha, agent j sits at z_j = (t - log r_j)/alpha_j with
+    utility s_j - r_j exp(-t), s_j = 1 for a shifted agent and 0 otherwise.
+    So for the number k of shifted agents, mass = E_w[sum_j r_j] and
+    ent = E_w[sum_j r_j log r_j] with 0 log 0 = 0,
+
+        E_w[U] = k - exp(-t) mass,    E_w[q^T z] = t mass - ent,
+
+    and the level fixes t.  A zero density leaves its agent at the
+    supremum at no cost.
+    """
+    alphas, k = a.exponential_form
+    r = q / alphas[:, None]
+    mass = np.add.reduceat(w * r.sum(axis=0), first)
+    ent = np.add.reduceat(w * xlogx(r).sum(axis=0), first)
+    t = (level + ent) / mass if cost else np.log(mass / (k - level))
+    return k - np.exp(-t) * mass, t * mass - ent
+
+
+def _path_roots(a, q, w, start, level, cost, t0):
+    """path_at_level for any aggregator: increasing_roots on t for every
+    block at once, from t0, or from 0 when t0 is None or the root find
+    from t0 fails: a start far from the roots may lie where grad U cannot
+    be inverted to round-off."""
     first = start[:-1]
     of = np.repeat(np.arange(level.size), np.diff(start))
 
     def state(t):
         z, value, slope = gradient_path(a, q, t[of])
-        f = np.add.reduceat(w * value, first) - level
-        # within an ulp of the level, E_w[U] meets it to round-off
+        means = (np.add.reduceat(w * value, first),
+                 np.add.reduceat(w * (q * z).sum(axis=0), first))
+        slope = np.add.reduceat(w * slope, first)
+        f = means[cost] - level
+        # within an ulp of the level, the mean meets it to round-off
         return (np.where(np.abs(f) <= _EPS * np.abs(level), 0.0, f),
-                (z, np.add.reduceat(w * slope, first)))
+                (means, np.exp(t) * slope if cost else slope))
 
     def slope(t, payload):
         return payload[1]
 
     if t0 is not None:
         try:
-            t, (z, _) = increasing_roots(state, slope, t0)
-            return z, t
+            return increasing_roots(state, slope, t0)[1][0]
         except InversionError:
             pass
-    t, (z, _) = increasing_roots(state, slope, np.zeros(level.size))
-    return z, t
+    return increasing_roots(state, slope, np.zeros(level.size))[1][0]
 
 
 def xlogx(r: np.ndarray) -> np.ndarray:

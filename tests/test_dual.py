@@ -325,16 +325,14 @@ class TestPenaltyMemo:
     @pytest.fixture
     def solves(self, monkeypatch):
         """Counts the penalty computations, one per (q, spec) pair, in
-        closed form or by Newton."""
-        calls = []
-        for name in ("_alpha1_exponential", "_alpha1_newton"):
-            inner = getattr(dual, name)
+        closed form or by the root find."""
+        calls, inner = [], dual.path_at_level
 
-            def counted(*args, inner=inner):
-                calls.append(1)
-                return inner(*args)
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return inner(*args, **kwargs)
 
-            monkeypatch.setattr(dual, name, counted)
+        monkeypatch.setattr(dual, "path_at_level", counted)
         return calls
 
     def test_report_reuses_the_gap_check_solve(self, solves):
@@ -413,6 +411,12 @@ def random_composite_instance(rng):
                     clusters=ClusterConstraint(((0, 1), (2, 3))))
 
 
+def penalty_from(q, spec, sol=None):
+    """The penalty per block past the cache, its root find started at the
+    multipliers of sol where given."""
+    return dual._alpha1_blocks.__wrapped__(q, spec, sol)
+
+
 def assert_same_root(got, want):
     """Penalties agree to 1e-12 relative to max(1, |want|)."""
     err = np.abs(got - want) / np.maximum(1.0, np.abs(want))
@@ -420,7 +424,7 @@ def assert_same_root(got, want):
 
 
 class TestPrimalStart:
-    """The penalty Newton started at the multipliers of a primal solution
+    """The penalty's root find started at the multipliers of a primal solution
     finds the root of the cold start at 0, from near or far."""
 
     COMPOSITE = (Path(__file__).resolve().parents[1] / "scenarios"
@@ -436,8 +440,8 @@ class TestPrimalStart:
         for spec in self.instances():
             sol = solve_rho(spec)
             q = extract_dual_optimizer(sol, spec)
-            assert_same_root(dual._alpha1_newton(q, spec, sol),
-                             dual._alpha1_newton(q, spec))
+            assert_same_root(penalty_from(q, spec, sol),
+                             penalty_from(q, spec))
 
     @pytest.mark.parametrize("shift", [-8.0, 8.0])
     def test_far_start_reaches_the_same_root(self, shift):
@@ -445,16 +449,16 @@ class TestPrimalStart:
             sol = solve_rho(spec)
             q = extract_dual_optimizer(sol, spec)
             far = replace(sol, mu=sol.mu * np.exp(shift))
-            assert_same_root(dual._alpha1_newton(q, spec, far),
-                             dual._alpha1_newton(q, spec))
+            assert_same_root(penalty_from(q, spec, far),
+                             penalty_from(q, spec))
 
     def test_other_admissible_q_gets_its_cold_penalty(self):
         rng = np.random.default_rng(62)
         for spec in self.instances():
             sol = solve_rho(spec)
             q = random_admissible_q(rng, spec)
-            assert_same_root(dual._alpha1_newton(q, spec, sol),
-                             dual._alpha1_newton(q, spec))
+            assert_same_root(penalty_from(q, spec, sol),
+                             penalty_from(q, spec))
 
     def test_gap_check_evaluates_at_most_two_states(self, monkeypatch):
         spec = parse_scenario(str(self.COMPOSITE)).spec
@@ -491,11 +495,21 @@ def exponential_instance_with_zeros(rng, shifted):
     return spec, DensityVector(q, spec.sigma)
 
 
+def both_paths(spec, q, level, cost):
+    """path_at_level on an exponential spec, in closed form and by the
+    root find that serves every other aggregator."""
+    blocks, cols = spec._blocks
+    args = (spec.aggregator, q.q[:, cols], blocks.w)
+    return (preferences._closed_path(*args, blocks.start[:-1], level, cost),
+            preferences._path_roots(*args, blocks.start, level, cost, None))
+
+
 class TestNewtonAgainstClosedForms:
-    """The batched Newton on log mu, which serves every aggregator without
+    """The batched root find on t, which serves every aggregator without
     a closed form, checked against the exponential closed forms to 1e-12
     relative to max(1, |value|): a value near 0 is a difference of terms of
-    order one."""
+    order one.  Both programs are checked, the penalty's at the threshold
+    and pi_problem's at a budget, and both means of each."""
 
     @pytest.mark.parametrize("shifted", [False, True], ids=["raw", "shifted"])
     def test_penalty_and_pi(self, shifted):
@@ -505,14 +519,13 @@ class TestNewtonAgainstClosedForms:
             spec, q = exponential_instance_with_zeros(rng, shifted)
             assert spec.aggregator.exponential_form is not None
             zeros += int((q.q == 0.0).sum())
-            np.testing.assert_allclose(dual._alpha1_newton(q, spec),
-                                       dual._alpha1_exponential(q, spec),
-                                       rtol=1e-12, atol=1e-12)
             budget = rng.uniform(-3.0, 3.0, size=spec.sigma.nblocks)
-            np.testing.assert_allclose(
-                equilibrium._pi_newton(q, budget, spec),
-                equilibrium._pi_exponential(q, budget, spec),
-                rtol=1e-12, atol=1e-12)
+            for level, cost in ((spec.b[spec.sigma.first], False),
+                                (budget, True)):
+                closed, roots = both_paths(spec, q, level, cost)
+                for want, got in zip(closed, roots):
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12)
         assert zeros > 0
 
 
@@ -536,10 +549,12 @@ class TestNewtonRefusals:
 
         monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):
-            dual._alpha1_newton(q, spec)
+            penalty_alpha1(q, spec)
+        assert len(calls) > 1
         calls.clear()
         with pytest.raises(InversionError):
             pi_problem(q, np.zeros(spec.space.natoms), spec)
+        assert len(calls) > 1
 
     def test_threshold_at_supremum(self, canonical_spec):
         # RiskSpec refuses such a threshold, so set it past the check
@@ -547,6 +562,6 @@ class TestNewtonRefusals:
         for above in (0.0, 1.0):
             spec = make_canonical_spec()
             object.__setattr__(spec, "b", np.full(2, above))
-            for solve in (dual._alpha1_exponential, dual._alpha1_newton):
-                with pytest.raises(InversionError, match="supremum"):
-                    solve(q, spec)
+            with pytest.raises(InversionError, match="supremum") as err:
+                penalty_alpha1(q, spec)
+            assert "np." not in str(err.value)

@@ -7,7 +7,7 @@ from condrisk import (Aggregator, ArctanPowerUtility, ExponentialUtility,
                       InversionError, LambdaAggregator, RationalPowerUtility)
 from condrisk import preferences
 from condrisk.preferences import (increasing_roots, invert_gradient,
-                                  utility_level_roots)
+                                  path_at_level)
 from conftest import conjugate_V
 
 ALL_KINDS = [
@@ -482,7 +482,7 @@ class TestInvertGradient:
         assert issubclass(InversionError, RuntimeError)
 
 
-class TestUtilityLevelRoots:
+class TestPathAtLevel:
     AGG = Aggregator((RationalPowerUtility(2.0), ArctanPowerUtility(1.5)))
 
     def test_level_met_blockwise(self):
@@ -491,17 +491,18 @@ class TestUtilityLevelRoots:
         w = np.array([0.5, 0.5, 0.2, 0.3, 0.5])
         start = np.array([0, 2, 5])
         level = np.array([-1.0, 0.5])
-        z, t = utility_level_roots(self.AGG, q, w, start, level)
-        np.testing.assert_allclose(self.AGG.grad(z),
-                                   q / np.exp(np.repeat(t, [2, 3])),
-                                   rtol=1e-12)
-        util = np.add.reduceat(w * self.AGG.value(z), start[:-1])
+        util, cost = path_at_level(self.AGG, q, w, start, level)
         np.testing.assert_allclose(util, level, rtol=0, atol=1e-12)
+        # pinning E_w[q^T z] at the cost found there comes back to the
+        # same point of the path
+        back = path_at_level(self.AGG, q, w, start, cost, cost=True)
+        np.testing.assert_allclose(back[0], level, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back[1], cost, rtol=1e-12, atol=1e-12)
 
     def test_start_that_fails_is_made_again_from_zero(self, monkeypatch):
         q, w = np.ones((2, 4)), np.full(4, 0.25)
         start, level = np.array([0, 2, 4]), np.array([-1.0, 0.5])
-        cold = utility_level_roots(self.AGG, q, w, start, level)
+        cold = path_at_level(self.AGG, q, w, start, level)
         inner, refused = preferences._inverse, []
 
         def bounded(agg, target):
@@ -511,11 +512,11 @@ class TestUtilityLevelRoots:
             return inner(agg, target)
 
         monkeypatch.setattr(preferences, "_inverse", bounded)
-        z, t = utility_level_roots(self.AGG, q, w, start, level,
-                                   np.array([-30.0, 0.0]))
+        warm = path_at_level(self.AGG, q, w, start, level,
+                             t0=np.array([-30.0, 0.0]))
         assert refused, "the warm start at t = -30 never failed"
-        np.testing.assert_allclose(t, cold[1], rtol=0, atol=1e-12)
-        np.testing.assert_allclose(z, cold[0], rtol=1e-12, atol=1e-12)
+        for got, want in zip(warm, cold):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("gap", [1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8,
                                      1e-9])
@@ -529,17 +530,17 @@ class TestUtilityLevelRoots:
         a = Aggregator(us)
         w = np.array([0.2, 0.3, 0.5])
         level = np.array([a.sup - gap])
-        z, _ = utility_level_roots(a, np.ones((len(us), 3)), w,
-                                   np.array([0, 3]), level)
-        miss = abs(float(np.sum(w * a.value(z))) - level[0])
-        assert miss <= 1e-3 * gap
+        util, _ = path_at_level(a, np.ones((len(us), 3)), w,
+                                np.array([0, 3]), level)
+        assert abs(util[0] - level[0]) <= 1e-3 * gap
 
     @pytest.mark.parametrize("above", [0.0, 1e-12, 1.0])
     def test_level_at_or_above_supremum_raises(self, above):
         level = np.array([-1.0, self.AGG.sup + above])
-        with pytest.raises(InversionError, match="supremum"):
-            utility_level_roots(self.AGG, np.ones((2, 2)), np.ones(2),
-                                np.array([0, 1, 2]), level)
+        with pytest.raises(InversionError, match="supremum") as err:
+            path_at_level(self.AGG, np.ones((2, 2)), np.ones(2),
+                          np.array([0, 1, 2]), level)
+        assert "np." not in str(err.value)
 
     def test_inversion_failure_mid_solve_raises(self, monkeypatch):
         a = composite_aggregator(np.random.default_rng(41))
@@ -553,6 +554,6 @@ class TestUtilityLevelRoots:
 
         monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):
-            utility_level_roots(a, np.ones((4, 3)), np.full(3, 1.0 / 3.0),
-                                np.array([0, 3]), np.array([-1.0]))
+            path_at_level(a, np.ones((4, 3)), np.full(3, 1.0 / 3.0),
+                          np.array([0, 3]), np.array([-1.0]))
         assert len(calls) > 2
