@@ -83,15 +83,12 @@ def in_q1(q: DensityVector, spec: RiskSpec) -> bool:
 @lru_cache(maxsize=1)
 def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
                    sol: PrimalSolution | None) -> np.ndarray:
-    """Shortfall part of the penalty, per block, by direct maximization:
-    E_w[sum_j q_j (-z_j)] at the point z with grad U(z) = q/mu and
-    E_w[U(z)] = b, preferences.path_at_level.
-
-    Where sol is given, the root find starts at log mu for its multipliers
-    mu.  At the dual optimizer extracted from sol, q = mu grad U(X + Y_hat)
-    on every block, so that start is the root up to the solver's
-    tolerance; for any other q it is only a start, and the root is settled
-    at round-off as from 0.
+    """Shortfall part of the penalty, per block: -E_w[q^T z] at the z with
+    grad U(z) = q/mu and E_w[U(z)] = b, by preferences.path_at_level,
+    whose root find starts at log mu for the multipliers of sol when given.
+    At the dual optimizer extracted from sol, q = mu grad U(X + Y_hat), so
+    that start is the root up to the solver's tolerance; for any other q
+    the root is settled at round-off as from 0.
 
     The last result is kept for the same three objects: a dual optimizer
     is checked for its gap and then reported with the same q, spec and

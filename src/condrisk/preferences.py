@@ -1,8 +1,9 @@
 """Agent preferences: univariate utilities, the multivariate aggregator
 (sum of agent utilities plus an optional concave interdependence term),
-analytic derivatives, gradient inversion, and the one safeguarded Newton
-the solvers use for every scalar root: the start of each primal block, the
-s-equation of gradient inversion and the log multipliers of the dual side.
+analytic derivatives, gradient inversion, the one safeguarded Newton the
+solvers use for every scalar root, and the dual side's gradient path
+grad U(z) = q exp(-t), on which the penalty pins E_w[U(z)] and pi_problem
+E_w[q^T z].
 
 All utilities are strictly increasing and strictly concave on the real
 line, with derivative decreasing from +infinity to 0 (so marginal-utility
@@ -69,8 +70,8 @@ class ExponentialUtility(UnivariateUtility):
 
     def terms(self, x):
         e = np.exp(-self.alpha * np.asarray(x, dtype=float))
-        return (1.0 - e if self.shifted else -e, self.alpha * e,
-                -self.alpha ** 2 * e)
+        d = self.alpha * e
+        return 1.0 - e if self.shifted else -e, d, -self.alpha * d
 
     def inverse_deriv(self, m):
         return -np.log(np.asarray(m, dtype=float) / self.alpha) / self.alpha
@@ -252,7 +253,8 @@ class Aggregator:
             alphas, k = self._exp_form
             a = alphas if z.ndim == 1 else alphas[:, None]
             e = np.exp(-a * z)
-            return k - stable_sum(e), a * e, -a * a * e, np.zeros(z.shape[1:])
+            d = a * e
+            return k - stable_sum(e), d, -a * d, np.zeros(z.shape[1:])
         u, du, d2u = zip(*(f.terms(z[j])
                            for j, f in enumerate(self.utilities)))
         value, grad, d2 = sum(u), np.stack(du), np.stack(d2u)
@@ -534,17 +536,15 @@ def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
                   start: np.ndarray, level: np.ndarray, cost: bool = False,
                   t0=None):
     """(E_w[U(z)], E_w[q^T z]) per block m at the point z of the gradient
-    path grad U(z) = q exp(-t_m) on the columns start[m]:start[m + 1] of
-    block m where E_w[U(z)], or E_w[q^T z] when cost is true, equals
-    level_m: the two programs of the dual side, the penalty at a utility
-    level and pi_problem at a budget.
+    path grad U(z) = q exp(-t_m), on the columns start[m]:start[m + 1] of
+    block m, where E_w[U(z)], or E_w[q^T z] when cost is true, equals
+    level_m: the penalty's program and pi_problem's.
 
     Both means increase with t: E_w[U] at the slope E_w[g^T (-H)^{-1} g] of
-    gradient_path, and E_w[q^T z] at exp(t) times that.  Exponential agents
+    gradient_path, E_w[q^T z] at exp(t) times that.  Exponential agents
     without an interdependence term have a closed form; every other
     aggregator finds t by increasing_roots, from t0 where given.  A utility
-    level at or above the supremum of U has no such point and raises
-    InversionError.
+    level at or above the supremum of U raises InversionError.
     """
     level = np.asarray(level, dtype=float)
     if not cost and np.any(level >= a.sup):
@@ -556,17 +556,13 @@ def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
 
 
 def _closed_path(a, q, w, first, level, cost):
-    """path_at_level for exponential agents, raw or shifted.
+    """path_at_level for exponential agents, raw or shifted: with
+    r = q/alpha, agent j sits at z_j = (t - log r_j)/alpha_j with utility
+    s_j - r_j exp(-t), s_j = 1 if it is shifted and 0 if not.  So for k
+    shifted agents, mass = E_w[sum_j r_j] and ent = E_w[sum_j r_j log r_j]
+    with 0 log 0 = 0 (a zero density leaves its agent at the supremum),
 
-    With r = q/alpha, agent j sits at z_j = (t - log r_j)/alpha_j with
-    utility s_j - r_j exp(-t), s_j = 1 for a shifted agent and 0 otherwise.
-    So for the number k of shifted agents, mass = E_w[sum_j r_j] and
-    ent = E_w[sum_j r_j log r_j] with 0 log 0 = 0,
-
-        E_w[U] = k - exp(-t) mass,    E_w[q^T z] = t mass - ent,
-
-    and the level fixes t.  A zero density leaves its agent at the
-    supremum at no cost.
+        E_w[U] = k - exp(-t) mass,    E_w[q^T z] = t mass - ent.
     """
     alphas, k = a.exponential_form
     r = q / alphas[:, None]
@@ -594,15 +590,15 @@ def _path_roots(a, q, w, start, level, cost, t0):
         return (np.where(np.abs(f) <= _EPS * np.abs(level), 0.0, f),
                 (means, np.exp(t) * slope if cost else slope))
 
-    def slope(t, payload):
-        return payload[1]
+    def root(t):
+        return increasing_roots(state, lambda _, payload: payload[1], t)[1][0]
 
     if t0 is not None:
         try:
-            return increasing_roots(state, slope, t0)[1][0]
+            return root(t0)
         except InversionError:
             pass
-    return increasing_roots(state, slope, np.zeros(level.size))[1][0]
+    return root(np.zeros(level.size))
 
 
 def xlogx(r: np.ndarray) -> np.ndarray:

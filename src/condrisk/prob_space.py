@@ -58,7 +58,8 @@ class ScenarioSpace:
         if np.any(prob <= 0.0):
             raise ValueError("every atom must have strictly positive probability")
         if abs(prob.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {prob.sum()!r}, not 1")
+            raise ValueError(f"probabilities sum to {float(prob.sum())!r}, "
+                             "not 1")
         prob.setflags(write=False)
 
     @property

@@ -56,6 +56,8 @@ class TestPenalty:
         with pytest.raises(PenaltyDivergenceError) as err:
             penalty_alpha1(q, canonical_spec)
         assert err.value.blocks == (0,)
+        assert type(err.value.blocks[0]) is int
+        assert "blocks [0]:" in str(err.value) and "np." not in str(err.value)
 
     def test_zero_density_entry_matches_entropic_formula(self):
         # one agent, density (2, 0): the penalty stays finite and the
@@ -527,6 +529,40 @@ class TestNewtonAgainstClosedForms:
                     np.testing.assert_allclose(got, want, rtol=1e-12,
                                                atol=1e-12)
         assert zeros > 0
+
+
+class TestPiInvertsThePenalty:
+    """The two programs of the dual side lie on one gradient path: pi at
+    the budget that spends the penalty's point, a = -alpha1 - E_w[q^T X],
+    comes back to the penalty's utility level b."""
+
+    SCENARIOS = sorted((Path(__file__).resolve().parents[1]
+                        / "scenarios").glob("*.json"))
+
+    def instances(self):
+        rng = np.random.default_rng(63)
+        for path in self.SCENARIOS:
+            spec = parse_scenario(str(path)).spec
+            for _ in range(5):
+                yield spec, random_admissible_q(rng, spec)
+        for i in range(20):
+            spec, _ = random_exponential_instance(rng, kmax=12, nmax=4,
+                                                  shifted=i % 2 == 1)
+            yield spec, random_admissible_q(rng, spec)
+        for _ in range(20):
+            spec = random_composite_instance(rng)
+            yield spec, random_admissible_q(rng, spec)
+
+    def test_pi_at_the_penalty_budget_is_the_threshold(self):
+        kinds = set()
+        for spec, q in self.instances():
+            kinds.add(spec.aggregator.exponential_form is None)
+            budget = (-penalty_alpha1(q, spec)
+                      - cond_exp((q.q * spec.x).sum(axis=0), spec.sigma))
+            err = (np.abs(pi_problem(q, budget, spec) - spec.b)
+                   / np.maximum(1.0, np.abs(spec.b)))
+            assert err.max() <= 1e-12, err.max()
+        assert kinds == {False, True}
 
 
 class TestNewtonRefusals:

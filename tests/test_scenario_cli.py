@@ -372,6 +372,43 @@ class TestCliErrors:
         assert main(["risk", canonical_file]) == 3
         assert "convergence failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scenario, edit, commands", [
+        ("canonical", lambda doc: doc["agents"][1],
+         ["risk", "dual", "msorte", "expcheck"]),
+        ("composite", lambda doc: doc["agents"][0], ["risk", "dual", "msorte"]),
+        ("composite", lambda doc: doc["lambda"]["u"],
+         ["risk", "dual", "msorte"]),
+    ], ids=["raw", "composite_agent", "composite_lambda"])
+    def test_extreme_exponential_alpha(self, tmp_path, capsys, scenario,
+                                       edit, commands):
+        # u'' = -alpha u' from the one exponential: alpha^2 = 1e400 is out
+        # of range, as a float and as a factor of the numpy terms
+        scenarios = Path(__file__).resolve().parents[1] / "scenarios"
+        doc = json.loads((scenarios / f"{scenario}.json").read_text())
+        edit(doc)["alpha"] = 1e200
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        for cmd in commands:
+            code = main([cmd, str(path)])
+            out, err = capsys.readouterr()
+            assert code in (0, 3), (cmd, code, err)
+            if code == 0:
+                assert json.loads(out)["pass"] is True, cmd
+            else:
+                assert err.startswith("convergence failure: "), (cmd, err)
+        if scenario == "canonical":
+            # the closed-form programs of the raw agents certify
+            for cmd in ("dual", "msorte", "expcheck"):
+                assert main([cmd, str(path)]) == 0
+                assert json.loads(capsys.readouterr().out)["pass"] is True
+
+    def test_messages_print_plain_numbers(self, tmp_path, capsys):
+        path = write_doc(tmp_path, "probs.json",
+                         atoms={"labels": ["w0", "w1"], "probs": [0.5, 0.4]})
+        assert main(["risk", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "probabilities sum to 0.9, not 1" in err and "np." not in err
+
     def test_inversion_failure_exit_code(self, canonical_file, monkeypatch,
                                          capsys):
         from condrisk import InversionError
