@@ -71,7 +71,7 @@ class ExponentialUtility(UnivariateUtility):
     def terms(self, x):
         e = np.exp(-self.alpha * np.asarray(x, dtype=float))
         d = self.alpha * e
-        return 1.0 - e if self.shifted else -e, d, -self.alpha * d
+        return (1.0 - e if self.shifted else -e), d, -self.alpha * d
 
     def inverse_deriv(self, m):
         return -np.log(np.asarray(m, dtype=float) / self.alpha) / self.alpha
@@ -551,11 +551,11 @@ def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
         raise InversionError(f"utility level {float(level.max())!r} is not "
                              f"below the supremum {float(a.sup)!r}")
     if a.exponential_form is not None:
-        return _closed_path(a, q, w, start[:-1], level, cost)
+        return _closed_path(a, q, w, start, level, cost)
     return _path_roots(a, q, w, start, level, cost, t0)
 
 
-def _closed_path(a, q, w, first, level, cost):
+def _closed_path(a, q, w, start, level, cost):
     """path_at_level for exponential agents, raw or shifted: with
     r = q/alpha, agent j sits at z_j = (t - log r_j)/alpha_j with utility
     s_j - r_j exp(-t), s_j = 1 if it is shifted and 0 if not.  So for k
@@ -566,8 +566,8 @@ def _closed_path(a, q, w, first, level, cost):
     """
     alphas, k = a.exponential_form
     r = q / alphas[:, None]
-    mass = np.add.reduceat(w * r.sum(axis=0), first)
-    ent = np.add.reduceat(w * xlogx(r).sum(axis=0), first)
+    mass = np.add.reduceat(w * r.sum(axis=0), start[:-1])
+    ent = np.add.reduceat(w * xlogx(r).sum(axis=0), start[:-1])
     t = (level + ent) / mass if cost else np.log(mass / (k - level))
     return k - np.exp(-t) * mass, t * mass - ent
 

@@ -426,8 +426,8 @@ def assert_same_root(got, want):
 
 
 class TestPrimalStart:
-    """The penalty's root find started at the multipliers of a primal solution
-    finds the root of the cold start at 0, from near or far."""
+    """The penalty's root find started at the multipliers of a primal
+    solution finds the root of the cold start at 0, from near or far."""
 
     COMPOSITE = (Path(__file__).resolve().parents[1] / "scenarios"
                  / "composite.json")
@@ -502,7 +502,7 @@ def both_paths(spec, q, level, cost):
     root find that serves every other aggregator."""
     blocks, cols = spec._blocks
     args = (spec.aggregator, q.q[:, cols], blocks.w)
-    return (preferences._closed_path(*args, blocks.start[:-1], level, cost),
+    return (preferences._closed_path(*args, blocks.start, level, cost),
             preferences._path_roots(*args, blocks.start, level, cost, None))
 
 

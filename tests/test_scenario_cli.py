@@ -375,7 +375,8 @@ class TestCliErrors:
     @pytest.mark.parametrize("scenario, edit, commands", [
         ("canonical", lambda doc: doc["agents"][1],
          ["risk", "dual", "msorte", "expcheck"]),
-        ("composite", lambda doc: doc["agents"][0], ["risk", "dual", "msorte"]),
+        ("composite", lambda doc: doc["agents"][0],
+         ["risk", "dual", "msorte"]),
         ("composite", lambda doc: doc["lambda"]["u"],
          ["risk", "dual", "msorte"]),
     ], ids=["raw", "composite_agent", "composite_lambda"])
