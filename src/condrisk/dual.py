@@ -11,8 +11,9 @@ The penalty is a concave program whose optimum lies on the gradient path
 grad U(z) = q/mu, with one multiplier mu per block pinned by the active
 utility constraint: preferences.path_at_level, in closed form for
 exponential agents and by one root find on log mu for all blocks
-otherwise.  Where a primal solution is at hand, that root find starts at
-its multipliers.
+otherwise.  Where a primal solution is at hand, that root find is warmed
+at its point: log mu for its multipliers, and beta^T (X + Y_hat) for the
+first gradient inversion.
 """
 
 from __future__ import annotations
@@ -85,10 +86,11 @@ def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
                    sol: PrimalSolution | None) -> np.ndarray:
     """Shortfall part of the penalty, per block: -E_w[q^T z] at the z with
     grad U(z) = q/mu and E_w[U(z)] = b, by preferences.path_at_level,
-    whose root find starts at log mu for the multipliers of sol when given.
-    At the dual optimizer extracted from sol, q = mu grad U(X + Y_hat), so
-    that start is the root up to the solver's tolerance; for any other q
-    the root is settled at round-off as from 0.
+    warmed at the primal point of sol when given: its root find starts at
+    log mu for the multipliers of sol, and its first gradient inversion at
+    s = beta^T (X + Y_hat).  At the dual optimizer extracted from sol, q =
+    mu grad U(X + Y_hat), so that start is the root up to the solver's
+    tolerance; for any other q the root is settled at round-off as from 0.
 
     The last result is kept for the same three objects: a dual optimizer
     is checked for its gap and then reported with the same q, spec and
@@ -98,12 +100,13 @@ def _alpha1_blocks(q: DensityVector, spec: RiskSpec,
     """
     _check_density(q, spec)
     blocks, cols = spec._blocks
-    t0 = None
+    warm = None
     if sol is not None and sol.mu.shape == blocks.b.shape:
         usable = np.isfinite(sol.mu) & (sol.mu > 0.0)
-        t0 = np.log(np.where(usable, sol.mu, 1.0))
+        warm = (np.log(np.where(usable, sol.mu, 1.0)),
+                blocks.x + sol.y_hat[:, cols])
     out = -path_at_level(spec.aggregator, q.q[:, cols], blocks.w,
-                         blocks.start, blocks.b, t0=t0)[1]
+                         blocks.start, blocks.b, warm=warm)[1]
     out.setflags(write=False)
     return out
 
@@ -147,7 +150,7 @@ def dual_value(q: DensityVector, spec: RiskSpec) -> np.ndarray:
 def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
                            check_gap: bool = True) -> DensityVector:
     """Dual optimizer from the primal KKT point: densities proportional to
-    the marginal utilities at the optimum, normalized blockwise.
+    the marginal utilities at the optimum, sol.grad, normalized blockwise.
 
     Marginal utilities are averaged within each cluster before normalizing
     (they agree at the exact optimum; averaging removes solver noise), so
@@ -155,8 +158,7 @@ def extract_dual_optimizer(sol: PrimalSolution, spec: RiskSpec,
     """
     groups = spec.clusters.groups
     member, _, _, sizes = _membership(groups)
-    grads = spec.aggregator.grad(spec.x + sol.y_hat)
-    q = (_cluster_sum(groups, grads) / sizes[:, None])[member]
+    q = (_cluster_sum(groups, sol.grad) / sizes[:, None])[member]
     q = q / cond_exp(q, spec.sigma)
     dens = DensityVector(q, spec.sigma)
     if check_gap:

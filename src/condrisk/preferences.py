@@ -35,10 +35,10 @@ class UnivariateUtility:
     """Interface for a single agent's utility.
 
     Subclasses provide ``terms(x)``, the triple (u(x), u'(x), u''(x)) from
-    one evaluation of what the three share, ``inverse_deriv`` mapping a
-    positive marginal utility back to the point attaining it, both
-    vectorized over numpy arrays, and ``sup``, the supremum of the utility
-    over the reals.
+    one evaluation of what the three share, ``inverse_deriv(m)``, the pair
+    (x, u''(x)) at the point x where the marginal utility is m > 0, with
+    u''(x) from its own closed form in m, both vectorized over numpy
+    arrays, and ``sup``, the supremum of the utility over the reals.
     """
 
     sup: float
@@ -74,7 +74,16 @@ class ExponentialUtility(UnivariateUtility):
         return (1.0 - e if self.shifted else -e), d, -self.alpha * d
 
     def inverse_deriv(self, m):
-        return -np.log(np.asarray(m, dtype=float) / self.alpha) / self.alpha
+        m = np.asarray(m, dtype=float)
+        return -np.log(m / self.alpha) / self.alpha, -self.alpha * m
+
+
+def _negative_branch(p, m):
+    """The power kinds below 0, u(x) = 1 - (1-x)^p: the base 1 - x =
+    (m/p)^(1/(p-1)) where u'(x) = m, and u''(x) = -p(p-1)(1-x)^(p-2) =
+    -(p-1) m/(1-x) there."""
+    base = (m / p) ** (1.0 / (p - 1.0))
+    return base, -(p - 1.0) * m / base
 
 
 def _branches(x):
@@ -109,11 +118,15 @@ class RationalPowerUtility(UnivariateUtility):
                          -self.p * (self.p - 1.0) * base ** (self.p - 2.0)))
 
     def inverse_deriv(self, m):
+        # derivative is p at 0; values below p come from the x >= 0 branch,
+        # where x + 1 = sqrt(p/m) and u'' = -2p/(x+1)^3 = -2m/(x+1)
         m = np.asarray(m, dtype=float)
-        # derivative is p at 0; values below p come from the x >= 0 branch
-        pos = np.sqrt(self.p / np.maximum(m, 1e-300)) - 1.0
-        neg = 1.0 - (m / self.p) ** (1.0 / (self.p - 1.0))
-        return np.where(m <= self.p, pos, neg)
+        tiny = np.maximum(m, 1e-300)
+        root = np.sqrt(self.p / tiny)
+        base, d2 = _negative_branch(self.p, m)
+        pos = m <= self.p
+        return (np.where(pos, root - 1.0, 1.0 - base),
+                np.where(pos, -2.0 * tiny / root, d2))
 
 
 @dataclass(frozen=True)
@@ -139,10 +152,13 @@ class ArctanPowerUtility(UnivariateUtility):
                          -self.p * (self.p - 1.0) * base ** (self.p - 2.0)))
 
     def inverse_deriv(self, m):
+        # on x >= 0, 1 + x^2 = p/m and u'' = -2p x/(1 + x^2)^2 = -2x m^2/p
         m = np.asarray(m, dtype=float)
-        pos = np.sqrt(np.maximum(self.p / np.maximum(m, 1e-300) - 1.0, 0.0))
-        neg = 1.0 - (m / self.p) ** (1.0 / (self.p - 1.0))
-        return np.where(m <= self.p, pos, neg)
+        x = np.sqrt(np.maximum(self.p / np.maximum(m, 1e-300) - 1.0, 0.0))
+        base, d2 = _negative_branch(self.p, m)
+        pos = m <= self.p
+        return (np.where(pos, x, 1.0 - base),
+                np.where(pos, -2.0 * x * (m * m) / self.p, d2))
 
 
 @dataclass(frozen=True)
@@ -271,17 +287,12 @@ class Aggregator:
         return self.terms(z)[1]
 
     def inverse_marginals(self, m):
-        """(u_j')^{-1}(m_j) per agent: the point where the marginal utility
-        of agent j's own utility is m_j, without the interdependence term."""
-        return np.stack([u.inverse_deriv(m[j])
-                         for j, u in enumerate(self.utilities)])
-
-    def own_curvature(self, z):
-        """u_j''(z_j) per agent, without the interdependence term: for the
-        root finds that need no more at the points inverse_marginals
-        returns."""
-        return np.stack([u.terms(z[j])[2]
-                         for j, u in enumerate(self.utilities)])
+        """(z, d2) with z_j = (u_j')^{-1}(m_j) per agent, the point where
+        the marginal utility of agent j's own utility is m_j, without the
+        interdependence term, and d2_j = u_j''(z_j) there."""
+        z, d2 = zip(*(u.inverse_deriv(m[j])
+                      for j, u in enumerate(self.utilities)))
+        return np.stack(z), np.stack(d2)
 
     @classmethod
     def exponential(cls, alphas, shifted: bool = False) -> "Aggregator":
@@ -427,7 +438,8 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     > 1, and positive far out, so each column has exactly one root.  All
     columns are solved at once by increasing_roots, each from 1 above the
     lower end of its bracket: the larger of that pole and beta^T z for z
-    without the interdependence term, below which phi < 0.  A last Newton
+    without the interdependence term, below which phi < 0.  u_j''(z_j)
+    comes with z_j from the inverse marginal.  A last Newton
     step on the full system, solved by Sherman-Morrison with the
     diagonal-plus-rank-one Hessian, restores beta^T z = s where a marginal
     u_j' is swamped by beta_j v'(s) and z_j(s) is known only to a few
@@ -442,13 +454,14 @@ def invert_gradient(a: Aggregator, target: np.ndarray) -> np.ndarray:
     return z.reshape(target.shape)
 
 
-def _inverse(a: Aggregator, t: np.ndarray):
-    """invert_gradient for t of shape (N, K), and a.terms(z), the pass that
-    checks z, or None for the unchecked closed form of a separable U."""
+def _inverse(a: Aggregator, t: np.ndarray, hint=None):
+    """invert_gradient for t of shape (N, K), its s-equation started at the
+    hint where one is given, and a.terms(z), the pass that checks z, or
+    None for the unchecked closed form of a separable U."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         if a.separable or not np.any(a.lam.weights > 0.0):
-            return a.inverse_marginals(t), None
-        z = _invert_composite(a, t)
+            return a.inverse_marginals(t)[0], None
+        z = _invert_composite(a, t, hint)
         terms = a.terms(z)
         resid = np.max(np.abs(np.log(terms[1] / t)), axis=0)
     bad = ~(resid <= _INVERT_GRAD_TOL)
@@ -460,8 +473,10 @@ def _inverse(a: Aggregator, t: np.ndarray):
     return z, terms
 
 
-def _invert_composite(a: Aggregator, t: np.ndarray):
-    """z with grad U(z) = t, column by column, by the s-reduction."""
+def _invert_composite(a: Aggregator, t: np.ndarray, hint=None):
+    """z with grad U(z) = t, column by column, by the s-reduction: from the
+    hint s = beta^T z of each column where it lies above the lower end of
+    its bracket, else cold from 1 above it."""
     v, beta = a.lam.u, a.lam.weights
     act = np.flatnonzero(beta > 0.0)
     bact = beta[act][:, None]
@@ -469,10 +484,10 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     def state(s):
         _, dv, d2v = v.terms(s)
         r = t - beta[:, None] * dv
-        z = a.inverse_marginals(r)
+        z, d2 = a.inverse_marginals(r)
         inside = np.all(r[act] > 0.0, axis=0)
         return (np.where(inside, s - (bact * z[act]).sum(axis=0), -np.inf),
-                (z, d2v, a.own_curvature(z)))
+                (z, d2v, d2))
 
     def slope(s, payload):
         _, d2v, d2 = payload
@@ -481,10 +496,11 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     # Each z_j(s) exceeds z0_j, its value without the interdependence term,
     # so phi < 0 up to max(s_lo, beta^T z0): the root lies above it, and
     # near the pole s_lo phi is lost to round-off.
-    z0 = a.inverse_marginals(t)
-    lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0)),
+    z0 = a.inverse_marginals(t)[0]
+    lo = np.maximum(v.inverse_deriv(np.min(t[act] / bact, axis=0))[0],
                     (bact * z0[act]).sum(axis=0))
-    s, (z, _, d2) = increasing_roots(state, slope, lo + 1.0, lo)
+    s0 = lo + 1.0 if hint is None else np.where(hint > lo, hint, lo + 1.0)
+    s, (z, _, d2) = increasing_roots(state, slope, s0, lo)
 
     # The last step, taken on the full system at z(s): it moves s by the
     # Newton step on phi and each z_j in proportion to beta_j / u_j''.
@@ -495,9 +511,11 @@ def _invert_composite(a: Aggregator, t: np.ndarray):
     return z
 
 
-def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
+def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray, hint=None):
     """(z, U(z), slope) columnwise along grad U(z) = g = q exp(-t), with t
-    one entry per column, from one aggregator pass at z.
+    one entry per column, from one aggregator pass at z; the gradient
+    inversion starts its s-equation at the hint s = beta^T z, one entry per
+    column, where one is given.
 
     dz/dt = (-H)^{-1} g for the Hessian H of U at z, so U(z) changes with
     t at the slope g^T (-H)^{-1} g, which Sherman-Morrison gives on the
@@ -513,7 +531,7 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
             "vanishing densities with an interdependence term")
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         g = q * np.exp(-t)
-        z, terms = _inverse(a, np.where(zero, 1.0, g) if vanish else g)
+        z, terms = _inverse(a, np.where(zero, 1.0, g) if vanish else g, hint)
         if vanish:
             # each agent on its own, at its supremum where its q_j is 0
             own, _, d2 = (np.stack(part) for part in zip(
@@ -534,7 +552,7 @@ def gradient_path(a: Aggregator, q: np.ndarray, t: np.ndarray):
 
 def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
                   start: np.ndarray, level: np.ndarray, cost: bool = False,
-                  t0=None):
+                  warm=None):
     """(E_w[U(z)], E_w[q^T z]) per block m at the point z of the gradient
     path grad U(z) = q exp(-t_m), on the columns start[m]:start[m + 1] of
     block m, where E_w[U(z)], or E_w[q^T z] when cost is true, equals
@@ -543,8 +561,13 @@ def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
     Both means increase with t: E_w[U] at the slope E_w[g^T (-H)^{-1} g] of
     gradient_path, E_w[q^T z] at exp(t) times that.  Exponential agents
     without an interdependence term have a closed form; every other
-    aggregator finds t by increasing_roots, from t0 where given.  A utility
-    level at or above the supremum of U raises InversionError.
+    aggregator finds t by increasing_roots.  warm, where given, is a point
+    (t0, z0) near the path, t0 one entry per block and z0 one column per
+    column of q: the primal point (log mu, X + Y_hat), where the dual
+    optimizer q = mu grad U(X + Y_hat) puts the penalty's root.  The root
+    find then starts at t0, and the gradient inversion of its first state
+    at s = beta^T z0.  A utility level at or above the supremum of U raises
+    InversionError.
     """
     level = np.asarray(level, dtype=float)
     if not cost and np.any(level >= a.sup):
@@ -552,7 +575,7 @@ def path_at_level(a: Aggregator, q: np.ndarray, w: np.ndarray,
                              f"below the supremum {float(a.sup)!r}")
     if a.exponential_form is not None:
         return _closed_path(a, q, w, start, level, cost)
-    return _path_roots(a, q, w, start, level, cost, t0)
+    return _path_roots(a, q, w, start, level, cost, warm)
 
 
 def _closed_path(a, q, w, start, level, cost):
@@ -572,16 +595,22 @@ def _closed_path(a, q, w, start, level, cost):
     return k - np.exp(-t) * mass, t * mass - ent
 
 
-def _path_roots(a, q, w, start, level, cost, t0):
+def _path_roots(a, q, w, start, level, cost, warm):
     """path_at_level for any aggregator: increasing_roots on t for every
-    block at once, from t0, or from 0 when t0 is None or the root find
-    from t0 fails: a start far from the roots may lie where grad U cannot
-    be inverted to round-off."""
+    block at once, each state's gradient inversion started at the last
+    state's s = beta^T z.  The root find runs from the warm point, or cold
+    from t = 0 with no hint when warm is None or the root find from it
+    fails: a start far from the roots may lie where grad U cannot be
+    inverted to round-off."""
     first = start[:-1]
     of = np.repeat(np.arange(level.size), np.diff(start))
+    hint = None
 
     def state(t):
-        z, value, slope = gradient_path(a, q, t[of])
+        nonlocal hint
+        z, value, slope = gradient_path(a, q, t[of], hint)
+        if not a.separable:
+            hint = a.lam.level(z)
         means = (np.add.reduceat(w * value, first),
                  np.add.reduceat(w * (q * z).sum(axis=0), first))
         slope = np.add.reduceat(w * slope, first)
@@ -593,11 +622,14 @@ def _path_roots(a, q, w, start, level, cost, t0):
     def root(t):
         return increasing_roots(state, lambda _, payload: payload[1], t)[1][0]
 
-    if t0 is not None:
+    if warm is not None:
+        t0, z0 = warm
+        if not a.separable:
+            hint = a.lam.level(z0)
         try:
             return root(t0)
         except InversionError:
-            pass
+            hint = None
     return root(np.zeros(level.size))
 
 

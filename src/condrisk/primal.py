@@ -12,11 +12,13 @@ systems steps all blocks of a solve together, by O(N) steps on the
 aggregator's diagonal-plus-rank-one Hessian, and certifies them.  Each
 block starts from its own KKT point: for exponential agents without an
 interdependence term its explicit solution, for any cluster structure;
-otherwise, for all blocks in one root find, every agent at one marginal
-utility of its own utility with the utility constraint active.  Where the
-start is the solution, as for a single agent or on one atom of a separable
-aggregator, Newton only certifies it.  A block Newton does not certify is
-refused.
+otherwise, for all blocks in one root find, the agents of each cluster
+sharing its risk, with one marginal utility of their own utilities where
+the cluster's summed position is least, and the utility constraint
+active.  Where the start is the solution, as for a single agent or on one
+atom of a separable aggregator, Newton only certifies it.  A block Newton
+does not certify is refused.  The solution carries the gradient of its
+last KKT residual, from which the dual optimizer is formed.
 """
 
 from __future__ import annotations
@@ -155,35 +157,43 @@ class RiskSpec:
 
 @dataclass(frozen=True, eq=False)
 class PrimalSolution:
-    """Optimal allocation, risk per atom, and per block the utility
+    """Optimal allocation, risk per atom, per block the utility
     multiplier, the final optimality residual (at most kkt_tol) and the
     number of Newton steps, 0 for a block certified at its start, as every
-    closed-form and every single-agent block is."""
+    closed-form and every single-agent block is, and grad U(X + y_hat), as
+    the last KKT residual of each block evaluated it."""
 
     y_hat: np.ndarray
     rho: np.ndarray
     mu: np.ndarray
     kkt_residual: np.ndarray
     iterations: np.ndarray
+    grad: np.ndarray
 
 
 def feasible_start(spec: RiskSpec) -> np.ndarray:
-    """Allocation, constant per agent on each block, with the utility
-    constraint active up to the root tolerance on every block: the start of
-    the primal Newton.
+    """Allocation, with cluster sums constant on each block, with the
+    utility constraint active up to the root tolerance on every block: the
+    start of the primal Newton.
 
-    On block m agent i gets zhat_i(t_m) - min over the block's atoms of
-    x_i, for zhat_i(t) = (u_i')^{-1}(e^-t), the inverse marginal of its own
-    utility: where x_i is least its marginal utility is e^-t_m, as at the
-    block's KKT point, which puts every agent of a cluster at one marginal
-    utility.  t_m is the root of E_w[U(zhat(t) + x - min x)] = b_m, one root
-    find for all blocks, so each block starts from its own root whatever the
-    thresholds and positions of the others.  For a single agent, and on one
-    atom of a separable aggregator, the start is the block's solution.
+    The agents of a cluster c share the risk of its summed position X_c.
+    On block m agent j of c sits at zhat_j(t_m) + (X_c - min X_c)/|c|, the
+    minimum taken over the block's atoms, for zhat_j(t) = (u_j')^{-1}(e^-t),
+    the inverse marginal of its own utility: where X_c is least every agent
+    of the cluster has marginal utility e^-t_m, as at the block's KKT point
+    all agents of a cluster have one, and elsewhere they carry equal parts
+    of the cluster's excess.  So y = z - x has the cluster sums
+    sum_j zhat_j(t_m) - min X_c, constant on the block.  A single-agent
+    cluster, as every cluster under no sharing, keeps its own x - min x.
+    t_m is the root of E_w[U(z(t))] = b_m, one root find for all blocks, so
+    each block starts from its own root whatever the thresholds and
+    positions of the others.  For a single agent, and on one atom of a
+    separable aggregator, the start is the block's solution.
     """
     blocks, cols = spec._blocks
     start = np.empty_like(spec.x)
-    start[:, cols] = _block_starts(spec.aggregator, blocks)
+    start[:, cols] = _block_starts(spec.aggregator, spec.clusters.groups,
+                                   blocks)
     return start
 
 
@@ -220,29 +230,36 @@ class _Blocks:
         return _Blocks(self.x[:, cols], self.w[cols], self.b[keep], start), cols
 
 
-def _block_starts(agg, blocks) -> np.ndarray:
+def _block_starts(agg, groups, blocks) -> np.ndarray:
     """The start of feasible_start, for blocks side by side, by
     increasing_roots from t = 0.  Along the curve zhat(t) the slope of
     E_w[U] is E_w[grad U(z)^T dzhat/dt], with dzhat_i/dt =
-    -e^-t / u_i''(zhat_i)."""
+    -e^-t / u_i''(zhat_i), u_i'' from the inverse marginal."""
     first, of = blocks.start[:-1], blocks.of
+    member, _, _, sizes = _membership(groups)
     low = np.minimum.reduceat(blocks.x, first, axis=1)
-    up, ones = blocks.x - low[:, of], np.ones_like(low)
+    total = _cluster_sum(groups, blocks.x)
+    share = ((total - np.minimum.reduceat(total, first, axis=1)[:, of])
+             / sizes[:, None])[member]
+    ones = np.ones_like(low)
 
     def state(t):
-        zhat = agg.inverse_marginals(np.exp(-t) * ones)
-        value, grad, _, _ = agg.terms(up + zhat[:, of])
+        zhat, d2 = agg.inverse_marginals(np.exp(-t) * ones)
+        value, grad, _, _ = agg.terms(share + zhat[:, of])
         return (np.add.reduceat(blocks.w * value, first) - blocks.b,
-                (zhat, grad))
+                (zhat, d2, grad))
 
     def slope(t, payload):
-        zhat, grad = payload
-        dz = -np.exp(-t) / agg.own_curvature(zhat)
+        _, d2, grad = payload
+        dz = -np.exp(-t) / d2
         return np.add.reduceat(
             blocks.w * stable_sum(grad * dz[:, of]), first)
 
-    _, (zhat, _) = increasing_roots(state, slope, np.zeros(blocks.b.size))
-    return (zhat - low)[:, of]
+    _, (zhat, _, _) = increasing_roots(state, slope,
+                                       np.zeros(blocks.b.size))
+    # y = zhat + share - x, written so that the share of a single agent,
+    # its own x - low, cancels exactly
+    return (zhat - low)[:, of] + (share - (blocks.x - low[:, of]))
 
 
 @lru_cache(maxsize=16)
@@ -379,7 +396,7 @@ def _kkt_start(agg, groups, blocks, y=None):
     KKT residual reuses.  Where marginal utilities underflowed at y, a flat
     multiplier guess and the damped iteration take over."""
     if y is None:
-        y = _block_starts(agg, blocks)
+        y = _block_starts(agg, groups, blocks)
     sizes = _membership(groups)[3]
     of, first = blocks.of, blocks.start[:-1]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -399,10 +416,12 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
     step cap, line search, convergence test and iteration limit, so its
     iterates are those of a solve on its own; it leaves the batch when it
     converges or its system is singular or its line search fails.  Returns
-    y and per block (rho, mu, residual, iterations, largest residual): a
-    block is certified where its largest residual is at most kkt_tol, in 0
-    steps at a start that passes."""
+    y, grad U(x + y) from each block's last residual, and per block (rho,
+    mu, residual, iterations, largest residual): a block is certified where
+    its largest residual is at most kkt_tol, in 0 steps at a start that
+    passes."""
     y, d, lam, mu = (np.array(a, dtype=float) for a in start[:4])
+    grad_u = np.empty_like(y)
     opt, res = np.empty(mu.size), np.empty(mu.size)
     iters, active = np.zeros(mu.size, dtype=int), np.ones(mu.size, dtype=bool)
     r = None
@@ -411,6 +430,7 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
         state = y[:, cols], d[:, active], lam[:, cols], mu[active]
         if r is None:
             r = _residual(agg, groups, sub, *state, *start[4:])
+        grad_u[:, cols] = r[4]
         opt[active], rmax = _optimality(groups, sub, state[3], r)
         res[active], iters[active] = np.maximum(opt[active], rmax), it
         going = ~(res[active] <= kkt_tol)
@@ -450,7 +470,7 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
     # rho_m = sum_c d_c, each block's sum taken over contiguous memory, by
     # the pairwise rule of np.sum, whatever the number of clusters
     rho = np.ascontiguousarray(d.T).sum(axis=1)
-    return y, rho, mu, opt, iters, res
+    return y, grad_u, rho, mu, opt, iters, res
 
 
 def _exponential_blocks(agg, groups, blocks):
@@ -506,8 +526,8 @@ def _finish(specs, blocks, parts, start):
     raises ConvergenceError."""
     agg, groups = specs[0].aggregator, specs[0].clusters.groups
     kkt_tol, max_iter = specs[0].kkt_tol, specs[0].max_iter
-    y, rho, mu, resid, iters, res = _newton(agg, groups, blocks, start,
-                                            kkt_tol, max_iter)
+    y, grad, rho, mu, resid, iters, res = _newton(agg, groups, blocks, start,
+                                                  kkt_tol, max_iter)
     refused = np.flatnonzero(~(res <= kkt_tol))
     if refused.size:
         worst = float(res[refused[0]])
@@ -516,11 +536,11 @@ def _finish(specs, blocks, parts, start):
     sols, m, k = [], 0, 0
     for spec, (part, cols) in zip(specs, parts):
         own, cut = slice(m, m + part.b.size), k + cols.size
-        y_hat = np.empty_like(spec.x)
-        y_hat[:, cols] = y[:, k:cut]
+        y_hat, grad_hat = np.empty_like(spec.x), np.empty_like(spec.x)
+        y_hat[:, cols], grad_hat[:, cols] = y[:, k:cut], grad[:, k:cut]
         sols.append(PrimalSolution(
             y_hat=y_hat, rho=spec.sigma.expand(rho[own]), mu=mu[own],
-            kkt_residual=resid[own], iterations=iters[own]))
+            kkt_residual=resid[own], iterations=iters[own], grad=grad_hat))
         m, k = own.stop, cut
     return sols
 

@@ -5,8 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from condrisk import (Aggregator, ClusterConstraint, ExponentialUtility,
-                      RiskSpec, ScenarioSpace,
+from condrisk import (Aggregator, ArctanPowerUtility, ClusterConstraint,
+                      ExponentialUtility, LambdaAggregator,
+                      RationalPowerUtility, RiskSpec, ScenarioSpace,
                       SigmaPartition, exp_constants)
 from condrisk.preferences import UnivariateUtility, xlogx
 
@@ -45,8 +46,9 @@ def canonical_spec():
 
 class CurvedExponential(UnivariateUtility):
     """u(x) = -exp(-x) with its exact inverse marginal -log(m), but with
-    the second derivative deriv2(x) given: a curvature that vanishes where
-    the exponential's does not makes a block's Newton system singular."""
+    the second derivative deriv2(x) given, also at the inverse marginal: a
+    curvature that vanishes where the exponential's does not makes a
+    block's Newton system singular."""
 
     sup = 0.0
 
@@ -59,7 +61,8 @@ class CurvedExponential(UnivariateUtility):
         return -e, e, self._deriv2(x)
 
     def inverse_deriv(self, m):
-        return -np.log(np.asarray(m, dtype=float))
+        x = -np.log(np.asarray(m, dtype=float))
+        return x, self._deriv2(x)
 
 
 def conjugate_V(alphas, y) -> float:
@@ -67,6 +70,66 @@ def conjugate_V(alphas, y) -> float:
     y >= 0: sum_j (y_j/alpha_j) (log(y_j/alpha_j) - 1), with 0 log 0 = 0."""
     r = np.asarray(y, dtype=float) / np.asarray(alphas, dtype=float)
     return float((xlogx(r) - r).sum())
+
+
+def random_domain_utility(rng):
+    """One of the four kinds with equal odds: raw or shifted exponential
+    with alpha ~ U(0.2, 3), rational_power or arctan_power with p ~
+    U(1.2, 3)."""
+    kind = int(rng.integers(4))
+    if kind < 2:
+        return ExponentialUtility(float(rng.uniform(0.2, 3.0)), kind == 1)
+    power = RationalPowerUtility if kind == 2 else ArctanPowerUtility
+    return power(float(rng.uniform(1.2, 3.0)))
+
+
+THRESHOLD_MODES = ("near_sup", "far", "mid")
+
+
+def random_domain_instance(rng):
+    """A draw from the random domain of the solver (ROADMAP item 10),
+    returned with its regime: K ~ U{1..19} atoms with Dirichlet(1)
+    probabilities; blocks cut from a random permutation of the atoms at
+    U{0..K-1} points; n ~ U{1..4} agents of random_domain_utility; with
+    probability 0.4 a composite term of one such utility with weights
+    U(0.1, 1); positions N(0, s^2) with s = 10^U(-2, 2.5); thresholds, per
+    block, in one mode per instance with equal odds: sup - 10^U(-9, 0)
+    (near_sup), -10^U(-2, 4) (far) or sup - 10^U(-3, 1) (mid); full or no
+    sharing with equal odds."""
+    k = int(rng.integers(1, 20))
+    space = ScenarioSpace(tuple(f"w{i}" for i in range(k)),
+                          rng.dirichlet(np.ones(k)))
+    cuts = np.sort(rng.choice(np.arange(1, k), int(rng.integers(k)),
+                              replace=False))
+    sigma = SigmaPartition(space, tuple(
+        tuple(int(i) for i in blk)
+        for blk in np.split(rng.permutation(k), cuts)))
+    n = int(rng.integers(1, 5))
+    utilities = tuple(random_domain_utility(rng) for _ in range(n))
+    lam = LambdaAggregator.zero()
+    if rng.random() < 0.4:
+        lam = LambdaAggregator.composite(random_domain_utility(rng),
+                                         rng.uniform(0.1, 1.0, n))
+    agg = Aggregator(utilities, lam)
+    scale = 10.0 ** rng.uniform(-2.0, 2.5)
+    x = rng.normal(0.0, scale, (n, k))
+    mode = THRESHOLD_MODES[int(rng.integers(3))]
+    lo, hi = {"near_sup": (-9.0, 0.0), "far": (-2.0, 4.0),
+              "mid": (-3.0, 1.0)}[mode]
+    gap = 10.0 ** rng.uniform(lo, hi, sigma.nblocks)
+    b = -gap if mode == "far" else agg.sup - gap
+    full = bool(rng.random() < 0.5)
+    clusters = (ClusterConstraint.full_sharing(n) if full
+                else ClusterConstraint.no_sharing(n))
+    exp = [isinstance(u, ExponentialUtility) for u in utilities]
+    agents = ("exponential" if all(exp) else "power" if not any(exp)
+              else "mixed")
+    regime = {"aggregator": "separable" if lam.is_zero else "composite",
+              "agents": agents,
+              "scale": "s>=10" if scale >= 10.0 else "s<10",
+              "threshold": mode, "sharing": "full" if full else "none"}
+    return RiskSpec(space=space, sigma=sigma, x=x, aggregator=agg,
+                    b=sigma.expand(b), clusters=clusters), regime
 
 
 def random_partition(rng, space, max_blocks=None):

@@ -462,6 +462,39 @@ class TestPrimalStart:
             assert_same_root(penalty_from(q, spec, sol),
                              penalty_from(q, spec))
 
+    def test_warm_inversions_take_few_states(self, monkeypatch):
+        # the gap check's gradient inversions start their s-equation at
+        # beta^T (X + Y_hat), the last state's s after that: at most 3
+        # states each (about 7.6 from the cold start), and the penalty is
+        # that of the cold start
+        inner, depth, states = preferences.increasing_roots, [], []
+
+        def counted(state, slope, s, lo=None):
+            made = [0]
+
+            def each(x):
+                made[0] += 1
+                return state(x)
+
+            depth.append(1)
+            try:
+                return inner(each, slope, s, lo)
+            finally:
+                depth.pop()
+                if depth:  # nested in the path's root: an s-equation
+                    states.append(made[0])
+
+        for spec in self.instances():
+            sol = solve_rho(spec)
+            with monkeypatch.context() as patch:
+                patch.setattr(preferences, "increasing_roots", counted)
+                q = extract_dual_optimizer(sol, spec)
+            assert states and max(states) <= 3, states
+            states.clear()
+            warm, cold = penalty_from(q, spec, sol), penalty_alpha1(q, spec)
+            np.testing.assert_allclose(spec.sigma.expand(warm), cold,
+                                       rtol=1e-12, atol=0)
+
     def test_gap_check_evaluates_at_most_two_states(self, monkeypatch):
         spec = parse_scenario(str(self.COMPOSITE)).spec
         sol = solve_rho(spec)
@@ -577,11 +610,11 @@ class TestNewtonRefusals:
         # hands it the aggregator's terms at the point
         inner, calls = preferences._inverse, []
 
-        def failing(agg, target):
+        def failing(agg, target, hint=None):
             calls.append(1)
             if len(calls) > 1:
                 raise InversionError("gradient inversion failed")
-            return inner(agg, target)
+            return inner(agg, target, hint)
 
         monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):

@@ -46,8 +46,16 @@ class TestUnivariate:
     def test_inverse_deriv_roundtrip(self, u):
         xs = np.linspace(-3.0, 5.0, 30)
         m = deriv(u, xs)
-        np.testing.assert_allclose(u.inverse_deriv(m), xs, rtol=1e-9,
+        np.testing.assert_allclose(u.inverse_deriv(m)[0], xs, rtol=1e-9,
                                    atol=1e-9)
+
+    def test_inverse_curvature_matches_terms(self, u):
+        # the curvature of the inverse marginal comes from its own closed
+        # form in m, on both branches of the power kinds
+        m = np.geomspace(1e-6, 1e6, 121)
+        x, d2 = u.inverse_deriv(m)
+        assert np.any(x < 0.0) and np.any(x > 0.0)
+        np.testing.assert_allclose(d2, u.terms(x)[2], rtol=1e-12, atol=0)
 
     def test_strictly_increasing_and_concave(self, u):
         rng = np.random.default_rng(2)
@@ -505,15 +513,15 @@ class TestPathAtLevel:
         cold = path_at_level(self.AGG, q, w, start, level)
         inner, refused = preferences._inverse, []
 
-        def bounded(agg, target):
+        def bounded(agg, target, hint=None):
             if np.max(target) > 1e6:
                 refused.append(float(np.max(target)))
                 raise InversionError("target beyond range")
-            return inner(agg, target)
+            return inner(agg, target, hint)
 
         monkeypatch.setattr(preferences, "_inverse", bounded)
         warm = path_at_level(self.AGG, q, w, start, level,
-                             t0=np.array([-30.0, 0.0]))
+                             warm=(np.array([-30.0, 0.0]), np.zeros((2, 4))))
         assert refused, "the warm start at t = -30 never failed"
         for got, want in zip(warm, cold):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
@@ -546,11 +554,11 @@ class TestPathAtLevel:
         a = composite_aggregator(np.random.default_rng(41))
         inner, calls = preferences._inverse, []
 
-        def failing(agg, target):
+        def failing(agg, target, hint=None):
             calls.append(1)
             if len(calls) > 2:
                 raise InversionError("gradient inversion failed")
-            return inner(agg, target)
+            return inner(agg, target, hint)
 
         monkeypatch.setattr(preferences, "_inverse", failing)
         with pytest.raises(InversionError):

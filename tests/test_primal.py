@@ -67,7 +67,7 @@ class TestFeasibleStart:
 
     def test_translation_property(self, canonical_spec):
         # a constant shift of each agent's positions on the block leaves
-        # its marginal utility at the start, and moves its start against it
+        # the start's marginal utilities, and moves its start against it
         shift = np.array([0.7, -1.3])
         moved = canonical_spec.with_x(canonical_spec.x + shift[:, None])
         m0 = feasible_start(canonical_spec)
@@ -75,9 +75,77 @@ class TestFeasibleStart:
         np.testing.assert_allclose(m, m0 - shift[:, None], atol=1e-12)
         for spec, start in ((canonical_spec, m0), (moved, m)):
             grad = spec.aggregator.grad(spec.x + start)
-            low = np.argmin(spec.x, axis=1)
-            # where each agent's position is least, all share one marginal
-            assert grad[0, low[0]] == pytest.approx(grad[1, low[1]],
+            # where the cluster's total position is least, its agents
+            # share one marginal
+            low = np.argmin(spec.x.sum(axis=0))
+            assert grad[0, low] == pytest.approx(grad[1, low], rel=1e-12)
+
+    @staticmethod
+    def start_and_roots(monkeypatch, spec):
+        """feasible_start(spec) and the roots t of its one root find."""
+        roots, inner = [], primal.increasing_roots
+
+        def recorded(*args):
+            out = inner(*args)
+            roots.append(out[0])
+            return out
+
+        with monkeypatch.context() as patch:
+            patch.setattr(primal, "increasing_roots", recorded)
+            start = feasible_start(spec)
+        assert len(roots) == 1
+        return start, roots[0]
+
+    @staticmethod
+    def wide_specs():
+        rng = np.random.default_rng(29)
+        spec = TestOnePassPerPoint.wide_spec(rng)
+        groups = (((0, 1), (2, 3)), ((0, 2, 3), (1,)), ((0, 1, 2, 3),),
+                  ((0,), (1,), (2,), (3,)))
+        return [replace(spec, clusters=ClusterConstraint(g)) for g in groups]
+
+    def test_singleton_clusters_keep_their_own_formula(self, monkeypatch):
+        # an agent alone in its cluster starts at zhat(t) - min over the
+        # block of its own x, bit for bit
+        for spec in self.wide_specs():
+            start, t = self.start_and_roots(monkeypatch, spec)
+            blocks, cols = spec._blocks
+            first, of = blocks.start[:-1], blocks.of
+            zhat = spec.aggregator.inverse_marginals(
+                np.exp(-t) * np.ones((spec.nagents, t.size)))[0]
+            own = (zhat - np.minimum.reduceat(blocks.x, first, axis=1))[:, of]
+            for group in spec.clusters.groups:
+                if len(group) == 1:
+                    np.testing.assert_array_equal(start[group[0], cols],
+                                                  own[group[0]])
+
+    def test_cluster_sums_constant_and_constraint_active(self):
+        for spec in self.wide_specs():
+            start = feasible_start(spec)
+            for group in spec.clusters.groups:
+                total = start[list(group)].sum(axis=0)
+                for blk in spec.sigma.blocks:
+                    part = total[list(blk)]
+                    assert np.ptp(part) <= 8 * np.finfo(float).eps * max(
+                        1.0, np.abs(part).max())
+            util = cond_exp(spec.aggregator.value(spec.x + start), spec.sigma)
+            np.testing.assert_allclose(util, spec.b, rtol=1e-12, atol=1e-12)
+
+    def test_least_total_position_has_the_root_marginal(self, monkeypatch):
+        # where a cluster's total position is least on a block, each of its
+        # agents has the marginal utility e^-t of its own utility, t the
+        # block's root
+        for spec in self.wide_specs():
+            start, t = self.start_and_roots(monkeypatch, spec)
+            z = spec.x + start
+            for m, blk in enumerate(spec.sigma.blocks):
+                blk = list(blk)
+                for group in spec.clusters.groups:
+                    low = blk[np.argmin(spec.x[list(group)][:, blk]
+                                        .sum(axis=0))]
+                    for j in group:
+                        own = spec.aggregator.utilities[j].terms(z[j, low])[1]
+                        assert own == pytest.approx(np.exp(-t[m]),
                                                     rel=1e-12)
 
     def test_threshold_near_supremum(self):
@@ -422,11 +490,12 @@ class TestBatchedNewton:
         sizes = np.array([3, 2, 4])
         start = np.concatenate(([0], np.cumsum(sizes)))
         x = rng.uniform(-1.0, 1.0, (3, start[-1]))
-        x[0, start[1]] = 100.0
+        # far out even with half of it shared with agent 1
+        x[0, start[1]] = 200.0
         blocks = primal._Blocks(x, np.concatenate(
             [rng.dirichlet(np.ones(s)) for s in sizes]),
             np.array([-3.0, -2.0, -4.0]), start)
-        y0 = primal._block_starts(agg, blocks)
+        y0 = primal._block_starts(agg, groups, blocks)
         h = len(groups)
         d = primal._cluster_sum(groups, y0)[:, start[:-1]]
         lam, mu = -np.tile(blocks.w, (h, 1)), np.ones(sizes.size)
@@ -434,29 +503,35 @@ class TestBatchedNewton:
         ok = primal._newton_step(agg, groups, blocks, y0, mu, r)[-1]
         assert ok.tolist() == [True, False, True]
         start = primal._kkt_start(agg, groups, blocks, y0)
-        y, *out = primal._newton(agg, groups, blocks, start, 1e-9, 50)
+        y, grad, *out = primal._newton(agg, groups, blocks, start, 1e-9, 50)
         iters, res = out[3:]
         assert iters[1] == 0 and res[1] > 1e-9
         keep = np.array([True, False, True])
         sub, cols = blocks.take(keep)
-        y_alone, *alone = primal._newton(
+        y_alone, grad_alone, *alone = primal._newton(
             agg, groups, sub, primal._kkt_start(agg, groups, sub, y0[:, cols]),
             1e-9, 50)
         assert np.all(alone[3] > 0) and np.all(alone[4] <= 1e-9)
         np.testing.assert_array_equal(y[:, cols], y_alone)
+        np.testing.assert_array_equal(grad[:, cols], grad_alone)
         for got, want in zip(out, alone):
             np.testing.assert_array_equal(got[keep], want)
 
     def test_iterations_count_newton_steps(self, canonical_spec):
-        steps = int(newton_rho(canonical_spec).iterations[0])
+        # two equal agents sharing fully start at their solution, so the
+        # second is made twice as risk averse
+        assert newton_rho(canonical_spec).iterations[0] == 0
+        spec2 = replace(canonical_spec,
+                        aggregator=Aggregator.exponential([1.0, 2.0]))
+        steps = int(newton_rho(spec2).iterations[0])
         assert steps > 0
         # converged on the check after the last step the limit allows
-        capped = newton_rho(replace(canonical_spec, max_iter=steps))
+        capped = newton_rho(replace(spec2, max_iter=steps))
         assert capped.iterations[0] == steps
         # a block that Newton may not step is refused unless its start is
-        # certified, which two agents on two atoms are not
+        # certified, which two unequal agents on two atoms are not
         with pytest.raises(ConvergenceError):
-            newton_rho(replace(canonical_spec, max_iter=0))
+            newton_rho(replace(spec2, max_iter=0))
         # on one atom the start is the solution: 0 steps
         space = ScenarioSpace.uniform(1)
         spec = RiskSpec(space=space, sigma=SigmaPartition.trivial(space),
@@ -478,7 +553,9 @@ class TestOnePassPerPoint:
     each state of the dual penalty's root find makes one Aggregator.terms
     call, but the first residual, which takes the KKT start's, and the
     Newton step none, as it takes the gradient and the Hessian from the
-    residuals at its point.  No two calls are at the same point."""
+    residuals at its point.  No two calls are at the same point, in the
+    solve and the dual extraction together: the extraction reads grad U at
+    X + Y_hat from the solve's last residual."""
 
     @staticmethod
     def wide_spec(rng, k=20):
@@ -525,8 +602,8 @@ class TestOnePassPerPoint:
         assert set(made["_newton_step"]) == {0}
         assert made["_residual"][0] == 0 and set(made["_residual"][1:]) == {1}
         assert set(made["gradient_path"]) == {1}
-        for part in (calls[:solved], calls[solved:]):
-            assert len({(z.shape, z.tobytes()) for z in part}) == len(part)
+        assert 0 < solved < len(calls)
+        assert len({(z.shape, z.tobytes()) for z in calls}) == len(calls)
 
 
 def assert_same_solution(got, want):
