@@ -187,11 +187,12 @@ def cmd_oracle(sc: Scenario, args) -> dict:
         raise ValueError(f"--step must be finite and positive, not {step!r}")
     base = float(np.abs(spec.x).sum(axis=0).max())
     start = feasible_start(spec)
-    width = 2.0 * base + float(np.abs(start.sum(axis=0)).max()) + 2.0
+    # whole units: a small move of the start leaves the grids as they are
+    width = float(np.ceil(2.0 * base + np.abs(start.sum(axis=0)).max() + 2.0))
     sol = solve_rho(spec)
-    rho_oracle = grid_min_rho(spec, -width, width, step)
     q = extract_dual_optimizer(sol, spec)
     alpha_oracle = grid_max_alpha1(q, spec, (-width - 8.0, width + 8.0), step)
+    rho_oracle = grid_min_rho(spec, -width, width, step)
     rep = dual_report(sol, q, spec)
     first = spec.sigma.first
     d_rho = float(np.max(np.abs(rho_oracle - sol.rho[first])))

@@ -124,7 +124,8 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
     cluster_res = float(np.max(np.abs(s - cond_exp(s, g))))
     budget_res = float(np.max(np.abs(y.sum(axis=0) - t.budget_a)))
 
-    util = cond_exp(spec.aggregator.value(spec.x + y), g)
+    value, grad = spec.aggregator.terms(spec.x + y)[:2]
+    util = cond_exp(value, g)
     activity_res = float(np.max(np.abs(util - spec.b)))
 
     # the fair allocations of the allocation under the densities
@@ -138,8 +139,7 @@ def verify_msorte(t: EquilibriumTriple, spec: RiskSpec,
 
     per_agent = np.nan
     if spec.aggregator.separable:
-        ratio = (spec.aggregator.grad(spec.x + y)
-                 / np.maximum(t.q.q, 1e-300))
+        ratio = grad / np.maximum(t.q.q, 1e-300)
         # where a marginal utility underflows to 0 the atom shows nothing of
         # the ratio: it is left out of its block's mean and of the maximum
         seen = ratio > 0.0

@@ -24,11 +24,12 @@ class EmptyFeasibleGridError(ValueError):
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """The multiples of step in [lo, hi]: the bounds set only the extent."""
     if not (math.isfinite(step) and step > 0.0):
         raise ValueError(f"grid step must be finite and positive, not "
                          f"{step!r}")
-    n = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(n)
+    return step * np.arange(math.ceil(lo / step - 1e-9),
+                            math.floor(hi / step + 1e-9) + 1)
 
 
 def _check_tiny(spec: RiskSpec):
@@ -39,6 +40,7 @@ def _check_tiny(spec: RiskSpec):
         raise ValueError("grid oracle supports full sharing or no sharing only")
 
 
+@np.errstate(over="ignore")
 def grid_min_rho(spec: RiskSpec, lo: float, hi: float,
                  step: float = 1e-3) -> np.ndarray:
     """Exhaustive-grid value of the shortfall risk, one entry per block.
@@ -46,8 +48,8 @@ def grid_min_rho(spec: RiskSpec, lo: float, hi: float,
     For full sharing the product grid over (total, per-atom splits) is scanned
     by maximizing the block utility atom by atom for each candidate total; for
     no sharing the grid runs over the per-agent constants.  The bounds must
-    bracket the optimal total and every optimal component.
-    """
+    bracket the optimal total and every optimal component.  A utility that
+    overflows to -inf marks its point infeasible."""
     _check_tiny(spec)
     agg = spec.aggregator
     w_all = spec.sigma.conditional_weights()
@@ -159,6 +161,7 @@ def _best_on_level(agg, qcol, grid, t):
     return float(v[i]), u
 
 
+@np.errstate(over="ignore")
 def grid_max_alpha1(q: DensityVector, spec: RiskSpec, bounds: tuple,
                     step: float = 1e-3) -> np.ndarray:
     """Exhaustive-grid value of the dual penalty, one entry per block.
@@ -168,8 +171,8 @@ def grid_max_alpha1(q: DensityVector, spec: RiskSpec, bounds: tuple,
     search splits the required utility across atoms and refines the split
     coarse-to-fine; each candidate split is scored by an exact scan of its
     per-atom constrained maxima, so every reported value is attained by an
-    explicit grid point.
-    """
+    explicit grid point.  A ValueError refuses a search whose utility
+    overflows at the grid's lower corner: the split needs a finite floor."""
     _check_tiny(spec)
     grid = _grid(float(bounds[0]), float(bounds[1]), step)
     agg = spec.aggregator
@@ -178,6 +181,9 @@ def grid_max_alpha1(q: DensityVector, spec: RiskSpec, bounds: tuple,
     n = spec.nagents
     u_floor = float(agg.value(np.full((n, 1), grid[0]))[0])
     u_ceil = float(agg.value(np.full((n, 1), grid[-1]))[0])
+    if not math.isfinite(u_floor):
+        raise ValueError(f"utility {u_floor} at the grid's lower corner "
+                         f"{float(grid[0])}: the split needs a finite floor")
     out = np.empty(spec.sigma.nblocks)
 
     for m, blk in enumerate(spec.sigma.blocks):
@@ -187,23 +193,21 @@ def grid_max_alpha1(q: DensityVector, spec: RiskSpec, bounds: tuple,
         bval = bthr[m]
         if u_ceil < bval:
             raise EmptyFeasibleGridError(f"block {m}: no feasible grid point")
-        if idx.size == 1:
-            val, _ = _best_on_level(agg, qb[:, 0], grid, bval)
-            if not np.isfinite(val):
-                raise EmptyFeasibleGridError(f"block {m}: no feasible grid point")
-            out[m] = val
-        else:
-            out[m] = _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil, m)
+        out[m] = (_best_on_level(agg, qb[:, 0], grid, bval)[0] if idx.size == 1
+                  else _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil))
+        if not np.isfinite(out[m]):
+            raise EmptyFeasibleGridError(f"block {m}: no feasible grid point")
     return out
 
 
-def _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil, m):
+def _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil):
     """Coarse-to-fine search over per-atom utility budgets averaging bval.
 
     The per-atom constrained maxima are concave in the budget, so shrinking
     the budget window around the incumbent split converges; all candidate
     scores are exact feasible grid values.  The round count adapts to the
-    utility range so the final window resolves below the grid scale.
+    utility range so the final window resolves below the grid scale.  -inf
+    where no split is feasible.
     """
     el = w.size
     npts = 33 if el == 2 else 17
@@ -213,9 +217,8 @@ def _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil, m):
                          5, 60))
 
     def g_atom(om, t):
-        if t <= u_floor:
-            t = u_floor  # every grid point clears a floor-level budget
-        return _best_on_level(agg, qb[:, om], grid, t)[0]
+        # every grid point clears a floor-level budget
+        return _best_on_level(agg, qb[:, om], grid, max(t, u_floor))[0]
 
     best = -np.inf
     centers = np.full(el - 1, 0.5 * (u_floor + u_ceil))
@@ -249,6 +252,4 @@ def _tune_budgets(agg, qb, w, bval, grid, u_floor, u_ceil, m):
         if np.isfinite(cand) and cand >= best:
             best, centers = cand, arg
         half = np.maximum(half * (2.5 / (npts - 1)), 1e-9)
-    if not np.isfinite(best):
-        raise EmptyFeasibleGridError(f"block {m}: no feasible grid point")
     return best

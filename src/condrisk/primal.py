@@ -391,10 +391,11 @@ def _newton_step(agg, groups, blocks, y, mu, r):
 
 def _kkt_start(agg, groups, blocks, y=None):
     """The KKT start (y, d, lam, mu, terms) of all blocks at the allocation
-    y, by default feasible_start's: the cluster budgets d of y, multipliers
-    consistent with stationarity and agg.terms at x + y, which the first
-    KKT residual reuses.  Where marginal utilities underflowed at y, a flat
-    multiplier guess and the damped iteration take over."""
+    y, by default feasible_start's: the cluster budgets d of y, the
+    multipliers consistent with stationarity, lam = -w mean / E_w[mean] for
+    each cluster's mean marginal utility and mu the mean over its clusters
+    of 1 / E_w[mean], and agg.terms at x + y, which the first KKT residual
+    reuses.  Where E_w[mean] is 0 or not finite, so are the multipliers."""
     if y is None:
         y = _block_starts(agg, groups, blocks)
     sizes = _membership(groups)[3]
@@ -403,22 +404,24 @@ def _kkt_start(agg, groups, blocks, y=None):
         terms = agg.terms(blocks.x + y)
         mean = _cluster_sum(groups, terms[1]) / sizes[:, None]
         denom = np.add.reduceat(blocks.w * mean, first, axis=1)
-        flat = ~np.isfinite(denom) | (denom <= 1e-290)
-        lam = np.where(flat[:, of], -blocks.w, -blocks.w * mean / denom[:, of])
-        mu = np.where(flat, 1.0, 1.0 / denom).mean(axis=0)
+        lam = -blocks.w * mean / denom[:, of]
+        mu = (1.0 / denom).mean(axis=0)
     return y, _cluster_sum(groups, y)[:, first], lam, mu, terms
 
 
 def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
     """Damped Newton on the KKT systems of all blocks at once, from the
     KKT start (y, d, lam, mu), followed by agg.terms at x + y where the
-    start evaluated it, as _kkt_start's does.  Each block keeps its own
-    step cap, line search, convergence test and iteration limit, so its
-    iterates are those of a solve on its own; it leaves the batch when it
-    converges or its system is singular or its line search fails.  Returns
-    y, grad U(x + y) from each block's last residual, and per block (rho,
-    mu, residual, iterations, largest residual): a block is certified where
-    its largest residual is at most kkt_tol, in 0 steps at a start that
+    start evaluated it, as _kkt_start's does.  Each block takes the full
+    Newton step, halved only by its own Armijo search on its residual norm
+    (the infeasible-start Newton method, Boyd & Vandenberghe, Convex
+    Optimization, 10.3), and keeps its own convergence test and iteration
+    limit, so its iterates are those of a solve on its own.  A block leaves
+    the batch when it converges, its system is singular or its line search
+    fails, as it does at a start or a step that is not finite.  Returns y,
+    grad U(x + y) from each block's last residual, and per block (rho, mu,
+    residual, iterations, largest residual): a block is certified where its
+    largest residual is at most kkt_tol, in 0 steps at a start that
     passes."""
     y, d, lam, mu = (np.array(a, dtype=float) for a in start[:4])
     grad_u = np.empty_like(y)
@@ -438,13 +441,7 @@ def _newton(agg, groups, blocks, start, kkt_tol, max_iter):
             break
         dy, dd, dlam, dmu, solved = _newton_step(agg, groups, sub, state[0],
                                                  state[3], r)
-        # cap the allocation move (keeps utilities in range) and keep the
-        # utility multiplier positive; both inactive near the solution
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ymax = np.maximum.reduceat(np.abs(dy).max(axis=0), sub.start[:-1])
-            t = np.where(ymax > 20.0, 20.0 / ymax, 1.0)
-            cap = (dmu < 0.0) & (state[3] + t * dmu <= 0.0)
-            t = np.where(cap, np.minimum(t, -0.95 * state[3] / dmu), t)
+        t = np.ones(dmu.size)
         found = ~(going & solved)
         for _ in range(50):  # Armijo backtracking on each block's norm
             tc = t[sub.of]

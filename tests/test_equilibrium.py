@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ClusterConstraint, DensityVector, RiskSpec,
                       ScenarioSpace, SigmaPartition, build_equilibrium,
-                      pi_problem, solve_rho, verify_msorte)
+                      parse_scenario, pi_problem, solve_rho, verify_msorte)
 from condrisk.equilibrium import EquilibriumTriple
 from conftest import CANONICAL, random_exponential_instance
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestPiProblem:
@@ -99,6 +103,24 @@ class TestVerify:
         rep = verify_msorte(build_equilibrium(spec), spec)
         assert rep.passed, rep
         assert rep.per_agent_optimality == 0.0
+
+    def test_one_aggregator_pass_at_the_allocation(self, monkeypatch):
+        # U and grad U at X + Y come from one Aggregator.terms call
+        spec = parse_scenario(ROOT / "scenarios" / "canonical.json").spec
+        triple = build_equilibrium(spec)
+        points = []
+        terms = Aggregator.terms
+
+        def counting(self, z):
+            points.append(np.array(z, dtype=float))
+            return terms(self, z)
+
+        monkeypatch.setattr(Aggregator, "terms", counting)
+        rep = verify_msorte(triple, spec)
+        assert rep.passed, rep
+        at_xy = [z for z in points
+                 if z.shape == spec.x.shape and np.all(z == spec.x + triple.y)]
+        assert len(at_xy) == 1
 
     def test_triple_invariants(self, canonical_spec):
         g = canonical_spec.sigma

@@ -1,10 +1,18 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from condrisk import (Aggregator, ClusterConstraint, DensityVector,
                       EmptyFeasibleGridError, RiskSpec, ScenarioSpace,
-                      SigmaPartition, grid_max_alpha1, grid_min_rho)
+                      SigmaPartition, extract_dual_optimizer, grid_max_alpha1,
+                      grid_min_rho, parse_scenario, solve_rho)
+from condrisk import cli
 from conftest import CANONICAL, make_canonical_spec
+
+CANONICAL_FILE = (Path(__file__).resolve().parents[1] / "scenarios"
+                  / "canonical.json")
 
 
 def single_agent_spec(b_value, k=2):
@@ -94,3 +102,55 @@ def test_rejects_a_step_not_finite_and_positive(step):
         grid_min_rho(spec, -1.0, 1.0, step)
     with pytest.raises(ValueError, match="grid step"):
         grid_max_alpha1(q, spec, (-4.0, 4.0), step)
+
+
+def oracle_report(argv, capsys):
+    assert cli.main(["oracle", str(CANONICAL_FILE)] + argv) == 0
+    return capsys.readouterr().out
+
+
+def test_grids_lie_on_multiples_of_the_step():
+    spec = make_canonical_spec()
+    got = grid_min_rho(spec, -1.234, 1.0, 1e-2)[0]
+    assert got == 1e-2 * round(got / 1e-2)
+    assert got == grid_min_rho(spec, -2.0, 3.0, 1e-2)[0]
+
+
+def test_oracle_report_does_not_follow_the_solver_start(monkeypatch, capsys):
+    # the start sizes the grids only, so a small move of it leaves every
+    # grid point, and the report, as it was
+    before = oracle_report(["--step", "1e-2"], capsys)
+    start = cli.feasible_start
+    monkeypatch.setattr(cli, "feasible_start", lambda spec: start(spec) + 1e-3)
+    assert oracle_report(["--step", "1e-2"], capsys) == before
+    assert json.loads(before)["pass"] is True
+
+
+class TestExtremeRiskAversion:
+    """canonical.json with agents[1].alpha = 1e200: exp(-alpha z) overflows
+    on every grid point below 0."""
+
+    @pytest.fixture
+    def doc(self, tmp_path):
+        doc = json.loads(CANONICAL_FILE.read_text())
+        doc["agents"][1]["alpha"] = 1e200
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(doc))
+        return path
+
+    def test_rho_grid_counts_an_overflow_as_infeasible(self, doc):
+        spec = parse_scenario(doc).spec
+        got = grid_min_rho(spec, -4.0, 4.0, 1e-2)[0]
+        assert abs(got - solve_rho(spec).rho[0]) <= 2e-2
+
+    def test_budget_split_is_refused_without_a_finite_floor(self, doc):
+        spec = parse_scenario(doc).spec
+        q = extract_dual_optimizer(solve_rho(spec), spec)
+        with pytest.raises(ValueError, match="lower corner"):
+            grid_max_alpha1(q, spec, (-4.0, 4.0), 1e-2)
+
+    def test_command_exits_2_without_a_warning(self, doc, capsys):
+        assert cli.main(["oracle", str(doc)]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err.startswith("invariant violation: utility -inf")
